@@ -401,7 +401,12 @@ func (c *Conn) GetStamped(key int64) (val int64, epoch uint64, ok bool, err erro
 // Put upserts the value for key and reports whether the key was newly
 // inserted.
 func (c *Conn) Put(key, val int64) (inserted bool, err error) {
-	f, err := c.call(proto.OpPut, proto.AppendKeyVal(nil, key, val))
+	return c.callBool(proto.OpPut, proto.AppendKeyVal(nil, key, val))
+}
+
+// callBool is a call whose reply is a single flag.
+func (c *Conn) callBool(op byte, payload []byte) (bool, error) {
+	f, err := c.call(op, payload)
 	if err != nil {
 		return false, err
 	}
@@ -415,7 +420,14 @@ func (c *Conn) Put(key, val int64) (inserted bool, err error) {
 // caller's arithmetic (time.Now().Unix() + seconds): the wire
 // deliberately carries only absolute state, never request timing.
 func (c *Conn) PutTTL(key, val, exp int64) (inserted bool, err error) {
-	f, err := c.call(proto.OpPutTTL, proto.AppendKeyValExp(nil, key, val, exp))
+	return c.putTTL(proto.OpPutTTL, proto.AppendKeyValExp(nil, key, val, exp), exp)
+}
+
+// putTTL is the expiring put of either op family (PUTTTL, NSPUT): the
+// reply is the inserted flag and the applied expiry, which must echo
+// exp.
+func (c *Conn) putTTL(op byte, payload []byte, exp int64) (inserted bool, err error) {
+	f, err := c.call(op, payload)
 	if err != nil {
 		return false, err
 	}
@@ -424,7 +436,7 @@ func (c *Conn) PutTTL(key, val, exp int64) (inserted bool, err error) {
 		return false, err
 	}
 	if echoed != exp {
-		return inserted, fmt.Errorf("client: put-ttl echoed expiry %d, sent %d", echoed, exp)
+		return inserted, fmt.Errorf("client: %s echoed expiry %d, sent %d", proto.OpName(op), echoed, exp)
 	}
 	return inserted, nil
 }
@@ -433,7 +445,13 @@ func (c *Conn) PutTTL(key, val, exp int64) (inserted bool, err error) {
 // key, and whether the key is live. An entry whose expiry has passed
 // reads as absent from the moment the epoch passes it.
 func (c *Conn) GetTTL(key int64) (val, exp int64, ok bool, err error) {
-	f, err := c.call(proto.OpGetTTL, proto.AppendKey(nil, key))
+	return c.getTTL(proto.OpGetTTL, proto.AppendKey(nil, key))
+}
+
+// getTTL is the expiry-reporting get of either op family (GETTTL,
+// NSGET).
+func (c *Conn) getTTL(op byte, payload []byte) (val, exp int64, ok bool, err error) {
+	f, err := c.call(op, payload)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -446,11 +464,7 @@ func (c *Conn) GetTTL(key int64) (val, exp int64, ok bool, err error) {
 
 // Delete removes key and reports whether it was present.
 func (c *Conn) Delete(key int64) (deleted bool, err error) {
-	f, err := c.call(proto.OpDel, proto.AppendKey(nil, key))
-	if err != nil {
-		return false, err
-	}
-	return proto.DecodeBool(f.Payload)
+	return c.callBool(proto.OpDel, proto.AppendKey(nil, key))
 }
 
 // PutBatch upserts every item in one request and returns the number of
@@ -534,29 +548,36 @@ func (c *Conn) Checkpoint() (uint64, error) {
 	return proto.DecodeU64(f.Payload)
 }
 
-// SyncShardHashes fetches the server's last committed checkpoint
-// descriptor: its routing seed and, per shard, the canonical image's
-// size and SHA-256. Two nodes with equal contents return equal hashes
-// for every shard, so this is the comparison an anti-entropy round
-// starts with.
-func (c *Conn) SyncShardHashes() (hseed uint64, entries []ShardHash, err error) {
-	f, err := c.call(proto.OpShardHash, nil)
-	if err != nil {
-		return 0, nil, err
+// SyncShardHashes fetches the last committed checkpoint's descriptor
+// for keyspace ns ("": the default one): its routing seed — a tenant's
+// derived one — and, per shard, the canonical image's size and SHA-256.
+// Two nodes with equal contents return equal hashes for every shard, so
+// this is the comparison an anti-entropy round starts with. The default
+// keyspace's reply also lists the committed tenant names, byte-sorted:
+// what a replica has to mirror. A tenant absent from the last committed
+// checkpoint fails with a RemoteError.
+func (c *Conn) SyncShardHashes(ns string) (hseed uint64, entries []ShardHash, names []string, err error) {
+	var req []byte
+	if ns != "" {
+		req = proto.AppendNSName(nil, ns)
 	}
-	return proto.DecodeShardHashes(f.Payload)
+	f, err := c.call(proto.OpShardHash, req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return proto.DecodeShardHashesNS(f.Payload)
 }
 
 // SyncShardChunk fetches up to maxLen bytes (0: the server's default)
-// of shard i's committed canonical image, identified by the hash a
-// SyncShardHashes call advertised, starting at offset. more reports
-// that the image continues past the returned bytes. A hash superseded
-// by a newer checkpoint fails with a RemoteError carrying
+// of the committed canonical image of keyspace ns's shard i, identified
+// by the hash a SyncShardHashes call advertised, starting at offset.
+// more reports that the image continues past the returned bytes. A hash
+// superseded by a newer checkpoint fails with a RemoteError carrying
 // proto.ErrCodeStale — re-fetch the hashes and retry. Callers
 // assembling a whole image must verify its SHA-256 against the
 // advertised hash.
-func (c *Conn) SyncShardChunk(i int, hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
-	f, err := c.call(proto.OpSync, proto.AppendSyncReq(nil, uint32(i), hash, offset, uint32(maxLen)))
+func (c *Conn) SyncShardChunk(ns string, i int, hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
+	f, err := c.call(proto.OpSync, proto.AppendSyncReqNS(nil, uint32(i), hash, offset, uint32(maxLen), ns))
 	if err != nil {
 		return nil, false, err
 	}

@@ -8,7 +8,6 @@ package client
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/proto"
 )
@@ -35,18 +34,7 @@ func (c *Conn) NSPut(ns string, key, val int64) (inserted bool, err error) {
 // inserts of new keys with an error satisfying errors.Is(err,
 // ErrQuota); upserts of existing keys always pass.
 func (c *Conn) NSPutTTL(ns string, key, val, exp int64) (inserted bool, err error) {
-	f, err := c.call(proto.OpNSPut, proto.AppendNSKeyValExp(nil, ns, key, val, exp))
-	if err != nil {
-		return false, err
-	}
-	inserted, echoed, err := proto.DecodeTTLAck(f.Payload)
-	if err != nil {
-		return false, err
-	}
-	if echoed != exp {
-		return inserted, fmt.Errorf("client: ns-put echoed expiry %d, sent %d", echoed, exp)
-	}
-	return inserted, nil
+	return c.putTTL(proto.OpNSPut, proto.AppendNSKeyValExp(nil, ns, key, val, exp), exp)
 }
 
 // NSGet returns the value stored for key in the named tenant's
@@ -59,25 +47,13 @@ func (c *Conn) NSGet(ns string, key int64) (val int64, ok bool, err error) {
 // NSGetTTL returns the value and recorded absolute expiry (0: none)
 // for key in the named tenant's keyspace, and whether the key is live.
 func (c *Conn) NSGetTTL(ns string, key int64) (val, exp int64, ok bool, err error) {
-	f, err := c.call(proto.OpNSGet, proto.AppendNSKey(nil, ns, key))
-	if err != nil {
-		return 0, 0, false, err
-	}
-	val, exp, epoch, ok, err := proto.DecodeFoundTTL(f.Payload)
-	if err == nil {
-		c.noteEpoch(epoch)
-	}
-	return val, exp, ok, err
+	return c.getTTL(proto.OpNSGet, proto.AppendNSKey(nil, ns, key))
 }
 
 // NSDelete removes key from the named tenant's keyspace and reports
 // whether it was present.
 func (c *Conn) NSDelete(ns string, key int64) (deleted bool, err error) {
-	f, err := c.call(proto.OpNSDel, proto.AppendNSKey(nil, ns, key))
-	if err != nil {
-		return false, err
-	}
-	return proto.DecodeBool(f.Payload)
+	return c.callBool(proto.OpNSDel, proto.AppendNSKey(nil, ns, key))
 }
 
 // DropNS erases the named tenant and reports whether it existed. This
@@ -88,11 +64,7 @@ func (c *Conn) NSDelete(ns string, key int64) (deleted bool, err error) {
 // tenant never existed. Dropping an absent tenant returns false and
 // commits nothing.
 func (c *Conn) DropNS(ns string) (existed bool, err error) {
-	f, err := c.call(proto.OpDropNS, proto.AppendNSName(nil, ns))
-	if err != nil {
-		return false, err
-	}
-	return proto.DecodeBool(f.Payload)
+	return c.callBool(proto.OpDropNS, proto.AppendNSName(nil, ns))
 }
 
 // ListNS returns the server's per-tenant key quota (0: unlimited) and
@@ -104,41 +76,6 @@ func (c *Conn) ListNS() (quota uint64, tenants []NSStat, err error) {
 		return 0, nil, err
 	}
 	return proto.DecodeNSList(f.Payload)
-}
-
-// SyncShardHashesNS is SyncShardHashes plus the committed
-// namespace-name table: the tenants present in the server's last
-// committed checkpoint, byte-sorted. An anti-entropy round starts here
-// to discover what to mirror.
-func (c *Conn) SyncShardHashesNS() (hseed uint64, entries []ShardHash, names []string, err error) {
-	f, err := c.call(proto.OpShardHash, nil)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return proto.DecodeShardHashesNS(f.Payload)
-}
-
-// SyncNSShardHashes fetches the named tenant's committed checkpoint
-// descriptor: the tenant's derived routing seed and, per shard, the
-// canonical image's size and SHA-256. A tenant absent from the last
-// committed checkpoint fails with a RemoteError.
-func (c *Conn) SyncNSShardHashes(ns string) (nsHseed uint64, entries []ShardHash, err error) {
-	f, err := c.call(proto.OpShardHash, proto.AppendNSName(nil, ns))
-	if err != nil {
-		return 0, nil, err
-	}
-	return proto.DecodeShardHashes(f.Payload)
-}
-
-// SyncNSShardChunk is SyncShardChunk addressed at the named tenant's
-// shard i. The same staleness contract applies: a hash superseded by a
-// newer checkpoint fails with proto.ErrCodeStale.
-func (c *Conn) SyncNSShardChunk(ns string, i int, hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
-	f, err := c.call(proto.OpSync, proto.AppendSyncReqNS(nil, uint32(i), hash, offset, uint32(maxLen), ns))
-	if err != nil {
-		return nil, false, err
-	}
-	return proto.DecodeSyncChunk(f.Payload)
 }
 
 // NSPut upserts the value for key in the named tenant's keyspace on one

@@ -41,16 +41,13 @@ func (db *DB) CheckpointTraced(tid, psid uint64) error {
 	return db.checkpoint(tid, psid)
 }
 
-// pendingShard is one shard image staged for publication. For a
-// tenant-cell shard, cell is the cell and nsHseed its derived routing
-// seed; for a default shard both are zero.
+// pendingShard is one shard image of cell staged for publication.
 type pendingShard struct {
+	cell    *namespace.Cell
 	idx     int
 	data    []byte
 	hash    [32]byte
 	version uint64
-	cell    *namespace.Cell
-	nsHseed uint64
 }
 
 // checkpoint commits the current contents (see Checkpoint). tid/psid
@@ -79,14 +76,13 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	// point are deducted after the commit (never a blanket reset).
 	dirtyAtStart := db.dirtyOps.Load()
 
-	s := db.store.Load()
-	cells := db.nss.Snapshot()
-	// The live-set-at-E sweep, over the default keyspace and every
-	// tenant cell: what gets committed is a pure function of (contents,
-	// epoch), never of any earlier sweeper's schedule.
+	cells := db.cells()
+	// The live-set-at-E sweep, over every keyspace: what gets committed
+	// is a pure function of (contents, epoch), never of any earlier
+	// sweeper's schedule.
 	if !db.noSweep.Load() {
 		if epoch := expiry.Epoch(db.opts.Clock); epoch > 0 {
-			swept := s.SweepExpired(epoch)
+			swept := 0
 			for _, c := range cells {
 				swept += c.Store.SweepExpired(epoch)
 			}
@@ -104,8 +100,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 			}
 		}
 	}
-	nsh := s.NumShards()
-	newMan := &manifest{hseed: s.RoutingSeed(), shards: make([]shardEntry, nsh)}
+	newMan := &manifest{hseed: cells[0].Store.RoutingSeed()}
 	var writes []pendingShard
 	// Render buffers come from (and return to) renderPool; pendingShard
 	// data aliases them, so they go back only at exit, after the images
@@ -116,44 +111,13 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 			db.renderPool.Put(b)
 		}
 	}()
-	for i := 0; i < nsh; i++ {
-		if db.man != nil && s.ShardVersion(i) == db.cpVersions[i] {
-			newMan.shards[i] = db.man.shards[i] // image still current
-			continue
-		}
-		buf, _ := db.renderPool.Get().(*bytes.Buffer)
-		if buf == nil {
-			buf = new(bytes.Buffer)
-		}
-		buf.Reset()
-		bufs = append(bufs, buf)
-		ver, _, err := s.SnapshotShard(i, buf)
-		if err != nil {
-			return fmt.Errorf("durable: snapshotting shard %d: %w", i, err)
-		}
-		h := sha256.Sum256(buf.Bytes())
-		newMan.shards[i] = shardEntry{size: int64(buf.Len()), hash: h}
-		if db.man != nil && h == db.man.shards[i].hash {
-			// Version moved but the canonical bytes did not (e.g. an
-			// insert undone by a delete): the committed file is already
-			// exact, so just advance the version floor.
-			db.cpVersions[i] = ver
-			continue
-		}
-		writes = append(writes, pendingShard{idx: i, data: buf.Bytes(), hash: h, version: ver})
-	}
-
-	// Tenant cells, in canonical (byte-sorted) name order. A cell that
-	// is physically empty after the sweep is excluded from the manifest
-	// entirely: created-then-emptied commits the same bytes as
-	// never-existed.
+	// Cells in canonical order: the root, then tenants byte-sorted by
+	// name. The root is always committed; a tenant that is physically
+	// empty after the sweep is excluded from the manifest entirely:
+	// created-then-emptied commits the same bytes as never-existed.
 	var manCells []*namespace.Cell
 	for _, c := range cells {
-		phys := 0
-		for i := 0; i < c.Store.NumShards(); i++ {
-			phys += c.Store.ShardLen(i)
-		}
-		if phys == 0 {
+		if c.Name != "" && c.PhysicalLen() == 0 {
 			continue
 		}
 		if c.CPVersions == nil {
@@ -167,14 +131,14 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		// resurrect the dropped tenant's images. Committed is set only
 		// when this cell's own entry lands in a manifest, so an
 		// uncommitted cell always renders in full.
-		var prev *nsEntry
+		var prev *cellEntry
 		if c.Committed && db.man != nil {
-			prev = db.man.nsAt(c.Name)
+			prev = db.man.cell(c.Name)
 		}
-		ent := nsEntry{name: c.Name, shards: make([]shardEntry, c.Store.NumShards())}
+		ent := cellEntry{name: c.Name, shards: make([]ShardHash, c.Store.NumShards())}
 		for i := range ent.shards {
 			if prev != nil && c.Store.ShardVersion(i) == c.CPVersions[i] {
-				ent.shards[i] = prev.shards[i]
+				ent.shards[i] = prev.shards[i] // image still current
 				continue
 			}
 			buf, _ := db.renderPool.Get().(*bytes.Buffer)
@@ -185,61 +149,34 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 			bufs = append(bufs, buf)
 			ver, _, err := c.Store.SnapshotShard(i, buf)
 			if err != nil {
-				return fmt.Errorf("durable: snapshotting namespace %q shard %d: %w", c.Name, i, err)
+				return fmt.Errorf("durable: snapshotting keyspace %q shard %d: %w", c.Name, i, err)
 			}
 			h := sha256.Sum256(buf.Bytes())
-			ent.shards[i] = shardEntry{size: int64(buf.Len()), hash: h}
-			if prev != nil && h == prev.shards[i].hash {
+			ent.shards[i] = ShardHash{Size: int64(buf.Len()), Hash: h}
+			if prev != nil && h == prev.shards[i].Hash {
+				// Version moved but the canonical bytes did not (e.g. an
+				// insert undone by a delete): the committed file is already
+				// exact, so just advance the version floor.
 				c.CPVersions[i] = ver
 				continue
 			}
-			writes = append(writes, pendingShard{
-				idx: i, data: buf.Bytes(), hash: h, version: ver,
-				cell: c, nsHseed: c.Store.RoutingSeed(),
-			})
+			writes = append(writes, pendingShard{cell: c, idx: i, data: buf.Bytes(), hash: h, version: ver})
 		}
-		newMan.nss = append(newMan.nss, ent)
+		newMan.cells = append(newMan.cells, ent)
 		manCells = append(manCells, c)
 	}
-	if db.man != nil && len(writes) == 0 && manifestsEqual(db.man, newMan) {
+	manBytes := newMan.encode()
+	if len(writes) == 0 && bytes.Equal(manBytes, db.manBytes) {
 		return nil // nothing changed; the manifest bytes would be identical
 	}
-
-	// Commit sequence. Steps 1-2 publish the new shard images under
-	// content-addressed names the old manifest does not reference, so
-	// they are invisible to recovery until step 3-4 swaps the manifest —
-	// the single commit point.
-	cpBytes := 0
-	for _, p := range writes {
-		name := shardFileName(p.idx, p.hash)
-		if p.cell != nil {
-			name = nsShardFileName(p.nsHseed, p.idx, p.hash)
-		}
-		if err := db.writeFileAtomic(name, p.data); err != nil {
-			return fmt.Errorf("durable: publishing shard %d image: %w", p.idx, err)
-		}
-		cpBytes += len(p.data)
-	}
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s: %w", db.dir, err)
-	}
-	manBytes := newMan.encode()
-	if err := db.writeFileAtomic(manifestName, manBytes); err != nil {
-		return fmt.Errorf("durable: publishing manifest: %w", err)
-	}
-	cpBytes += len(manBytes)
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
+	cpBytes, err := db.commit(newMan, manBytes, writes)
+	if err != nil {
+		return err
 	}
 
 	// Committed. Everything below is housekeeping.
-	db.man = newMan
 	for _, p := range writes {
-		if p.cell != nil {
-			p.cell.CPVersions[p.idx] = p.version
-		} else {
-			db.cpVersions[p.idx] = p.version
-		}
+		p.cell.CPVersions[p.idx] = p.version
 	}
 	for _, c := range manCells {
 		c.Committed = true
@@ -265,6 +202,33 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		})
 	}
 	return nil
+}
+
+// commit publishes writes and then newMan (encoded as manBytes) with
+// the atomic commit sequence, and returns the bytes written. The image
+// files land under content-addressed names the old manifest does not
+// reference, so they are invisible to recovery until the manifest swap
+// — the single commit point. Caller holds cpMu.
+func (db *DB) commit(newMan *manifest, manBytes []byte, writes []pendingShard) (int, error) {
+	n := len(manBytes)
+	for _, p := range writes {
+		name := imageFileName(p.cell.Store.RoutingSeed(), p.idx, p.hash)
+		if err := db.writeFileAtomic(name, p.data); err != nil {
+			return 0, fmt.Errorf("durable: publishing shard %d image: %w", p.idx, err)
+		}
+		n += len(p.data)
+	}
+	if err := db.fs.SyncDir(db.dir); err != nil {
+		return 0, fmt.Errorf("durable: syncing %s: %w", db.dir, err)
+	}
+	if err := db.writeFileAtomic(manifestName, manBytes); err != nil {
+		return 0, fmt.Errorf("durable: publishing manifest: %w", err)
+	}
+	if err := db.fs.SyncDir(db.dir); err != nil {
+		return 0, fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
+	}
+	db.man, db.manBytes = newMan, manBytes
+	return n, nil
 }
 
 // writeFileAtomic publishes data under name via the temp-file dance:
@@ -299,15 +263,11 @@ func (db *DB) sweep() {
 	if err != nil {
 		return
 	}
-	keep := make(map[string]bool, len(db.man.shards)+1)
-	keep[manifestName] = true
-	for i, e := range db.man.shards {
-		keep[shardFileName(i, e.hash)] = true
-	}
-	for _, ns := range db.man.nss {
-		nsHseed := nsRoutingSeed(db.man.hseed, ns.name)
-		for i, e := range ns.shards {
-			keep[nsShardFileName(nsHseed, i, e.hash)] = true
+	keep := map[string]bool{manifestName: true}
+	for _, c := range db.man.cells {
+		hseed := db.man.cellSeed(c.name)
+		for i, e := range c.shards {
+			keep[imageFileName(hseed, i, e.Hash)] = true
 		}
 	}
 	for _, n := range names {

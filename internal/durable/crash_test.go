@@ -5,17 +5,27 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 // crashOpsA and crashOpsB are two deterministic mutation phases; the
 // crash suite checkpoints between them and injects a fault at every
-// step of the second checkpoint's commit sequence.
+// step of the second checkpoint's commit sequence. Both phases write
+// tenants as well as the default keyspace, and phase B empties tenant
+// "brief" to zero keys — its cell must leave the manifest and its files
+// the directory — so the one checkpoint loop is crash-tested over root
+// and tenant cells alike.
 func crashOpsA(db *DB) {
 	items := make([]Item, 0, 400)
 	for k := int64(0); k < 800; k += 2 {
 		items = append(items, Item{Key: k, Val: k * 10})
 	}
 	db.PutBatch(items)
+	for k := int64(0); k < 90; k++ {
+		db.NSPut("acme", k, k*7) //nolint:errcheck // valid name
+		db.NSPut("brief", k, -k) //nolint:errcheck // valid name
+	}
 }
 
 func crashOpsB(db *DB) {
@@ -25,47 +35,101 @@ func crashOpsB(db *DB) {
 	for k := int64(1); k < 400; k += 3 {
 		db.Put(k, -k)
 	}
+	for k := int64(0); k < 90; k++ {
+		if k%4 == 0 {
+			db.NSDelete("acme", k)
+		}
+		db.NSDelete("brief", k)
+	}
+	for k := int64(200); k < 230; k++ {
+		db.NSPut("acme", k, k) //nolint:errcheck // valid name
+	}
 }
 
-func refA() map[int64]int64 {
-	ref := map[int64]int64{}
+// keyspaces is a reference model: keyspace name ("": the default one)
+// to contents. A tenant with no keys is absent.
+type keyspaces map[string]map[int64]int64
+
+func refA() keyspaces {
+	ref := keyspaces{"": {}, "acme": {}, "brief": {}}
 	for k := int64(0); k < 800; k += 2 {
-		ref[k] = k * 10
+		ref[""][k] = k * 10
+	}
+	for k := int64(0); k < 90; k++ {
+		ref["acme"][k] = k * 7
+		ref["brief"][k] = -k
 	}
 	return ref
 }
 
-func refB() map[int64]int64 {
+func refB() keyspaces {
 	ref := refA()
 	for k := int64(0); k < 800; k += 6 {
-		delete(ref, k)
+		delete(ref[""], k)
 	}
 	for k := int64(1); k < 400; k += 3 {
-		ref[k] = -k
+		ref[""][k] = -k
 	}
+	for k := int64(0); k < 90; k += 4 {
+		delete(ref["acme"], k)
+	}
+	for k := int64(200); k < 230; k++ {
+		ref["acme"][k] = k
+	}
+	delete(ref, "brief")
 	return ref
+}
+
+// dumpAll reads db's every keyspace back into a reference model.
+func dumpAll(t *testing.T, db *DB) keyspaces {
+	t.Helper()
+	out := keyspaces{"": dump(t, db)}
+	for _, c := range db.nss.Snapshot() {
+		m := map[int64]int64{}
+		c.Store.Ascend(func(it Item) bool { m[it.Key] = it.Val; return true })
+		if len(m) > 0 {
+			out[c.Name] = m
+		}
+	}
+	return out
+}
+
+func sameKeyspaces(a, b keyspaces) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for ns, m := range a {
+		if bm, ok := b[ns]; !ok || !sameContents(m, bm) {
+			return false
+		}
+	}
+	return true
 }
 
 // freshLoadSnapshot bulk-loads contents into a brand-new DB with the
 // given seed and returns its directory bytes: the canonical on-disk
 // form of those contents.
-func freshLoadSnapshot(t *testing.T, shards int, seed uint64, contents map[int64]int64) map[string][]byte {
+func freshLoadSnapshot(t *testing.T, shards int, seed uint64, contents keyspaces) map[string][]byte {
 	t.Helper()
 	fs := NewMemFS()
 	db, err := Open("db", memOpts(fs, shards, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]int64, 0, len(contents))
-	for k := range contents {
-		keys = append(keys, k)
+	for ns, m := range contents {
+		keys := make([]int64, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		ops := make([]shard.Op, 0, len(keys))
+		for _, k := range keys {
+			ops = append(ops, shard.Op{Key: k, Val: m[k]})
+		}
+		if _, err := db.NSApplyBatch(ns, ops, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	items := make([]Item, 0, len(keys))
-	for _, k := range keys {
-		items = append(items, Item{Key: k, Val: contents[k]})
-	}
-	db.PutBatch(items)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +202,16 @@ func TestCrashAtEveryCommitStep(t *testing.T) {
 			if err != nil {
 				t.Fatalf("recovery failed after fault at step %d: %v", step, err)
 			}
-			got := dump(t, db2)
+			got := dumpAll(t, db2)
 			want, wantDir, label := contentsA, wantA, "pre-checkpoint"
 			if cpErr == nil {
 				// The commit point was passed (faults can only land in
 				// the best-effort sweep): the new state must be durable.
 				want, wantDir, label = contentsB, wantB, "post-checkpoint"
 			}
-			if !sameContents(got, want) {
-				t.Fatalf("fault at step %d: recovered %d keys, want the %s contents (%d keys)",
-					step, len(got), label, len(want))
+			if !sameKeyspaces(got, want) {
+				t.Fatalf("fault at step %d: recovered %d default-keyspace keys in %d keyspaces, want the %s contents (%d keys in %d keyspaces)",
+					step, len(got[""]), len(got), label, len(want[""]), len(want))
 			}
 			if err := db2.Store().CheckInvariants(); err != nil {
 				t.Fatalf("fault at step %d: recovered store corrupt: %v", step, err)

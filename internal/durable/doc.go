@@ -5,11 +5,14 @@
 // log, but under history independence a WAL is forbidden: a log of
 // operations IS the operation history the paper's structures exist to
 // erase (Bender et al., PODS 2016). This engine therefore persists
-// nothing but canonical state. A DB directory holds one canonical image
-// file per shard — a pure function of (shard contents, seed), already
-// byte-identical across operation histories — plus a checksummed
-// manifest naming them by content hash. Commits follow the classic
-// atomic-publish sequence:
+// nothing but canonical state. A DB is a list of cells — the default
+// keyspace is the cell named "", each tenant one more — and its
+// directory holds one canonical image file per shard of each cell — a
+// pure function of (shard contents, seed), already byte-identical
+// across operation histories — plus a checksummed manifest (v3: one
+// cell table, see manifest.go) naming them by seed and content hash.
+// Recover, checkpoint, install and VerifyCanonical are each one loop
+// over the cells. Commits follow the classic atomic-publish sequence:
 //
 //	write shard images to *.tmp → fsync each → rename into place →
 //	fsync dir → write MANIFEST.tmp → fsync → rename over MANIFEST →

@@ -111,27 +111,25 @@ type DB struct {
 	dir  string
 	fs   FS
 	opts Options
-	// store is the live in-memory state. It is a swappable pointer
-	// because a read replica installs a whole new checkpoint at once:
-	// InstallCheckpoint assembles a fresh Store from the primary's
-	// canonical images and publishes it here while concurrent readers
-	// keep using whichever store they loaded — before or after, both are
-	// consistent snapshots.
-	store atomic.Pointer[shard.Store]
-	// nss holds the live per-tenant cells. Cells are created lazily on
-	// first namespace write, restored from the manifest on recovery, and
-	// replaced wholesale by InstallCheckpointNS. Each cell's CPVersions
-	// bookkeeping is guarded by cpMu, like cpVersions below.
-	nss *namespace.Registry
+	// root is the default keyspace — the cell named "" — and nss holds
+	// the tenants' cells; every engine path (recover, checkpoint,
+	// install, verify) is one loop over cells(). The root is a swappable
+	// pointer outside the registry so its point ops cost one pointer
+	// load and a store call: InstallCheckpoint publishes freshly
+	// assembled cells while concurrent readers keep whichever store they
+	// loaded — before or after, both are consistent snapshots. Tenant
+	// cells are created lazily on first write. Each cell's
+	// CPVersions/Committed bookkeeping is guarded by cpMu.
+	root atomic.Pointer[namespace.Cell]
+	nss  *namespace.Registry
 
 	// cpMu serializes checkpoints and guards the committed-state
 	// fields below.
 	cpMu sync.Mutex
-	man  *manifest // last committed manifest (nil: none yet)
-	// cpVersions[i] is shard i's version counter at the moment its
-	// committed image was snapshotted; ShardVersion(i) == cpVersions[i]
-	// means the on-disk image is current.
-	cpVersions []uint64
+	// man is the last committed manifest (nil: none yet) and manBytes
+	// its encoding — the bytes in the MANIFEST file.
+	man      *manifest
+	manBytes []byte
 	// renderPool recycles the bytes.Buffers that stage shard images
 	// during a checkpoint, so steady-state checkpoints stop paying the
 	// image-sized allocation per dirty shard.
@@ -208,8 +206,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 			return nil, fmt.Errorf("durable: %w", err)
 		}
 		s.SetClock(o.Clock)
-		db.store.Store(s)
-		db.cpVersions = make([]uint64, s.NumShards())
+		db.root.Store(&namespace.Cell{Store: s})
 		if err := db.checkpoint(0, 0); err != nil {
 			return nil, fmt.Errorf("durable: initial checkpoint: %w", err)
 		}
@@ -229,7 +226,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	return db, nil
 }
 
-// recover rebuilds the store from the last committed checkpoint.
+// recover rebuilds every committed cell from the last checkpoint.
 func (db *DB) recover(seed uint64) error {
 	data, err := db.readFile(manifestName)
 	if err != nil {
@@ -239,77 +236,86 @@ func (db *DB) recover(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	readers := make([]io.Reader, len(man.shards))
-	for i, e := range man.shards {
-		img, err := db.readFile(shardFileName(i, e.hash))
-		if err != nil {
-			return fmt.Errorf("durable: shard %d image: %w", i, err)
-		}
-		if int64(len(img)) != e.size {
-			return fmt.Errorf("durable: shard %d image is %d bytes, manifest says %d",
-				i, len(img), e.size)
-		}
-		if sha256.Sum256(img) != e.hash {
-			return fmt.Errorf("durable: shard %d image hash mismatch", i)
-		}
-		readers[i] = bytes.NewReader(img)
-	}
-	s, err := shard.AssembleStore(man.hseed, readers, seed, nil)
-	if err != nil {
-		return fmt.Errorf("durable: %w", err)
-	}
-	s.SetClock(db.opts.Clock)
-	for _, e := range man.nss {
-		c, err := db.recoverNS(man.hseed, e)
-		if err != nil {
+	cells := make([]*namespace.Cell, len(man.cells))
+	for k, e := range man.cells {
+		if cells[k], err = db.recoverCell(man, e, seed); err != nil {
 			return err
 		}
-		db.nss.Put(c)
 	}
-	db.store.Store(s)
-	db.man = man
-	db.cpVersions = make([]uint64, s.NumShards())
-	for i := range db.cpVersions {
-		db.cpVersions[i] = s.ShardVersion(i)
-	}
+	db.publish(cells)
+	db.man, db.manBytes = man, data
 	db.sweep() // clear debris from any interrupted commit
 	return nil
 }
 
-// recoverNS rebuilds one tenant cell from its committed images,
-// verifying each file against the manifest exactly like the default
-// shards.
-func (db *DB) recoverNS(rootHseed uint64, e nsEntry) (*namespace.Cell, error) {
-	nsHseed := nsRoutingSeed(rootHseed, e.name)
-	readers := make([]io.Reader, len(e.shards))
+// recoverCell rebuilds one cell from its committed images, verifying
+// each file's size and hash against the manifest.
+func (db *DB) recoverCell(man *manifest, e cellEntry, seed uint64) (*namespace.Cell, error) {
+	hseed := man.cellSeed(e.name)
+	images := make([][]byte, len(e.shards))
 	for i, se := range e.shards {
-		img, err := db.readFile(nsShardFileName(nsHseed, i, se.hash))
+		img, err := db.readFile(imageFileName(hseed, i, se.Hash))
 		if err != nil {
-			return nil, fmt.Errorf("durable: namespace %q shard %d image: %w", e.name, i, err)
+			return nil, fmt.Errorf("durable: keyspace %q shard %d image: %w", e.name, i, err)
 		}
-		if int64(len(img)) != se.size {
-			return nil, fmt.Errorf("durable: namespace %q shard %d image is %d bytes, manifest says %d",
-				e.name, i, len(img), se.size)
+		if int64(len(img)) != se.Size {
+			return nil, fmt.Errorf("durable: keyspace %q shard %d image is %d bytes, manifest says %d",
+				e.name, i, len(img), se.Size)
 		}
-		if sha256.Sum256(img) != se.hash {
-			return nil, fmt.Errorf("durable: namespace %q shard %d image hash mismatch", e.name, i)
+		if sha256.Sum256(img) != se.Hash {
+			return nil, fmt.Errorf("durable: keyspace %q shard %d image hash mismatch", e.name, i)
 		}
+		images[i] = img
+	}
+	return db.assembleCell(man.hseed, e.name, images, seed)
+}
+
+// assembleCell builds the cell called name from one canonical image
+// per shard, verifying per-image checksums and the store's structural
+// and routing invariants. The default keyspace routes under rootHseed
+// and draws fresh randomness from seed; a tenant must sit at the seed
+// derived from (rootHseed, name), so an image set filed under the wrong
+// tenant fails assembly. The cell comes back marked committed: callers
+// publish it only together with a manifest that lists these images.
+func (db *DB) assembleCell(rootHseed uint64, name string, images [][]byte, seed uint64) (*namespace.Cell, error) {
+	hseed := rootHseed
+	if name != "" {
+		seed = namespace.DeriveSeed(rootHseed, name)
+		hseed = shard.MixSeed(seed)
+	}
+	readers := make([]io.Reader, len(images))
+	for i, img := range images {
 		readers[i] = bytes.NewReader(img)
 	}
-	seed := namespace.DeriveSeed(rootHseed, e.name)
-	st, err := shard.AssembleStore(nsHseed, readers, seed, nil)
+	st, err := shard.AssembleStore(hseed, readers, seed, nil)
 	if err != nil {
-		return nil, fmt.Errorf("durable: namespace %q: %w", e.name, err)
+		return nil, fmt.Errorf("durable: keyspace %q: %w", name, err)
 	}
 	st.SetClock(db.opts.Clock)
-	// Recovered straight from a manifest entry, so this incarnation is
-	// committed by construction.
-	c := &namespace.Cell{Name: e.name, Seed: seed, Store: st, Committed: true}
-	c.CPVersions = make([]uint64, st.NumShards())
-	for i := range c.CPVersions {
-		c.CPVersions[i] = st.ShardVersion(i)
-	}
+	c := &namespace.Cell{Name: name, Store: st}
+	c.MarkCommitted()
 	return c, nil
+}
+
+// publish makes cells — the root first, then the tenants — the live
+// state, replacing whatever was there.
+func (db *DB) publish(cells []*namespace.Cell) {
+	db.root.Store(cells[0])
+	db.nss.ReplaceAll(cells[1:])
+}
+
+// cells returns every live cell: the root, then the tenants
+// byte-sorted by name — the manifest's canonical order.
+func (db *DB) cells() []*namespace.Cell {
+	return append([]*namespace.Cell{db.root.Load()}, db.nss.Snapshot()...)
+}
+
+// cell returns the live cell called ns ("": the root), or nil.
+func (db *DB) cell(ns string) *namespace.Cell {
+	if ns == "" {
+		return db.root.Load()
+	}
+	return db.nss.Get(ns)
 }
 
 func (db *DB) path(name string) string { return path.Join(db.dir, name) }
@@ -329,7 +335,7 @@ func (db *DB) readFile(name string) ([]byte, error) {
 // Store returns the underlying concurrent store. Mutations made
 // directly on it are picked up by the next checkpoint via the shard
 // version counters, but do not count toward the dirty-op threshold.
-func (db *DB) Store() *shard.Store { return db.store.Load() }
+func (db *DB) Store() *shard.Store { return db.root.Load().Store }
 
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
@@ -354,7 +360,7 @@ func (db *DB) noteDirty(n int) {
 // Put inserts or updates the value for key and reports whether the key
 // was newly inserted. A plain Put clears any previously recorded TTL.
 func (db *DB) Put(key, val int64) bool {
-	inserted := db.store.Load().Put(key, val)
+	inserted := db.Store().Put(key, val)
 	db.noteDirty(1)
 	return inserted
 }
@@ -364,14 +370,14 @@ func (db *DB) Put(key, val int64) bool {
 // was newly inserted — counting a key whose previous entry had already
 // expired as new.
 func (db *DB) PutTTL(key, val, exp int64) bool {
-	inserted := db.store.Load().PutTTL(key, val, exp)
+	inserted := db.Store().PutTTL(key, val, exp)
 	db.noteDirty(1)
 	return inserted
 }
 
 // GetTTL returns the value and recorded absolute expiry (0: none) for
 // key, and whether the key is live at the current epoch.
-func (db *DB) GetTTL(key int64) (val, exp int64, ok bool) { return db.store.Load().GetTTL(key) }
+func (db *DB) GetTTL(key int64) (val, exp int64, ok bool) { return db.Store().GetTTL(key) }
 
 // Clock returns the database's TTL epoch clock.
 func (db *DB) Clock() expiry.Clock { return db.opts.Clock }
@@ -379,18 +385,32 @@ func (db *DB) Clock() expiry.Clock { return db.opts.Clock }
 // Epoch returns the database's current TTL epoch.
 func (db *DB) Epoch() int64 { return expiry.Epoch(db.opts.Clock) }
 
-// SweepExpired physically removes every entry already expired at epoch
-// and returns how many it removed. Checkpoint runs it automatically at
-// the current epoch (unless Options.NoSweep), so committed directories
-// always hold exactly the live-set-at-E; call it directly only to sweep
-// at an explicit epoch.
+// SweepExpired physically removes every entry already expired at
+// epoch, in every keyspace, and returns how many it removed. Checkpoint
+// runs it automatically at the current epoch (unless Options.NoSweep),
+// so committed directories always hold exactly the live-set-at-E; call
+// it directly only to sweep at an explicit epoch.
 func (db *DB) SweepExpired(epoch int64) int {
-	n := db.store.Load().SweepExpired(epoch)
+	n := 0
+	for _, c := range db.cells() {
+		n += c.Store.SweepExpired(epoch)
+	}
 	if n > 0 {
 		db.sweptKeys.Add(uint64(n))
 		db.noteDirty(n)
 	}
 	return n
+}
+
+// ExpiredKeys calls fn for every entry already dead at epoch but still
+// physically resident, keyspace by keyspace — the worklist a sweeper
+// feeds back through NSApplyBatch as Expire ops.
+func (db *DB) ExpiredKeys(epoch int64, fn func(ns string, key int64)) {
+	for _, c := range db.cells() {
+		for _, k := range c.Store.ExpiredKeys(epoch, nil) {
+			fn(c.Name, k)
+		}
+	}
 }
 
 // SweptKeys returns the number of expired entries physically removed
@@ -399,14 +419,14 @@ func (db *DB) SweepExpired(epoch int64) int {
 func (db *DB) SweptKeys() uint64 { return db.sweptKeys.Load() }
 
 // Get returns the value stored for key and whether it exists.
-func (db *DB) Get(key int64) (int64, bool) { return db.store.Load().Get(key) }
+func (db *DB) Get(key int64) (int64, bool) { return db.Store().Get(key) }
 
 // Has reports whether key is present.
-func (db *DB) Has(key int64) bool { return db.store.Load().Has(key) }
+func (db *DB) Has(key int64) bool { return db.Store().Has(key) }
 
 // Delete removes key and reports whether it was present.
 func (db *DB) Delete(key int64) bool {
-	deleted := db.store.Load().Delete(key)
+	deleted := db.Store().Delete(key)
 	db.noteDirty(1)
 	return deleted
 }
@@ -414,42 +434,57 @@ func (db *DB) Delete(key int64) bool {
 // PutBatch applies every item as an upsert and returns the number of
 // keys newly inserted.
 func (db *DB) PutBatch(items []Item) int {
-	inserted := db.store.Load().PutBatch(items)
+	inserted := db.Store().PutBatch(items)
 	db.noteDirty(len(items))
 	return inserted
 }
 
 // GetBatch looks up every key; values and presence flags align with
 // keys.
-func (db *DB) GetBatch(keys []int64) ([]int64, []bool) { return db.store.Load().GetBatch(keys) }
+func (db *DB) GetBatch(keys []int64) ([]int64, []bool) { return db.Store().GetBatch(keys) }
 
 // DeleteBatch removes every key and returns the number that were
 // present.
 func (db *DB) DeleteBatch(keys []int64) int {
-	deleted := db.store.Load().DeleteBatch(keys)
+	deleted := db.Store().DeleteBatch(keys)
 	db.noteDirty(len(keys))
 	return deleted
 }
 
-// ApplyBatch applies a mixed sequence of upserts and deletes with each
-// shard's lock taken exactly once, recording per-op outcomes in changed
-// (nil to discard; otherwise len(ops)) and returning the number of ops
-// that changed key presence. Same-shard operations apply in batch
-// order. This is the write path the network server's coalescer uses:
-// many connections' pipelined writes become one batch, one lock take
-// per shard, one dirty-op note per operation.
+// ApplyBatch applies a mixed sequence of upserts and deletes to the
+// default keyspace with each shard's lock taken exactly once,
+// recording per-op outcomes in changed (nil to discard; otherwise
+// len(ops)) and returning the number of ops that changed key presence.
+// Same-shard operations apply in batch order. It is NSApplyBatch on
+// the keyspace named "".
 func (db *DB) ApplyBatch(ops []shard.Op, changed []bool) (int, error) {
-	hasExpire := false
+	return db.NSApplyBatch("", ops, changed)
+}
+
+// NSApplyBatch is the write path the network server's coalescer uses:
+// many connections' pipelined writes to keyspace ns ("": the default
+// one) become one batch, one lock take per shard, one dirty-op note
+// per operation. A tenant's cell is created by its first upsert;
+// deletes and expiries aimed at an absent tenant change nothing and
+// leave it absent.
+func (db *DB) NSApplyBatch(ns string, ops []shard.Op, changed []bool) (int, error) {
+	puts, hasExpire := false, false
 	for i := range ops {
-		if ops[i].Expire {
-			hasExpire = true
-			break
-		}
+		puts = puts || !(ops[i].Delete || ops[i].Expire)
+		hasExpire = hasExpire || ops[i].Expire
+	}
+	if !puts && db.cell(ns) == nil {
+		clear(changed)
+		return 0, nil
+	}
+	c, err := db.cellOrCreate(ns)
+	if err != nil {
+		return 0, err
 	}
 	if hasExpire && changed == nil {
 		changed = make([]bool, len(ops)) // needed below to count removals
 	}
-	n, err := db.store.Load().ApplyBatch(ops, changed)
+	n, err := c.Store.ApplyBatch(ops, changed)
 	if err == nil && hasExpire {
 		swept := uint64(0)
 		for i := range ops {
@@ -457,9 +492,7 @@ func (db *DB) ApplyBatch(ops []shard.Op, changed []bool) (int, error) {
 				swept++
 			}
 		}
-		if swept > 0 {
-			db.sweptKeys.Add(swept)
-		}
+		db.sweptKeys.Add(swept)
 	}
 	db.noteDirty(len(ops))
 	return n, err
@@ -467,20 +500,20 @@ func (db *DB) ApplyBatch(ops []shard.Op, changed []bool) (int, error) {
 
 // Range appends all items with lo <= key <= hi to out in ascending key
 // order.
-func (db *DB) Range(lo, hi int64, out []Item) []Item { return db.store.Load().Range(lo, hi, out) }
+func (db *DB) Range(lo, hi int64, out []Item) []Item { return db.Store().Range(lo, hi, out) }
 
 // RangeN appends at most max such items and reports whether the window
 // held more; work and memory are bounded by max, not the window size.
 func (db *DB) RangeN(lo, hi int64, max int, out []Item) ([]Item, bool) {
-	return db.store.Load().RangeN(lo, hi, max, out)
+	return db.Store().RangeN(lo, hi, max, out)
 }
 
 // Ascend calls fn on every item in ascending key order until fn
 // returns false.
-func (db *DB) Ascend(fn func(Item) bool) { db.store.Load().Ascend(fn) }
+func (db *DB) Ascend(fn func(Item) bool) { db.Store().Ascend(fn) }
 
 // Len returns the number of keys.
-func (db *DB) Len() int { return db.store.Load().Len() }
+func (db *DB) Len() int { return db.Store().Len() }
 
 // PendingOps returns the number of mutating operations accepted since
 // the last committed checkpoint — the write-loss window a power cut
@@ -493,7 +526,7 @@ func (db *DB) PendingOps() uint64 { return db.dirtyOps.Load() }
 // checkpoint records a checkpoint span (linked to the manifest hash)
 // and every expiry sweep a sweep span. Synchronous barriers triggered
 // by a traced request join that request's trace (CheckpointTraced,
-// DropNamespaceSyncTraced); background checkpoints mint their own
+// DropNamespaceSync); background checkpoints mint their own
 // trace ids. Safe to call while the background checkpointer runs; a
 // nil store is ignored.
 func (db *DB) SetTrace(st *trace.Store) {
@@ -581,13 +614,13 @@ func (db *DB) CheckpointStamp() (epoch uint64, hash [32]byte) {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
 	if db.man != nil {
-		hash = sha256.Sum256(db.man.encode())
+		hash = sha256.Sum256(db.manBytes)
 	}
 	return db.checkpoints.Load(), hash
 }
 
-// VerifyCanonical re-renders every shard's canonical image in memory
-// and compares it byte for byte against the committed on-disk file,
+// VerifyCanonical re-renders every committed cell's shards in memory
+// and compares them byte for byte against the committed on-disk files,
 // confirming that the directory is exactly the canonical image of the
 // current contents. It fails if uncheckpointed changes are pending.
 func (db *DB) VerifyCanonical() error {
@@ -596,67 +629,38 @@ func (db *DB) VerifyCanonical() error {
 	if db.man == nil {
 		return errors.New("durable: no committed checkpoint")
 	}
-	for i := range db.man.shards {
-		ver := db.store.Load().ShardVersion(i)
-		if ver != db.cpVersions[i] {
-			return fmt.Errorf("durable: shard %d has uncheckpointed changes (version %d, committed %d)",
-				i, ver, db.cpVersions[i])
-		}
-		var buf bytes.Buffer
-		if _, _, err := db.store.Load().SnapshotShard(i, &buf); err != nil {
-			return fmt.Errorf("durable: rendering shard %d: %w", i, err)
-		}
-		e := db.man.shards[i]
-		if sha256.Sum256(buf.Bytes()) != e.hash {
-			return fmt.Errorf("durable: shard %d canonical image diverges from manifest", i)
-		}
-		disk, err := db.readFile(shardFileName(i, e.hash))
-		if err != nil {
-			return fmt.Errorf("durable: shard %d image: %w", i, err)
-		}
-		if !bytes.Equal(disk, buf.Bytes()) {
-			return fmt.Errorf("durable: shard %d on-disk image is not canonical", i)
-		}
-	}
-	// Tenant cells: every committed namespace must have a live cell
-	// whose re-rendered images match the committed files, and every
-	// live cell with physical contents must be committed.
-	for _, e := range db.man.nss {
-		c := db.nss.Get(e.name)
+	// Every committed cell must be live, version-clean, and re-render
+	// to exactly its committed files.
+	for _, e := range db.man.cells {
+		c := db.cell(e.name)
 		if c == nil {
-			return fmt.Errorf("durable: manifest commits namespace %q with no live cell", e.name)
+			return fmt.Errorf("durable: manifest commits keyspace %q with no live cell", e.name)
 		}
-		nsHseed := nsRoutingSeed(db.man.hseed, e.name)
-		for i := range e.shards {
+		hseed := db.man.cellSeed(e.name)
+		for i, se := range e.shards {
 			if ver := c.Store.ShardVersion(i); c.CPVersions == nil || ver != c.CPVersions[i] {
-				return fmt.Errorf("durable: namespace %q shard %d has uncheckpointed changes", e.name, i)
+				return fmt.Errorf("durable: keyspace %q shard %d has uncheckpointed changes", e.name, i)
 			}
 			var buf bytes.Buffer
 			if _, _, err := c.Store.SnapshotShard(i, &buf); err != nil {
-				return fmt.Errorf("durable: rendering namespace %q shard %d: %w", e.name, i, err)
+				return fmt.Errorf("durable: rendering keyspace %q shard %d: %w", e.name, i, err)
 			}
-			if sha256.Sum256(buf.Bytes()) != e.shards[i].hash {
-				return fmt.Errorf("durable: namespace %q shard %d canonical image diverges from manifest", e.name, i)
+			if sha256.Sum256(buf.Bytes()) != se.Hash {
+				return fmt.Errorf("durable: keyspace %q shard %d canonical image diverges from manifest", e.name, i)
 			}
-			disk, err := db.readFile(nsShardFileName(nsHseed, i, e.shards[i].hash))
+			disk, err := db.readFile(imageFileName(hseed, i, se.Hash))
 			if err != nil {
-				return fmt.Errorf("durable: namespace %q shard %d image: %w", e.name, i, err)
+				return fmt.Errorf("durable: keyspace %q shard %d image: %w", e.name, i, err)
 			}
 			if !bytes.Equal(disk, buf.Bytes()) {
-				return fmt.Errorf("durable: namespace %q shard %d on-disk image is not canonical", e.name, i)
+				return fmt.Errorf("durable: keyspace %q shard %d on-disk image is not canonical", e.name, i)
 			}
 		}
 	}
+	// And every live tenant with physical contents must be committed.
 	for _, c := range db.nss.Snapshot() {
-		if db.man.nsAt(c.Name) != nil {
-			continue
-		}
-		phys := 0
-		for i := 0; i < c.Store.NumShards(); i++ {
-			phys += c.Store.ShardLen(i)
-		}
-		if phys > 0 {
-			return fmt.Errorf("durable: namespace %q has uncheckpointed contents", c.Name)
+		if db.man.cell(c.Name) == nil && c.PhysicalLen() > 0 {
+			return fmt.Errorf("durable: keyspace %q has uncheckpointed contents", c.Name)
 		}
 	}
 	return nil

@@ -14,40 +14,35 @@ import (
 // no timestamps, no log sequence numbers — every field is a pure
 // function of the store's current contents and its persisted seed, so
 // the manifest bytes themselves are canonical (two databases with the
-// same seed and the same per-tenant key-value sets have byte-identical
+// same seed and the same per-keyspace key-value sets have byte-identical
 // manifests, whatever operation sequences, checkpoint schedules, or
 // tenant creation/drop histories produced them).
 //
-//	magic    [8]byte  "HIDBMF02"
-//	shards   uint64   power of two >= 1
-//	hseed    uint64   routing seed (mixed), restored verbatim on open
-//	per shard: size uint64, sha256 [32]byte of the shard image file
-//	nsCount  uint64   committed namespaces
-//	per namespace, byte-sorted by name (canonical order — never
-//	creation order, so the record encodes nothing about when tenants
-//	arrived):
+//	magic    [8]byte  "HIDBMF03"
+//	shards   uint64   power of two >= 1; every cell has this many
+//	hseed    uint64   root routing seed (mixed), restored verbatim on open
+//	cells    uint64   committed cells, >= 1
+//	per cell, byte-sorted by name (canonical order — never creation
+//	order, so the record encodes nothing about when tenants arrived).
+//	The default keyspace is the cell named "": it sorts first and is
+//	always present.
 //	    nameLen uint64, name [nameLen]byte
-//	    per shard: size uint64, sha256 [32]byte (same shard count)
+//	    per shard: size uint64, sha256 [32]byte of the shard image file
 //	crc32    uint32   IEEE, over everything above
 //
-// A namespace's routing seed is NOT stored: it is recomputed as
+// A tenant's routing seed is NOT stored: it is recomputed as
 // MixSeed(DeriveSeed(hseed, name)), so the derivation invariant holds
 // by construction — a manifest cannot describe a tenant cell filed
-// under anything but its derived seed. A namespace whose cell is
+// under anything but its derived seed. A tenant whose cell is
 // physically empty at checkpoint time is excluded entirely:
 // created-then-emptied is byte-identical to never-existed.
 //
-// Shard image files are content-addressed — shardFileName and
-// nsShardFileName derive the name from the image hash (plus, for
-// namespaces, the derived routing seed; never the tenant name) — so a
-// crash can never leave a half-written file under a name the manifest
-// already trusts: the manifest swap is the only commit point.
-const manifestMagic = "HIDBMF02"
-
-// manifestMagicV1 is the pre-namespace manifest format, accepted on
-// decode as a zero-namespace manifest so existing directories open
-// cleanly; the encoder always writes the current format.
-const manifestMagicV1 = "HIDBMF01"
+// Shard image files are content-addressed — imageFileName derives the
+// name from the cell's routing seed and the image hash, never from a
+// tenant name — so a crash can never leave a half-written file under a
+// name the manifest already trusts: the manifest swap is the only
+// commit point.
+const manifestMagic = "HIDBMF03"
 
 // manifestName is the manifest's filename inside a DB directory.
 const manifestName = "MANIFEST"
@@ -56,83 +51,72 @@ const manifestName = "MANIFEST"
 // manifest so a corrupt header cannot drive a huge allocation.
 const maxManifestShards = 1 << 16
 
-// maxManifestNamespaces bounds the namespace count the same way.
-const maxManifestNamespaces = 1 << 16
+// maxManifestCells bounds the cell count the same way.
+const maxManifestCells = 1 << 16
 
-// shardEntry describes one shard's committed image file.
-type shardEntry struct {
-	size int64
-	hash [32]byte
-}
-
-// nsEntry describes one committed namespace: its tenant name and one
-// image entry per shard. The name appears here and nowhere else on
-// disk — dropping the tenant atomically replaces the manifest, so the
-// name vanishes with the commit.
-type nsEntry struct {
+// cellEntry describes one committed keyspace: its name ("" for the
+// default keyspace) and one image entry per shard. A tenant's name
+// appears here and nowhere else on disk — dropping the tenant
+// atomically replaces the manifest, so the name vanishes with the
+// commit.
+type cellEntry struct {
 	name   string
-	shards []shardEntry
+	shards []ShardHash
 }
 
-// manifest is the decoded commit record. nss is byte-sorted by name.
+// manifest is the decoded commit record. cells is byte-sorted by name,
+// so cells[0] is the default keyspace.
 type manifest struct {
-	hseed  uint64
-	shards []shardEntry
-	nss    []nsEntry
+	hseed uint64
+	cells []cellEntry
 }
 
-// nsAt returns the namespace entry for name, or nil.
-func (m *manifest) nsAt(name string) *nsEntry {
-	for i := range m.nss {
-		if m.nss[i].name == name {
-			return &m.nss[i]
+// cell returns the entry for name, or nil.
+func (m *manifest) cell(name string) *cellEntry {
+	for i := range m.cells {
+		if m.cells[i].name == name {
+			return &m.cells[i]
 		}
 	}
 	return nil
 }
 
-// shardFileName returns the content-addressed name of shard i's image:
-// a pure function of (index, image bytes), so the directory listing
-// leaks nothing beyond the contents either.
-func shardFileName(i int, hash [32]byte) string {
-	return fmt.Sprintf("shard-%04d-%016x.img", i, binary.BigEndian.Uint64(hash[:8]))
+// cellSeed returns the routing seed of the cell called name: the
+// persisted root seed for the default keyspace, the one-way derivation
+// from it for a tenant.
+func (m *manifest) cellSeed(name string) uint64 {
+	if name == "" {
+		return m.hseed
+	}
+	return shard.MixSeed(namespace.DeriveSeed(m.hseed, name))
 }
 
-// nsShardFileName returns the name of a namespace shard image. It is
-// addressed by the tenant's DERIVED routing seed and the image hash —
-// the tenant's name never reaches the directory listing, and the seed
-// is one-way, so co-tenants scanning filenames learn nothing.
-func nsShardFileName(nsHseed uint64, i int, hash [32]byte) string {
-	return fmt.Sprintf("ns-%016x-%04d-%016x.img", nsHseed, i, binary.BigEndian.Uint64(hash[:8]))
-}
-
-// nsRoutingSeed recomputes a committed namespace's routing seed from
-// the manifest's root seed and the tenant name.
-func nsRoutingSeed(rootHseed uint64, name string) uint64 {
-	return shard.MixSeed(namespace.DeriveSeed(rootHseed, name))
+// imageFileName returns the name of a cell's shard i image. It is a
+// pure function of (cell routing seed, index, image bytes): the
+// directory listing leaks nothing beyond the contents, a tenant's name
+// never reaches it, and the derived seed is one-way, so co-tenants
+// scanning file names learn nothing.
+func imageFileName(hseed uint64, i int, hash [32]byte) string {
+	return fmt.Sprintf("shard-%016x-%04d-%016x.img", hseed, i, binary.BigEndian.Uint64(hash[:8]))
 }
 
 // encode renders the manifest with its trailing checksum.
 func (m *manifest) encode() []byte {
-	n := 8 + 8 + 8 + len(m.shards)*40 + 8
-	for _, e := range m.nss {
+	n := 8 + 8 + 8 + 8
+	for _, e := range m.cells {
 		n += 8 + len(e.name) + len(e.shards)*40
 	}
 	buf := make([]byte, 0, n+4)
 	buf = append(buf, manifestMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.shards)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.cells[0].shards)))
 	buf = binary.LittleEndian.AppendUint64(buf, m.hseed)
-	for _, e := range m.shards {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.size))
-		buf = append(buf, e.hash[:]...)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.nss)))
-	for _, e := range m.nss {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.cells)))
+	for _, e := range m.cells {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(e.name)))
 		buf = append(buf, e.name...)
 		for _, s := range e.shards {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.size))
-			buf = append(buf, s.hash[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Size))
+			buf = append(buf, s.Hash[:]...)
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
@@ -140,31 +124,26 @@ func (m *manifest) encode() []byte {
 
 // decodeManifest parses and verifies a manifest image.
 func decodeManifest(b []byte) (*manifest, error) {
-	if len(b) < 8+8+8+4 {
+	if len(b) < 8+8+8+8+4 {
 		return nil, fmt.Errorf("durable: manifest too short (%d bytes)", len(b))
 	}
-	v1 := false
-	switch string(b[:8]) {
-	case manifestMagic:
-	case manifestMagicV1:
-		v1 = true
-	default:
+	if string(b[:8]) != manifestMagic {
 		return nil, fmt.Errorf("durable: bad manifest magic %q", b[:8])
 	}
 	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("durable: manifest checksum mismatch: stored %08x, computed %08x", sum, got)
 	}
-	nsh64 := binary.LittleEndian.Uint64(b[8:16])
-	if nsh64 < 1 || nsh64 > maxManifestShards || nsh64&(nsh64-1) != 0 {
-		return nil, fmt.Errorf("durable: implausible shard count %d in manifest", nsh64)
+	nsh := binary.LittleEndian.Uint64(b[8:16])
+	if nsh < 1 || nsh > maxManifestShards || nsh&(nsh-1) != 0 {
+		return nil, fmt.Errorf("durable: implausible shard count %d in manifest", nsh)
 	}
-	nsh := int(nsh64)
-	m := &manifest{
-		hseed:  binary.LittleEndian.Uint64(b[16:24]),
-		shards: make([]shardEntry, nsh),
+	cnt := binary.LittleEndian.Uint64(b[24:32])
+	if cnt < 1 || cnt > maxManifestCells {
+		return nil, fmt.Errorf("durable: implausible cell count %d in manifest", cnt)
 	}
-	rest := body[24:]
+	m := &manifest{hseed: binary.LittleEndian.Uint64(b[16:24]), cells: make([]cellEntry, cnt)}
+	rest := body[32:]
 	take := func(n int, what string) ([]byte, error) {
 		if len(rest) < n {
 			return nil, fmt.Errorf("durable: manifest truncated reading %s", what)
@@ -173,59 +152,45 @@ func decodeManifest(b []byte) (*manifest, error) {
 		rest = rest[n:]
 		return out, nil
 	}
-	readShards := func(dst []shardEntry, what string) error {
-		for i := range dst {
-			e, err := take(40, what)
-			if err != nil {
-				return err
-			}
-			size := int64(binary.LittleEndian.Uint64(e))
-			if size < 0 {
-				return fmt.Errorf("durable: negative size in %s entry %d", what, i)
-			}
-			dst[i].size = size
-			copy(dst[i].hash[:], e[8:40])
-		}
-		return nil
-	}
-	if err := readShards(m.shards, "shard table"); err != nil {
-		return nil, err
-	}
-	if !v1 {
-		cntb, err := take(8, "namespace count")
+	for k := range m.cells {
+		lb, err := take(8, "cell name length")
 		if err != nil {
 			return nil, err
 		}
-		cnt := binary.LittleEndian.Uint64(cntb)
-		if cnt > maxManifestNamespaces {
-			return nil, fmt.Errorf("durable: implausible namespace count %d in manifest", cnt)
+		nl := binary.LittleEndian.Uint64(lb)
+		if nl > namespace.MaxName {
+			return nil, fmt.Errorf("durable: implausible cell name length %d in manifest", nl)
 		}
-		m.nss = make([]nsEntry, cnt)
-		for i := range m.nss {
-			lb, err := take(8, "namespace name length")
-			if err != nil {
-				return nil, err
-			}
-			nl := binary.LittleEndian.Uint64(lb)
-			if nl == 0 || nl > namespace.MaxName {
-				return nil, fmt.Errorf("durable: implausible namespace name length %d in manifest", nl)
-			}
-			nb, err := take(int(nl), "namespace name")
-			if err != nil {
-				return nil, err
-			}
-			name := string(nb)
+		nb, err := take(int(nl), "cell name")
+		if err != nil {
+			return nil, err
+		}
+		name := string(nb)
+		// Strictly ascending names with "" first: the default keyspace
+		// is present exactly once, and every later name is a tenant's.
+		if k == 0 && name != "" {
+			return nil, fmt.Errorf("durable: manifest does not start with the default keyspace")
+		}
+		if k > 0 {
 			if err := namespace.ValidateName(name); err != nil {
-				return nil, fmt.Errorf("durable: manifest namespace %d: %w", i, err)
+				return nil, fmt.Errorf("durable: manifest cell %d: %w", k, err)
 			}
-			if i > 0 && m.nss[i-1].name >= name {
-				return nil, fmt.Errorf("durable: manifest namespaces not in canonical order at %q", name)
+			if m.cells[k-1].name >= name {
+				return nil, fmt.Errorf("durable: manifest cells not in canonical order at %q", name)
 			}
-			m.nss[i].name = name
-			m.nss[i].shards = make([]shardEntry, nsh)
-			if err := readShards(m.nss[i].shards, "namespace shard table"); err != nil {
+		}
+		m.cells[k] = cellEntry{name: name, shards: make([]ShardHash, nsh)}
+		for i := range m.cells[k].shards {
+			e, err := take(40, "shard table")
+			if err != nil {
 				return nil, err
 			}
+			size := int64(binary.LittleEndian.Uint64(e))
+			if size < 0 {
+				return nil, fmt.Errorf("durable: negative size in cell %d shard entry %d", k, i)
+			}
+			m.cells[k].shards[i].Size = size
+			copy(m.cells[k].shards[i].Hash[:], e[8:40])
 		}
 	}
 	if len(rest) != 0 {

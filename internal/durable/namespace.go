@@ -1,27 +1,19 @@
 package durable
 
-// Namespace surface: per-tenant cells living beside the default
-// keyspace, each routed under a seed derived one-way from the
-// database's routing seed and the tenant name. Tenant cells checkpoint
-// through the same engine as the default shards — canonical images,
-// content-and-seed-addressed file names, one manifest commit point —
-// so the paper's guarantee lifts from keys to whole tenants: after
-// DropNamespace + Checkpoint, the directory is byte-identical to one
-// where the tenant never existed.
+// Namespace surface: per-tenant cells beside the default keyspace, each
+// routed under a seed derived one-way from the database's routing seed
+// and the tenant name. A tenant's cell is the same type as the default
+// keyspace's and goes through the same engine loops — canonical
+// images, seed-and-content-addressed file names, one manifest commit
+// point — so the paper's guarantee lifts from keys to whole tenants:
+// after DropNamespace + Checkpoint, the directory is byte-identical to
+// one where the tenant never existed. Every NS method also accepts ""
+// and then addresses the default keyspace.
 
 import (
-	"crypto/sha256"
-	"errors"
-	"fmt"
-	"sort"
-
 	"repro/internal/namespace"
 	"repro/internal/shard"
 )
-
-// ErrNoNamespace is returned when a namespace is absent from the last
-// committed checkpoint.
-var ErrNoNamespace = errors.New("durable: namespace not committed")
 
 // NamespaceStat is one live namespace in a listing: the tenant name
 // and its live key count. Listings are always byte-sorted by name.
@@ -30,23 +22,17 @@ type NamespaceStat struct {
 	Keys int
 }
 
-// nsCell returns the named tenant's cell, creating it (mirroring the
-// default store's shard count and dictionary constants) when create is
-// set. Without create, a missing tenant returns (nil, nil).
-func (db *DB) nsCell(name string, create bool) (*namespace.Cell, error) {
-	if err := namespace.ValidateName(name); err != nil {
-		return nil, err
-	}
-	if c := db.nss.Get(name); c != nil {
+// cellOrCreate returns the cell called ns, creating a tenant's
+// (mirroring the default keyspace's shard count and dictionary
+// constants) if it does not exist yet.
+func (db *DB) cellOrCreate(ns string) (*namespace.Cell, error) {
+	if c := db.cell(ns); c != nil {
 		return c, nil
 	}
-	if !create {
-		return nil, nil
-	}
-	return db.nss.GetOrCreate(name, func() (*namespace.Cell, error) {
-		s := db.store.Load()
+	return db.nss.GetOrCreate(ns, func() (*namespace.Cell, error) {
+		s := db.Store()
 		cfg := shard.Config{Shards: s.NumShards(), PMA: s.PMAConfig()}
-		return namespace.NewCell(name, s.RoutingSeed(), cfg, db.opts.Clock)
+		return namespace.NewCell(ns, s.RoutingSeed(), cfg, db.opts.Clock)
 	})
 }
 
@@ -58,7 +44,7 @@ func (db *DB) NSPut(ns string, key, val int64) (bool, error) {
 
 // NSPutTTL is NSPut with an absolute expiry epoch (0: never expires).
 func (db *DB) NSPutTTL(ns string, key, val, exp int64) (bool, error) {
-	c, err := db.nsCell(ns, true)
+	c, err := db.cellOrCreate(ns)
 	if err != nil {
 		return false, err
 	}
@@ -70,16 +56,14 @@ func (db *DB) NSPutTTL(ns string, key, val, exp int64) (bool, error) {
 // NSGet returns the value for key in the named tenant's cell. A
 // missing tenant reads as empty.
 func (db *DB) NSGet(ns string, key int64) (int64, bool) {
-	if c := db.nss.Get(ns); c != nil {
-		return c.Store.Get(key)
-	}
-	return 0, false
+	val, _, ok := db.NSGetTTL(ns, key)
+	return val, ok
 }
 
 // NSGetTTL returns the value and recorded expiry for key in the named
 // tenant's cell.
 func (db *DB) NSGetTTL(ns string, key int64) (val, exp int64, ok bool) {
-	if c := db.nss.Get(ns); c != nil {
+	if c := db.cell(ns); c != nil {
 		return c.Store.GetTTL(key)
 	}
 	return 0, 0, false
@@ -87,14 +71,14 @@ func (db *DB) NSGetTTL(ns string, key int64) (val, exp int64, ok bool) {
 
 // NSHas reports whether the named tenant holds key.
 func (db *DB) NSHas(ns string, key int64) bool {
-	c := db.nss.Get(ns)
+	c := db.cell(ns)
 	return c != nil && c.Store.Has(key)
 }
 
 // NSDelete removes key from the named tenant's cell and reports
 // whether it was present.
 func (db *DB) NSDelete(ns string, key int64) bool {
-	c := db.nss.Get(ns)
+	c := db.cell(ns)
 	if c == nil {
 		return false
 	}
@@ -105,7 +89,7 @@ func (db *DB) NSDelete(ns string, key int64) bool {
 
 // NSLen returns the named tenant's live key count (0 if absent).
 func (db *DB) NSLen(ns string) int {
-	if c := db.nss.Get(ns); c != nil {
+	if c := db.cell(ns); c != nil {
 		return c.Store.Len()
 	}
 	return 0
@@ -119,7 +103,7 @@ func (db *DB) NSLen(ns string) int {
 // erasure durable now — and drop-undone-on-failure semantics — use
 // DropNamespaceSync instead.
 func (db *DB) DropNamespace(ns string) bool {
-	existed := db.nss.Drop(ns)
+	existed := db.nss.Take(ns) != nil
 	if existed {
 		db.noteDirty(1)
 	}
@@ -137,35 +121,26 @@ func (db *DB) DropNamespace(ns string) bool {
 // erasure is still pending, so a checkpoint is committed and true
 // returned: the tenant was durably there, and now it durably is not.
 //
+// tid/psid carry the trace identity of the DROPNS request that demanded
+// the barrier (see CheckpointTraced): the erasure's checkpoint span
+// joins trace tid under span psid. Zero ids mean untraced.
+//
 // Callers must serialize this with writers that could recreate the
 // tenant (the server's coalescer does): a cell created between the
 // drop and a failing checkpoint's restore would be replaced by the
 // restored one.
-func (db *DB) DropNamespaceSync(ns string) (bool, error) {
-	return db.DropNamespaceSyncTraced(ns, 0, 0)
-}
-
-// DropNamespaceSyncTraced is DropNamespaceSync carrying the trace
-// identity of the DROPNS request that demanded the barrier (see
-// CheckpointTraced): the erasure's checkpoint span joins trace tid
-// under span psid. Zero ids mean untraced.
-func (db *DB) DropNamespaceSyncTraced(ns string, tid, psid uint64) (bool, error) {
+func (db *DB) DropNamespaceSync(ns string, tid, psid uint64) (bool, error) {
 	if db.closed.Load() {
 		return false, ErrClosed
 	}
 	c := db.nss.Take(ns)
-	if c == nil {
-		if !db.nsInManifest(ns) {
-			return false, nil
-		}
-		if err := db.checkpoint(tid, psid); err != nil {
-			return false, err
-		}
-		return true, nil
+	if c == nil && !db.nsInManifest(ns) {
+		return false, nil
 	}
-	db.noteDirty(1)
 	if err := db.checkpoint(tid, psid); err != nil {
-		db.nss.Put(c)
+		if c != nil {
+			db.nss.Put(c)
+		}
 		return false, err
 	}
 	return true, nil
@@ -175,7 +150,7 @@ func (db *DB) DropNamespaceSyncTraced(ns string, tid, psid uint64) (bool, error)
 func (db *DB) nsInManifest(ns string) bool {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
-	return db.man != nil && db.man.nsAt(ns) != nil
+	return db.man != nil && db.man.cell(ns) != nil
 }
 
 // Namespaces lists the live tenants — byte-sorted by name, live key
@@ -204,69 +179,11 @@ func (db *DB) NSNames() ([]string, error) {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
 	if db.man == nil {
-		return nil, fmt.Errorf("durable: no committed checkpoint")
+		return nil, errNoCheckpoint
 	}
-	names := make([]string, len(db.man.nss))
-	for i := range db.man.nss {
-		names[i] = db.man.nss[i].name
+	names := make([]string, 0, len(db.man.cells)-1)
+	for _, e := range db.man.cells[1:] {
+		names = append(names, e.name)
 	}
 	return names, nil
-}
-
-// NSShardHashes returns the named tenant's derived routing seed and
-// committed per-shard image hashes. A tenant absent from the last
-// manifest returns ErrNoNamespace.
-func (db *DB) NSShardHashes(ns string) (nsHseed uint64, entries []ShardHash, err error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return 0, nil, fmt.Errorf("durable: no committed checkpoint")
-	}
-	e := db.man.nsAt(ns)
-	if e == nil {
-		return 0, nil, fmt.Errorf("%w: %q", ErrNoNamespace, ns)
-	}
-	entries = make([]ShardHash, len(e.shards))
-	for i, s := range e.shards {
-		entries[i] = ShardHash{Size: s.size, Hash: s.hash}
-	}
-	return nsRoutingSeed(db.man.hseed, ns), entries, nil
-}
-
-// NSShardImage returns the committed canonical image of the named
-// tenant's shard i, verified against the manifest hash. A hash that is
-// no longer current fails with ErrStaleShard.
-func (db *DB) NSShardImage(ns string, i int, hash [32]byte) ([]byte, error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return nil, fmt.Errorf("durable: no committed checkpoint")
-	}
-	e := db.man.nsAt(ns)
-	if e == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoNamespace, ns)
-	}
-	if i < 0 || i >= len(e.shards) {
-		return nil, fmt.Errorf("durable: namespace shard %d out of range, %d shards", i, len(e.shards))
-	}
-	if e.shards[i].hash != hash {
-		return nil, fmt.Errorf("%w: namespace %q shard %d", ErrStaleShard, ns, i)
-	}
-	img, err := db.readFile(nsShardFileName(nsRoutingSeed(db.man.hseed, ns), i, hash))
-	if err != nil {
-		return nil, fmt.Errorf("durable: namespace %q shard %d image: %w", ns, i, err)
-	}
-	if sha256.Sum256(img) != hash {
-		return nil, fmt.Errorf("durable: namespace %q shard %d image corrupt on disk", ns, i)
-	}
-	return img, nil
-}
-
-// sortedNSImages returns nss byte-sorted by name without mutating the
-// caller's slice.
-func sortedNSImages(nss []NSImages) []NSImages {
-	out := make([]NSImages, len(nss))
-	copy(out, nss)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

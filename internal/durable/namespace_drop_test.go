@@ -174,7 +174,7 @@ func TestDropNamespaceSyncRestoresOnCheckpointFailure(t *testing.T) {
 	// The disk dies; the erasure checkpoint must fail and the drop must
 	// come undone: the tenant stays fully present, live and durable.
 	fs.FailAfter(1)
-	changed, err := db.DropNamespaceSync(tenant)
+	changed, err := db.DropNamespaceSync(tenant, 0, 0)
 	if err == nil {
 		t.Fatal("DropNamespaceSync succeeded on a dead disk")
 	}
@@ -200,13 +200,13 @@ func TestDropNamespaceSyncRestoresOnCheckpointFailure(t *testing.T) {
 	// Disk recovers; the retry completes the erasure durably and
 	// forensically.
 	fs.Heal()
-	if changed, err = db.DropNamespaceSync(tenant); err != nil || !changed {
+	if changed, err = db.DropNamespaceSync(tenant, 0, 0); err != nil || !changed {
 		t.Fatalf("retried DropNamespaceSync = (%v, %v), want (true, nil)", changed, err)
 	}
 	if n := db.NSLen(tenant); n != 0 {
 		t.Fatalf("tenant holds %d keys after the drop", n)
 	}
-	if _, _, err := db.NSShardHashes(tenant); !errors.Is(err, durable.ErrNoNamespace) {
+	if _, _, err := db.ShardHashes(tenant); !errors.Is(err, durable.ErrNoNamespace) {
 		t.Fatalf("manifest still lists the tenant after the drop: %v", err)
 	}
 	if err := db.VerifyCanonical(); err != nil {
@@ -218,7 +218,7 @@ func TestDropNamespaceSyncRestoresOnCheckpointFailure(t *testing.T) {
 	foretest.AssertDirClean(t, fs, "db", victimNeedles(tenant, rootHseed))
 
 	// A further retry is a clean no-op: nothing live, nothing committed.
-	if changed, err = db.DropNamespaceSync(tenant); err != nil || changed {
+	if changed, err = db.DropNamespaceSync(tenant, 0, 0); err != nil || changed {
 		t.Fatalf("drop of an erased tenant = (%v, %v), want (false, nil)", changed, err)
 	}
 }
@@ -250,17 +250,17 @@ func TestDropNamespaceSyncCompletesDeferredDrop(t *testing.T) {
 	if !db.DropNamespace(tenant) {
 		t.Fatal("drop reported the tenant absent")
 	}
-	changed, err := db.DropNamespaceSync(tenant)
+	changed, err := db.DropNamespaceSync(tenant, 0, 0)
 	if err != nil || !changed {
 		t.Fatalf("DropNamespaceSync on a deferred drop = (%v, %v), want (true, nil)", changed, err)
 	}
-	if _, _, err := db.NSShardHashes(tenant); !errors.Is(err, durable.ErrNoNamespace) {
+	if _, _, err := db.ShardHashes(tenant); !errors.Is(err, durable.ErrNoNamespace) {
 		t.Fatalf("manifest still lists the tenant: %v", err)
 	}
 	foretest.AssertDirClean(t, fs, "db", victimNeedles(tenant, rootHseed))
 
 	// Now truly gone on every surface.
-	if changed, err = db.DropNamespaceSync(tenant); err != nil || changed {
+	if changed, err = db.DropNamespaceSync(tenant, 0, 0); err != nil || changed {
 		t.Fatalf("drop of an erased tenant = (%v, %v), want (false, nil)", changed, err)
 	}
 }

@@ -315,6 +315,38 @@ func TestNamespaceHistoryIndependence(t *testing.T) {
 			len(blobA), len(blobB))
 	}
 
+	// History C: the same final state written through NSApplyBatch —
+	// the server coalescer's path, one mixed batch per keyspace with a
+	// doomed extra key put and deleted inside it — instead of point ops.
+	// Which write path carried a tenant's contents must not reach the
+	// committed bytes either.
+	fsC := durable.NewMemFS()
+	dbC, err := durable.Open("db", &durable.Options{
+		Shards: 8, Seed: seed, FS: fsC, NoBackground: true, Clock: expiry.NewManual(E),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := map[string][]shard.Op{}
+	for _, e := range finals {
+		batches[e.ns] = append(batches[e.ns], shard.Op{Key: e.key, Val: e.val, Exp: e.exp})
+	}
+	for ns, ops := range batches {
+		ops = append([]shard.Op{{Key: 900_000, Val: 1}}, ops...)
+		ops = append(ops, shard.Op{Key: 900_000, Delete: true})
+		changed := make([]bool, len(ops))
+		if n, err := dbC.NSApplyBatch(ns, ops, changed); err != nil || n != len(ops) {
+			t.Fatalf("NSApplyBatch(%q): %d of %d ops changed presence, err %v", ns, n, len(ops), err)
+		}
+	}
+	if err := dbC.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if blobC := foretest.DirBytes(t, fsC, "db"); !bytes.Equal(blobA, blobC) {
+		t.Fatalf("directories differ between point-op and ApplyBatch writes (%d vs %d bytes): the write path leaked into committed state",
+			len(blobA), len(blobC))
+	}
+
 	// The dropped-vs-never-existed corollary, stated directly: history
 	// A never heard of the transient tenant, so equality already proves
 	// absence — but grep B's directory anyway so a failure names the

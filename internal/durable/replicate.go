@@ -17,10 +17,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
+	"sort"
 
 	"repro/internal/namespace"
-	"repro/internal/shard"
 )
 
 // ErrStaleShard is returned by ShardImage when the requested hash is no
@@ -29,47 +28,67 @@ import (
 // The caller should re-fetch the hashes and retry.
 var ErrStaleShard = errors.New("durable: shard image superseded by a newer checkpoint")
 
-// ShardHash describes one shard's committed canonical image.
+// ErrNoNamespace is returned when a namespace is absent from the last
+// committed checkpoint.
+var ErrNoNamespace = errors.New("durable: namespace not committed")
+
+var errNoCheckpoint = errors.New("durable: no committed checkpoint")
+
+// ShardHash describes one shard's committed canonical image file: what
+// a manifest records per shard and what a replica compares.
 type ShardHash struct {
 	Size int64
 	Hash [32]byte
 }
 
-// ShardHashes returns the routing seed and per-shard canonical image
-// hashes of the last committed checkpoint. Two databases with equal
-// contents and equal seeds return equal hashes for every shard — the
-// comparison a replica's anti-entropy round starts with.
-func (db *DB) ShardHashes() (hseed uint64, entries []ShardHash, err error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
+// committedCell returns the last manifest's entry for keyspace ns ("":
+// the default one). Caller holds cpMu.
+func (db *DB) committedCell(ns string) (*cellEntry, error) {
 	if db.man == nil {
-		return 0, nil, errors.New("durable: no committed checkpoint")
+		return nil, errNoCheckpoint
 	}
-	entries = make([]ShardHash, len(db.man.shards))
-	for i, e := range db.man.shards {
-		entries[i] = ShardHash{Size: e.size, Hash: e.hash}
+	e := db.man.cell(ns)
+	if e == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoNamespace, ns)
 	}
-	return db.man.hseed, entries, nil
+	return e, nil
 }
 
-// ShardImage returns the committed canonical image of shard i, which
-// must still be the checkpointed one: a hash that is no longer current
-// fails with ErrStaleShard (re-fetch ShardHashes and retry). The bytes
-// are verified against the manifest hash before they are returned, so a
-// corrupted file cannot propagate.
-func (db *DB) ShardImage(i int, hash [32]byte) ([]byte, error) {
+// ShardHashes returns the routing seed and per-shard canonical image
+// hashes of keyspace ns ("": the default one) in the last committed
+// checkpoint; a tenant's seed is its derived one. Two databases with
+// equal contents and equal seeds return equal hashes for every shard —
+// the comparison a replica's anti-entropy round starts with. A tenant
+// absent from the last manifest returns ErrNoNamespace.
+func (db *DB) ShardHashes(ns string) (hseed uint64, entries []ShardHash, err error) {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return nil, errors.New("durable: no committed checkpoint")
+	e, err := db.committedCell(ns)
+	if err != nil {
+		return 0, nil, err
 	}
-	if i < 0 || i >= len(db.man.shards) {
-		return nil, fmt.Errorf("durable: shard %d out of range, %d shards", i, len(db.man.shards))
+	return db.man.cellSeed(ns), append([]ShardHash(nil), e.shards...), nil
+}
+
+// ShardImage returns the committed canonical image of keyspace ns's
+// shard i, which must still be the checkpointed one: a hash that is no
+// longer current fails with ErrStaleShard (re-fetch ShardHashes and
+// retry). The bytes are verified against the manifest hash before they
+// are returned, so a corrupted file cannot propagate.
+func (db *DB) ShardImage(ns string, i int, hash [32]byte) ([]byte, error) {
+	db.cpMu.Lock()
+	defer db.cpMu.Unlock()
+	e, err := db.committedCell(ns)
+	if err != nil {
+		return nil, err
 	}
-	if db.man.shards[i].hash != hash {
+	if i < 0 || i >= len(e.shards) {
+		return nil, fmt.Errorf("durable: shard %d out of range, %d shards", i, len(e.shards))
+	}
+	if e.shards[i].Hash != hash {
 		return nil, fmt.Errorf("%w: shard %d", ErrStaleShard, i)
 	}
-	img, err := db.readFile(shardFileName(i, hash))
+	img, err := db.readFile(imageFileName(db.man.cellSeed(ns), i, hash))
 	if err != nil {
 		return nil, fmt.Errorf("durable: shard %d image: %w", i, err)
 	}
@@ -79,16 +98,28 @@ func (db *DB) ShardImage(i int, hash [32]byte) ([]byte, error) {
 	return img, nil
 }
 
+// CellImages is one keyspace's canonical image set — one image per
+// shard — as shipped to InstallCheckpoint. Name "" is the default
+// keyspace.
+type CellImages struct {
+	Name   string
+	Images [][]byte
+}
+
 // InstallCheckpoint replaces the database's entire state — in memory
-// and on disk — with the checkpoint described by hseed and one
-// canonical image per shard (len(images) must be a power of two >= 1).
-// The images are verified (per-image checksums, structural and routing
-// invariants) by assembling the new store BEFORE anything touches the
-// directory; publication then follows the standard atomic commit
-// sequence (content-addressed image files → dir fsync → manifest swap →
-// dir fsync), so a crash at any step recovers to either the old or the
-// new checkpoint, never a mix. Images whose bytes are already committed
-// under the same hash are not rewritten.
+// and on disk — with the checkpoint described by the root routing seed
+// hseed and one image set per committed keyspace: the default keyspace
+// (Name "", required) plus every tenant. All sets must hold the same
+// power-of-two number of images. Tenants absent from set are dropped —
+// the installed manifest omits them and the sweep wipes their files, so
+// a replica tracks the primary's tenant erasures byte for byte. Every
+// cell is assembled and verified (per-image checksums, structural and
+// routing invariants, tenants at their derived seeds) BEFORE anything
+// touches the directory; publication then follows the standard atomic
+// commit sequence (content-addressed image files → dir fsync → manifest
+// swap → dir fsync), so a crash at any step recovers to either the old
+// or the new checkpoint, never a mix. Images whose bytes are already
+// committed under the same hash are not rewritten.
 //
 // This is the read-replica install path. It assumes no concurrent local
 // writers: operations applied between the images' capture and the
@@ -96,165 +127,84 @@ func (db *DB) ShardImage(i int, hash [32]byte) ([]byte, error) {
 // state). Concurrent readers are safe — they keep the store snapshot
 // they loaded until the swap publishes the new one.
 //
-// The whole store is re-assembled even when only a few shards changed.
-// That costs O(total contents) per install, but it is what makes every
+// Every cell is re-assembled even when only a few shards changed. That
+// costs O(total contents) per install, but it is what makes every
 // install a CONSISTENT cut: swapping dictionaries into the live store
 // shard by shard would let a concurrent cross-shard read (Range, Len)
 // observe half of one checkpoint and half of another. Replicas that
 // need cheaper installs should shard more finely, not trade away the
 // snapshot.
-func (db *DB) InstallCheckpoint(hseed uint64, images [][]byte) error {
-	return db.InstallCheckpointNS(hseed, images, nil)
-}
-
-// NSImages is one tenant's canonical image set, shipped alongside the
-// default shards by InstallCheckpointNS.
-type NSImages struct {
-	Name   string
-	Images [][]byte
-}
-
-// InstallCheckpointNS is InstallCheckpoint for a multi-tenant
-// checkpoint: the default keyspace's images plus one image set per
-// committed namespace. Tenants absent from nss are dropped — the
-// installed manifest omits them and the sweep wipes their files, so a
-// replica tracks the primary's tenant erasures byte for byte. Every
-// tenant store is assembled and verified before anything touches the
-// directory, and each must sit at the routing seed derived from
-// (hseed, name) — an image set filed under the wrong tenant fails
-// assembly rather than installing.
-func (db *DB) InstallCheckpointNS(hseed uint64, images [][]byte, nss []NSImages) error {
+func (db *DB) InstallCheckpoint(hseed uint64, set []CellImages) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	readers := make([]io.Reader, len(images))
-	for i, img := range images {
-		readers[i] = bytes.NewReader(img)
+	set = append([]CellImages(nil), set...)
+	sort.Slice(set, func(i, j int) bool { return set[i].Name < set[j].Name })
+	if len(set) == 0 || set[0].Name != "" {
+		return errors.New("durable: installing checkpoint: no default-keyspace image set")
 	}
-	s, err := shard.AssembleStore(hseed, readers, db.opts.Seed, nil)
-	if err != nil {
-		return fmt.Errorf("durable: installing checkpoint: %w", err)
-	}
-	s.SetClock(db.opts.Clock)
-	nss = sortedNSImages(nss)
-	cells := make([]*namespace.Cell, len(nss))
-	for k, n := range nss {
-		if err := namespace.ValidateName(n.Name); err != nil {
+	cells := make([]*namespace.Cell, len(set))
+	newMan := &manifest{hseed: hseed, cells: make([]cellEntry, len(set))}
+	for k, ci := range set {
+		if k > 0 {
+			// Sorted, so a duplicate is adjacent — and a second "" fails
+			// name validation.
+			if err := namespace.ValidateName(ci.Name); err != nil {
+				return fmt.Errorf("durable: installing checkpoint: %w", err)
+			}
+			if set[k-1].Name == ci.Name {
+				return fmt.Errorf("durable: installing checkpoint: duplicate namespace %q", ci.Name)
+			}
+		}
+		// The manifest records one shard count for every cell; a set of
+		// another size would commit a manifest no Open can decode.
+		if len(ci.Images) != len(set[0].Images) {
+			return fmt.Errorf("durable: installing checkpoint: keyspace %q has %d shard images, the default keyspace %d",
+				ci.Name, len(ci.Images), len(set[0].Images))
+		}
+		var err error
+		if cells[k], err = db.assembleCell(hseed, ci.Name, ci.Images, db.opts.Seed); err != nil {
 			return fmt.Errorf("durable: installing checkpoint: %w", err)
 		}
-		if k > 0 && nss[k-1].Name == n.Name {
-			return fmt.Errorf("durable: installing checkpoint: duplicate namespace %q", n.Name)
+		ent := cellEntry{name: ci.Name, shards: make([]ShardHash, len(ci.Images))}
+		for i, img := range ci.Images {
+			ent.shards[i] = ShardHash{Size: int64(len(img)), Hash: sha256.Sum256(img)}
 		}
-		seed := namespace.DeriveSeed(hseed, n.Name)
-		nsReaders := make([]io.Reader, len(n.Images))
-		for i, img := range n.Images {
-			nsReaders[i] = bytes.NewReader(img)
-		}
-		st, err := shard.AssembleStore(shard.MixSeed(seed), nsReaders, seed, nil)
-		if err != nil {
-			return fmt.Errorf("durable: installing namespace %q: %w", n.Name, err)
-		}
-		st.SetClock(db.opts.Clock)
-		cells[k] = &namespace.Cell{Name: n.Name, Seed: seed, Store: st}
+		newMan.cells[k] = ent
 	}
 
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
-	newMan := &manifest{hseed: hseed, shards: make([]shardEntry, len(images))}
-	for i, img := range images {
-		newMan.shards[i] = shardEntry{size: int64(len(img)), hash: sha256.Sum256(img)}
-	}
-	for _, n := range nss {
-		ent := nsEntry{name: n.Name, shards: make([]shardEntry, len(n.Images))}
-		for i, img := range n.Images {
-			ent.shards[i] = shardEntry{size: int64(len(img)), hash: sha256.Sum256(img)}
-		}
-		newMan.nss = append(newMan.nss, ent)
-	}
-	if db.man != nil && manifestsEqual(db.man, newMan) {
+	manBytes := newMan.encode()
+	if bytes.Equal(manBytes, db.manBytes) {
 		// Already exactly this checkpoint; installing again would change
 		// no byte on disk. Leave the live store untouched too.
 		return nil
 	}
-
-	sameShardCount := db.man != nil && len(db.man.shards) == len(newMan.shards)
-	for i, img := range images {
-		if sameShardCount && db.man.shards[i].hash == newMan.shards[i].hash {
-			continue // committed file already has these exact bytes
+	var writes []pendingShard
+	for k, ci := range set {
+		// Same root seed means same file names: an image whose hash is
+		// already committed at the same index needs no rewrite.
+		var prev *cellEntry
+		if db.man != nil && db.man.hseed == hseed {
+			prev = db.man.cell(ci.Name)
 		}
-		if err := db.writeFileAtomic(shardFileName(i, newMan.shards[i].hash), img); err != nil {
-			return fmt.Errorf("durable: publishing shard %d image: %w", i, err)
-		}
-	}
-	for k, n := range nss {
-		nsHseed := cells[k].Store.RoutingSeed()
-		var prev *nsEntry
-		if db.man != nil {
-			prev = db.man.nsAt(n.Name)
-		}
-		for i, img := range n.Images {
-			h := newMan.nss[k].shards[i].hash
-			if prev != nil && i < len(prev.shards) && prev.shards[i].hash == h {
+		for i, img := range ci.Images {
+			h := newMan.cells[k].shards[i].Hash
+			if prev != nil && i < len(prev.shards) && prev.shards[i].Hash == h {
 				continue // committed file already has these exact bytes
 			}
-			if err := db.writeFileAtomic(nsShardFileName(nsHseed, i, h), img); err != nil {
-				return fmt.Errorf("durable: publishing namespace %q shard %d image: %w", n.Name, i, err)
-			}
+			writes = append(writes, pendingShard{cell: cells[k], idx: i, data: img, hash: h})
 		}
 	}
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s: %w", db.dir, err)
+	if _, err := db.commit(newMan, manBytes, writes); err != nil {
+		return err
 	}
-	if err := db.writeFileAtomic(manifestName, newMan.encode()); err != nil {
-		return fmt.Errorf("durable: publishing manifest: %w", err)
-	}
-	if err := db.fs.SyncDir(db.dir); err != nil {
-		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
-	}
-
 	// Committed: publish the new state to readers and reset the
 	// checkpoint bookkeeping to "clean at exactly this image set".
-	db.man = newMan
-	db.store.Store(s)
-	db.cpVersions = make([]uint64, s.NumShards())
-	for i := range db.cpVersions {
-		db.cpVersions[i] = s.ShardVersion(i)
-	}
-	for _, c := range cells {
-		c.Committed = true // its entry is in the manifest just published
-		c.CPVersions = make([]uint64, c.Store.NumShards())
-		for i := range c.CPVersions {
-			c.CPVersions[i] = c.Store.ShardVersion(i)
-		}
-	}
-	db.nss.ReplaceAll(cells)
+	db.publish(cells)
 	db.dirtyOps.Store(0)
 	db.checkpoints.Add(1)
 	db.sweep()
 	return nil
-}
-
-// manifestsEqual reports whether two manifests describe the same
-// checkpoint (equal seeds, sizes, hashes, and namespace tables — and
-// therefore equal encoded bytes).
-func manifestsEqual(a, b *manifest) bool {
-	if a.hseed != b.hseed || len(a.shards) != len(b.shards) || len(a.nss) != len(b.nss) {
-		return false
-	}
-	for i := range a.shards {
-		if a.shards[i] != b.shards[i] {
-			return false
-		}
-	}
-	for i := range a.nss {
-		if a.nss[i].name != b.nss[i].name || len(a.nss[i].shards) != len(b.nss[i].shards) {
-			return false
-		}
-		for j := range a.nss[i].shards {
-			if a.nss[i].shards[j] != b.nss[i].shards[j] {
-				return false
-			}
-		}
-	}
-	return true
 }

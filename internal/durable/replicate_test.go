@@ -70,7 +70,7 @@ func TestShardImageExport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hseed, entries, err := db.ShardHashes()
+	hseed, entries, err := db.ShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestShardImageExport(t *testing.T) {
 		t.Fatalf("%d entries, want 4", len(entries))
 	}
 	for i, e := range entries {
-		img, err := db.ShardImage(i, e.Hash)
+		img, err := db.ShardImage("", i, e.Hash)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -99,7 +99,7 @@ func TestShardImageExport(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, entries2, err := db.ShardHashes()
+	_, entries2, err := db.ShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestShardImageExport(t *testing.T) {
 		if entries2[i].Hash == old {
 			continue // this shard did not change; old hash still valid
 		}
-		if _, err := db.ShardImage(i, old); !errors.Is(err, ErrStaleShard) {
+		if _, err := db.ShardImage("", i, old); !errors.Is(err, ErrStaleShard) {
 			t.Fatalf("stale fetch of shard %d: %v", i, err)
 		}
 	}
@@ -130,17 +130,8 @@ func TestInstallCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hseed, entries, err := p.ShardHashes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := make([][]byte, len(entries))
-	for i, e := range entries {
-		if images[i], err = p.ShardImage(i, e.Hash); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.InstallCheckpoint(hseed, images); err != nil {
+	hseed, images := committedImages(t, p, "")
+	if err := r.InstallCheckpoint(hseed, []CellImages{{Images: images}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +149,7 @@ func TestInstallCheckpoint(t *testing.T) {
 	// Installing the same checkpoint again is a no-op: zero mutating
 	// filesystem operations.
 	before := rfs.Ops()
-	if err := r.InstallCheckpoint(hseed, images); err != nil {
+	if err := r.InstallCheckpoint(hseed, []CellImages{{Images: images}}); err != nil {
 		t.Fatal(err)
 	}
 	if after := rfs.Ops(); after != before {
@@ -189,16 +180,7 @@ func TestInstallCheckpointCrashSafety(t *testing.T) {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	hseed, entries, err := p.ShardHashes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := make([][]byte, len(entries))
-	for i, e := range entries {
-		if images[i], err = p.ShardImage(i, e.Hash); err != nil {
-			t.Fatal(err)
-		}
-	}
+	hseed, images := committedImages(t, p, "")
 	primaryDir := dirBytes(t, pfs, "db")
 	p.Close()
 
@@ -213,7 +195,7 @@ func TestInstallCheckpointCrashSafety(t *testing.T) {
 		oldDir := dirBytes(t, rfs, "db")
 
 		rfs.FailAfter(fail)
-		installErr := r.InstallCheckpoint(hseed, images)
+		installErr := r.InstallCheckpoint(hseed, []CellImages{{Images: images}})
 		r.Abandon()
 		crashed := rfs.Crash()
 
@@ -242,25 +224,78 @@ func TestInstallCheckpointCrashSafety(t *testing.T) {
 	}
 }
 
+// committedImages fetches keyspace ns's committed seed and image set.
+func committedImages(t *testing.T, db *DB, ns string) (uint64, [][]byte) {
+	t.Helper()
+	hseed, entries, err := db.ShardHashes(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := make([][]byte, len(entries))
+	for i, e := range entries {
+		if images[i], err = db.ShardImage(ns, i, e.Hash); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hseed, images
+}
+
 // TestInstallCheckpointRejectsCorruptImages checks hostile images fail
 // before anything touches the directory.
 func TestInstallCheckpointRejectsCorruptImages(t *testing.T) {
 	fs := NewMemFS()
 	db := openMem(t, fs, "db", 1)
-	defer db.Close()
 	db.Put(1, 1)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	// A tenant image set that is valid on its own — right derived seed,
+	// power-of-two shard count — but cut for an 8-shard database, paired
+	// with this 4-shard one's root. The manifest records one shard count
+	// for every cell, so committing the pair would brick the directory:
+	// the next Open could not decode its manifest.
+	wide, err := Open("wide", memOpts(NewMemFS(), 8, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Abandon()
+	if _, err := wide.NSPut("acme", 5, 50); err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	hseed, root := committedImages(t, db, "")
+	_, tenant := committedImages(t, wide, "acme")
+	if len(tenant) == len(root) {
+		t.Fatalf("test set-up: both image sets have %d shards", len(root))
+	}
+	dirBefore := dirBytes(t, fs, "db")
 	before := fs.Ops()
 
-	if err := db.InstallCheckpoint(42, [][]byte{{1, 2, 3}}); err == nil {
+	if err := db.InstallCheckpoint(42, []CellImages{{Images: [][]byte{{1, 2, 3}}}}); err == nil {
 		t.Fatal("garbage image accepted")
 	}
-	if err := db.InstallCheckpoint(42, make([][]byte, 3)); err == nil {
+	if err := db.InstallCheckpoint(42, []CellImages{{Images: make([][]byte, 3)}}); err == nil {
 		t.Fatal("non-power-of-two shard count accepted")
+	}
+	if err := db.InstallCheckpoint(hseed, []CellImages{{Images: root}, {Name: "acme", Images: tenant}}); err == nil {
+		t.Fatal("tenant image set with a different shard count than the root's accepted")
+	}
+	if err := db.InstallCheckpoint(hseed, []CellImages{{Name: "acme", Images: tenant}}); err == nil {
+		t.Fatal("image set without the default keyspace accepted")
 	}
 	if after := fs.Ops(); after != before {
 		t.Fatalf("rejected installs performed %d filesystem ops", after-before)
+	}
+	sameDir(t, dirBefore, dirBytes(t, fs, "db"))
+	db.Abandon()
+	re, err := Open("db", memOpts(fs, 4, 1))
+	if err != nil {
+		t.Fatalf("reopen after the rejected installs: %v", err)
+	}
+	defer re.Abandon()
+	if v, ok := re.Get(1); !ok || v != 1 {
+		t.Fatalf("reopened DB lost its contents: Get(1) = (%d, %v)", v, ok)
 	}
 }

@@ -83,22 +83,22 @@ func DeriveSeed(rootHseed uint64, name string) uint64 {
 	return binary.BigEndian.Uint64(okm[:8])
 }
 
-// Cell is one tenant's store: the (data dictionary, expiry index) pair
-// sharded exactly like the default keyspace, plus the checkpoint
-// bookkeeping the durable layer keeps per cell.
+// Cell is one keyspace's store — the (data dictionary, expiry index)
+// pair, sharded — plus the checkpoint bookkeeping the durable layer
+// keeps per cell. The default keyspace is the cell named ""; every
+// other cell is a tenant's, routed under its derived seed.
 type Cell struct {
-	// Name is the tenant name. It is wire and manifest state only —
-	// never part of a file name or an image byte.
+	// Name is the tenant name ("": the default keyspace). It is wire
+	// and manifest state only — never part of a file name or an image
+	// byte. The routing seed that addresses the cell's files is the
+	// store's RoutingSeed().
 	Name string
-	// Seed is the derived construction seed (DeriveSeed of the root
-	// routing seed and Name). The cell's persisted routing seed — the
-	// one that addresses its files — is the store's RoutingSeed().
-	Seed uint64
-	// Store holds the tenant's contents.
+	// Store holds the keyspace's contents.
 	Store *shard.Store
 	// CPVersions[i] is shard i's version counter at the moment its
-	// committed image was snapshotted (nil: never committed). Owned by
-	// the durable layer's checkpoint lock.
+	// committed image was snapshotted (nil: never committed);
+	// Store.ShardVersion(i) == CPVersions[i] means the on-disk image is
+	// current. Owned by the durable layer's checkpoint lock.
 	CPVersions []uint64
 	// Committed records whether THIS cell incarnation's entry has ever
 	// landed in a committed manifest. The checkpoint engine may reuse a
@@ -111,6 +111,29 @@ type Cell struct {
 	Committed bool
 }
 
+// MarkCommitted records that the cell's entry just landed in a
+// committed manifest with every shard image current: the version
+// floors are set to the shards' present versions. The caller holds the
+// durable layer's checkpoint lock, or has not yet published the cell.
+func (c *Cell) MarkCommitted() {
+	c.Committed = true
+	c.CPVersions = make([]uint64, c.Store.NumShards())
+	for i := range c.CPVersions {
+		c.CPVersions[i] = c.Store.ShardVersion(i)
+	}
+}
+
+// PhysicalLen returns the number of entries physically resident in the
+// cell, dead-but-unswept ones included — what a checkpoint would
+// commit, as opposed to what a read would see.
+func (c *Cell) PhysicalLen() int {
+	n := 0
+	for i := 0; i < c.Store.NumShards(); i++ {
+		n += c.Store.ShardLen(i)
+	}
+	return n
+}
+
 // NewCell builds an empty cell for name under the given root routing
 // seed, mirroring the default store's shard count and dictionary
 // constants so per-tenant images stay structurally canonical.
@@ -118,13 +141,12 @@ func NewCell(name string, rootHseed uint64, cfg shard.Config, clock expiry.Clock
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
-	seed := DeriveSeed(rootHseed, name)
-	st, err := shard.NewWithConfig(cfg, seed, nil)
+	st, err := shard.NewWithConfig(cfg, DeriveSeed(rootHseed, name), nil)
 	if err != nil {
 		return nil, fmt.Errorf("namespace: cell %q: %w", name, err)
 	}
 	st.SetClock(clock)
-	return &Cell{Name: name, Seed: seed, Store: st}, nil
+	return &Cell{Name: name, Store: st}, nil
 }
 
 // Registry is the live set of cells, keyed by tenant name. All methods
@@ -151,12 +173,6 @@ func (r *Registry) Get(name string) *Cell {
 // GetOrCreate returns the named cell, building it with mk under the
 // write lock if absent. Exactly one builder runs per missing name.
 func (r *Registry) GetOrCreate(name string, mk func() (*Cell, error)) (*Cell, error) {
-	r.mu.RLock()
-	c := r.cells[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c, nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c := r.cells[name]; c != nil {
@@ -170,28 +186,18 @@ func (r *Registry) GetOrCreate(name string, mk func() (*Cell, error)) (*Cell, er
 	return c, nil
 }
 
-// Put installs (or replaces) a cell — the recovery path.
+// Put installs (or replaces) a cell — the undo of a Take.
 func (r *Registry) Put(c *Cell) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cells[c.Name] = c
 }
 
-// Drop removes the named cell and reports whether it existed. The
-// cell's committed files are reclaimed by the next checkpoint's sweep;
-// the registry owns only the in-memory state.
-func (r *Registry) Drop(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.cells[name]
-	delete(r.cells, name)
-	return ok
-}
-
-// Take removes and returns the named cell (nil if absent) — the
-// drop-with-restore path: a caller that must undo a drop whose erasure
-// checkpoint failed hands the same cell back to Put, CPVersions and
-// committed-state bookkeeping intact.
+// Take removes and returns the named cell (nil if absent). The cell's
+// committed files are reclaimed by the next checkpoint's sweep; the
+// registry owns only the in-memory state. A caller that must undo a
+// drop whose erasure checkpoint failed hands the same cell back to
+// Put, CPVersions and committed-state bookkeeping intact.
 func (r *Registry) Take(name string) *Cell {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -109,7 +109,7 @@ func TestRegistryCanonicalOrderAndDrop(t *testing.T) {
 	if c1 != c2 {
 		t.Error("GetOrCreate did not return the existing cell")
 	}
-	if !r.Drop("alpha") || r.Drop("alpha") {
+	if r.Take("alpha") == nil || r.Take("alpha") != nil {
 		t.Error("Drop existence reporting is wrong")
 	}
 	if r.Get("alpha") != nil {

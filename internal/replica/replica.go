@@ -293,70 +293,49 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 		return sum, nil
 	}
 
-	hseed, remote, names, err := conn.SyncShardHashesNS()
-	if err != nil {
-		return sum, fmt.Errorf("replica: fetching shard hashes: %w", err)
-	}
-
-	localSeed, local, lerr := r.db.ShardHashes()
-	sameLayout := lerr == nil && localSeed == hseed && len(local) == len(remote)
-
-	images := make([][]byte, len(remote))
-	for i, e := range remote {
-		if sameLayout && local[i].Hash == e.Hash {
-			// This shard already matches: reuse the committed local bytes
-			// instead of shipping them again. The images are content
-			// addressed, so "same hash" IS "same bytes".
-			img, err := r.db.ShardImage(i, e.Hash)
-			if err == nil && int64(len(img)) == e.Size {
-				images[i] = img
-				continue
-			}
-			// Local file unexpectedly unusable — fall through and fetch.
-		}
-		img, err := r.fetchShard(conn, "", i, e)
+	// One gather per committed keyspace, the default one ("") first —
+	// its reply lists the tenants: compare against the locally committed
+	// cell (if any), reuse matching images from local disk, fetch the
+	// divergent ones. Tenants the primary no longer lists are simply
+	// absent from the set; the install drops them.
+	var hseed uint64
+	var set []durable.CellImages
+	names := []string{""}
+	for k := 0; k < len(names); k++ {
+		ns := names[k]
+		seed, remote, tenants, err := conn.SyncShardHashes(ns)
 		if err != nil {
-			return sum, err
+			return sum, fmt.Errorf("replica: fetching shard hashes: %w", err)
 		}
-		images[i] = img
-		sum.ShardsFetched++
-		sum.BytesFetched += int64(len(img))
-		r.shardsFetched.Add(1)
-		r.bytesFetched.Add(uint64(len(img)))
-	}
-
-	// Tenant cells: the same dance per committed namespace — compare
-	// against the locally committed cell (if any), reuse matching
-	// images, fetch the divergent ones. Tenants the primary no longer
-	// lists are simply absent from nss; the install drops them.
-	nss := make([]durable.NSImages, 0, len(names))
-	for _, name := range names {
-		nsHseed, entries, err := conn.SyncNSShardHashes(name)
-		if err != nil {
-			return sum, fmt.Errorf("replica: fetching tenant shard hashes: %w", err)
+		if ns == "" {
+			hseed, names = seed, append(names, tenants...)
 		}
-		localNSSeed, localNS, lerr := r.db.NSShardHashes(name)
-		nsSame := lerr == nil && localNSSeed == nsHseed && len(localNS) == len(entries)
-		imgs := make([][]byte, len(entries))
-		for i, e := range entries {
-			if nsSame && localNS[i].Hash == e.Hash {
-				img, err := r.db.NSShardImage(name, i, e.Hash)
+		localSeed, local, lerr := r.db.ShardHashes(ns)
+		sameLayout := lerr == nil && localSeed == seed && len(local) == len(remote)
+		images := make([][]byte, len(remote))
+		for i, e := range remote {
+			if sameLayout && local[i].Hash == e.Hash {
+				// This shard already matches: reuse the committed local
+				// bytes instead of shipping them again. The images are
+				// content addressed, so "same hash" IS "same bytes".
+				img, err := r.db.ShardImage(ns, i, e.Hash)
 				if err == nil && int64(len(img)) == e.Size {
-					imgs[i] = img
+					images[i] = img
 					continue
 				}
+				// Local file unexpectedly unusable — fall through and fetch.
 			}
-			img, err := r.fetchShard(conn, name, i, e)
+			img, err := r.fetchShard(conn, ns, i, e)
 			if err != nil {
 				return sum, err
 			}
-			imgs[i] = img
+			images[i] = img
 			sum.ShardsFetched++
 			sum.BytesFetched += int64(len(img))
 			r.shardsFetched.Add(1)
 			r.bytesFetched.Add(uint64(len(img)))
 		}
-		nss = append(nss, durable.NSImages{Name: name, Images: imgs})
+		set = append(set, durable.CellImages{Name: ns, Images: images})
 	}
 
 	// The cut check: the gather above took several round trips. If the
@@ -372,11 +351,11 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 	}
 
 	ti := time.Now()
-	if err := r.db.InstallCheckpointNS(hseed, images, nss); err != nil {
+	if err := r.db.InstallCheckpoint(hseed, set); err != nil {
 		return sum, err
 	}
 	sum.Installed = true
-	sum.Namespaces = len(nss)
+	sum.Namespaces = len(set) - 1
 	r.installs.Add(1)
 	if rt != nil && rt.sampled {
 		rt.tr.Record(trace.Span{
@@ -397,16 +376,7 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 func (r *Replica) fetchShard(conn *client.Conn, ns string, i int, e proto.ShardHash) ([]byte, error) {
 	buf := make([]byte, 0, e.Size)
 	for {
-		var (
-			data []byte
-			more bool
-			err  error
-		)
-		if ns == "" {
-			data, more, err = conn.SyncShardChunk(i, e.Hash, uint64(len(buf)), r.cfg.ChunkSize)
-		} else {
-			data, more, err = conn.SyncNSShardChunk(ns, i, e.Hash, uint64(len(buf)), r.cfg.ChunkSize)
-		}
+		data, more, err := conn.SyncShardChunk(ns, i, e.Hash, uint64(len(buf)), r.cfg.ChunkSize)
 		if err != nil {
 			return nil, fmt.Errorf("replica: fetching shard %d at offset %d: %w", i, len(buf), err)
 		}

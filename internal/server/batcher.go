@@ -13,19 +13,15 @@ import (
 	"repro/internal/trace"
 )
 
-// writeReq is one connection's PUT, PUTTTL, or DEL handed to the
-// coalescer, carrying everything needed to route the reply back — or a
-// server-internal expire op from the sweeper (c nil: no reply), or a
-// namespaced write (ns non-empty: NSPUT/NSDEL, or DROPNS when drop is
-// set).
+// writeReq is one write handed to the coalescer: a connection's point
+// write (PUT, PUTTTL, DEL, NSPUT, NSDEL) or DROPNS, carrying everything
+// needed to route the reply back — or a server-internal expire op from
+// the sweeper (op 0, c nil: no reply).
 type writeReq struct {
+	op       byte   // request opcode; 0: sweeper-issued conditional delete
+	ns       string // keyspace ("": the default one); DROPNS: the tenant to erase
 	key, val int64
 	exp      int64 // PUTTTL/NSPUT: absolute expiry; expire op: epoch bound
-	del      bool
-	ttl      bool   // PUTTTL (reply carries the echoed expiry)
-	expire   bool   // sweeper-issued conditional delete; c is nil
-	ns       string // tenant namespace ("": default keyspace)
-	drop     bool   // DROPNS: erase the tenant named by ns
 	id       uint64
 	c        *conn
 
@@ -43,12 +39,10 @@ type writeReq struct {
 }
 
 // batcher is the server-wide write coalescer: a single goroutine that
-// drains pending writes from every connection into one mixed
-// shard.Op batch and applies it with DB.ApplyBatch, taking each shard's
-// write lock once per drain instead of once per operation. Submission
-// order per connection is preserved (the channel is FIFO and the batch
-// applies same-shard ops in order), so the reply each connection sees
-// is exactly what the equivalent point op would have returned.
+// drains pending writes from every connection, groups them by keyspace,
+// and applies each group as one mixed shard.Op batch, taking each
+// shard's write lock once per drain instead of once per operation (see
+// run for what the grouping preserves).
 type batcher struct {
 	db        *durable.DB
 	ch        chan writeReq
@@ -69,10 +63,14 @@ type batcher struct {
 	// this goroutine.
 	tr *trace.Store
 
-	// Coalescer-goroutine scratch, reused across drains.
+	// Coalescer-goroutine scratch, reused across drains. slot, counts
+	// and grouped belong to groupByKeyspace.
 	ops      []shard.Op
 	changed  []bool
 	pscratch []byte
+	slot     map[string]int
+	counts   []int
+	grouped  []writeReq
 }
 
 func newBatcher(db *durable.DB, st *stats, sm *serverMetrics, slow *obs.SlowLog, queue, maxBatch, nsQuota int) *batcher {
@@ -85,6 +83,7 @@ func newBatcher(db *durable.DB, st *stats, sm *serverMetrics, slow *obs.SlowLog,
 		done:     make(chan struct{}),
 		maxBatch: maxBatch,
 		nsQuota:  nsQuota,
+		slot:     map[string]int{},
 	}
 }
 
@@ -111,13 +110,13 @@ const extendThreshold = 8
 
 // run is the coalescer loop: block for one write, then greedily drain
 // whatever else is queued (up to maxBatch, with one adaptive window
-// extension under load), then process the drain in submission order —
-// contiguous default-keyspace runs as one ApplyBatch, namespaced ops
-// as point ops against their tenant cells, DROPNS as a full barrier
-// (drop + checkpoint before the reply). Per-connection order is
-// preserved end to end: the channel is FIFO and segments apply in
-// drain order, so the reply each connection sees is exactly what the
-// equivalent point op would have returned.
+// extension under load), then apply the drain: between DROPNS barriers
+// the writes are grouped by keyspace and each group goes through one
+// ApplyBatch; a DROPNS is a full barrier (drop + checkpoint before the
+// reply). Writes to different keyspaces commute and replies are routed
+// by request id, so regrouping is unobservable; within a keyspace the
+// channel is FIFO and the grouping stable, so the reply each connection
+// sees is exactly what the equivalent point op would have returned.
 func (b *batcher) run() {
 	defer close(b.done)
 	var reqs []writeReq
@@ -133,7 +132,7 @@ func (b *batcher) run() {
 
 		// tw: end of coalesce-wait for everything in this drain. Per-req
 		// wait is tw−r.t0 (receipt to batch formation); apply and encode
-		// are per-segment costs shared by every member.
+		// are per-group costs shared by every member.
 		tw := time.Now()
 		for _, r := range reqs {
 			if r.c != nil {
@@ -141,34 +140,112 @@ func (b *batcher) run() {
 			}
 		}
 		for lo := 0; lo < len(reqs); {
-			if reqs[lo].ns == "" {
-				hi := lo + 1
-				for hi < len(reqs) && reqs[hi].ns == "" {
-					hi++
-				}
-				b.applyDefault(reqs[lo:hi], tw)
-				lo = hi
-			} else {
-				b.applyNS(reqs[lo], tw)
-				lo++
+			hi := lo
+			for hi < len(reqs) && reqs[hi].op != proto.OpDropNS {
+				hi++
 			}
+			seg := b.groupByKeyspace(reqs[lo:hi])
+			for i := 0; i < len(seg); {
+				j := i + 1
+				for j < len(seg) && seg[j].ns == seg[i].ns {
+					j++
+				}
+				b.applyGroup(seg[i:j], tw)
+				i = j
+			}
+			if hi < len(reqs) {
+				b.applyDrop(reqs[hi], tw)
+				hi++
+			}
+			lo = hi
 		}
 	}
 }
 
-// applyDefault applies one contiguous run of default-keyspace writes as
-// a single ApplyBatch and fans the per-op outcomes back out as replies.
-func (b *batcher) applyDefault(reqs []writeReq, tw time.Time) {
+// groupByKeyspace returns seg reordered so that each keyspace's writes
+// are contiguous: keyspaces in order of first appearance, each one's
+// writes in submission order (a stable counting sort). A segment that
+// addresses a single keyspace — the common case — is returned as is.
+func (b *batcher) groupByKeyspace(seg []writeReq) []writeReq {
+	mixed := false
+	for i := 1; i < len(seg) && !mixed; i++ {
+		mixed = seg[i].ns != seg[0].ns
+	}
+	if !mixed {
+		return seg
+	}
+	clear(b.slot)
+	counts := b.counts[:0]
+	for i := range seg {
+		g, ok := b.slot[seg[i].ns]
+		if !ok {
+			g = len(counts)
+			b.slot[seg[i].ns] = g
+			counts = append(counts, 0)
+		}
+		counts[g]++
+	}
+	at := 0
+	for g, n := range counts { // counts[g] becomes group g's write cursor
+		counts[g] = at
+		at += n
+	}
+	b.counts = counts
+	if cap(b.grouped) < len(seg) {
+		b.grouped = make([]writeReq, len(seg))
+	}
+	out := b.grouped[:len(seg)]
+	for i := range seg {
+		g := b.slot[seg[i].ns]
+		out[counts[g]] = seg[i]
+		counts[g]++
+	}
+	return out
+}
+
+// applyGroup applies one keyspace's writes from a drain. Without a
+// quota that is a single run. With one, every tenant put is checked
+// against the state left by ALL the writes before it, so the run so
+// far is applied first: the check stays as exact as the sequential
+// point-op path it replaces, on the same ApplyBatch path.
+func (b *batcher) applyGroup(reqs []writeReq, tw time.Time) {
+	lo := 0
+	if q, ns := b.nsQuota, reqs[0].ns; q > 0 && ns != "" {
+		for i, r := range reqs {
+			if r.op != proto.OpNSPut {
+				continue
+			}
+			b.applyRun(reqs[lo:i], tw)
+			lo = i
+			if !b.db.NSHas(ns, r.key) && b.db.NSLen(ns) >= q {
+				b.st.nsQuotaRejected.Add(1)
+				b.pscratch = proto.AppendError(b.pscratch[:0], proto.ErrCodeQuota,
+					fmt.Sprintf("namespace is at its %d-key quota", q))
+				b.reply(r, proto.ErrCodeQuota, 0, tw, time.Now(), 0, 0)
+				lo = i + 1
+			}
+		}
+	}
+	b.applyRun(reqs[lo:], tw)
+}
+
+// applyRun applies a run of writes to one keyspace as a single
+// ApplyBatch and fans the per-op outcomes back out as replies.
+func (b *batcher) applyRun(reqs []writeReq, tw time.Time) {
+	if len(reqs) == 0 {
+		return
+	}
 	ops := b.ops[:0]
 	for _, r := range reqs {
-		ops = append(ops, shard.Op{Key: r.key, Val: r.val, Exp: r.exp, Delete: r.del, Expire: r.expire})
+		ops = append(ops, shard.Op{Key: r.key, Val: r.val, Exp: r.exp,
+			Delete: r.op == proto.OpDel || r.op == proto.OpNSDel, Expire: r.op == 0})
 	}
 	b.ops = ops
 	if cap(b.changed) < len(ops) {
 		b.changed = make([]bool, len(ops))
 	}
 	changed := b.changed[:len(ops)]
-	_, err := b.db.ApplyBatch(ops, changed)
+	_, err := b.db.NSApplyBatch(reqs[0].ns, ops, changed)
 	b.st.noteBatch(len(ops))
 	ta := time.Now()
 	b.sm.phaseApply.Observe(int64(ta.Sub(tw)))
@@ -181,49 +258,104 @@ func (b *batcher) applyDefault(reqs []writeReq, tw time.Time) {
 		// Payloads are built in a coalescer-lifetime scratch: sendFrame
 		// copies them into the connection's outbound buffer before
 		// returning, so the next iteration may overwrite it.
-		opb := proto.OpPut
-		switch {
-		case r.del:
-			opb = proto.OpDel
-		case r.ttl:
-			opb = proto.OpPutTTL
-		}
 		ec := byte(0)
-		if err != nil {
+		switch {
+		case err != nil:
 			ec = proto.ErrCodeInternal
 			b.pscratch = proto.AppendError(b.pscratch[:0], ec, err.Error())
-			r.c.sendFrame(proto.OpError, r.id, b.pscratch, r.ver, r.tc)
-		} else {
-			if r.ttl {
-				b.pscratch = proto.AppendTTLAck(b.pscratch[:0], changed[i], r.exp)
-			} else {
-				b.pscratch = proto.AppendBool(b.pscratch[:0], changed[i])
-			}
-			r.c.sendFrame(opb|proto.FlagReply, r.id, b.pscratch, r.ver, r.tc)
+		case r.op == proto.OpPutTTL || r.op == proto.OpNSPut:
+			b.pscratch = proto.AppendTTLAck(b.pscratch[:0], changed[i], r.exp)
+		default:
+			b.pscratch = proto.AppendBool(b.pscratch[:0], changed[i])
 		}
-		r.c.pending.Done()
-
-		now := time.Now()
-		total := now.Sub(r.t0)
-		if h := b.sm.ops[opb]; h != nil {
-			h.Observe(int64(total))
-		}
-		var tid uint64
-		if b.tr != nil {
-			tid = b.traceWrite(r, opb, ec, len(b.pscratch), len(reqs), tw, ta, now, 0, 0)
-		}
-		if b.slow.Slow(total) {
-			b.slow.Record(obs.SlowOp{
-				Op: opLabels[opb], ReqID: r.id,
-				Shard:   b.db.Store().ShardOf(r.key),
-				BytesIn: r.in, BytesOut: len(b.pscratch), Batch: len(reqs),
-				Total: total, Wait: tw.Sub(r.t0),
-				Apply: ta.Sub(tw), Encode: now.Sub(ta),
-				Trace: tid,
-			})
-		}
+		b.reply(r, ec, len(reqs), tw, ta, 0, 0)
 	}
 	b.sm.phaseEncode.Observe(int64(time.Since(ta)))
+}
+
+// applyDrop serves DROPNS as the erasure barrier the protocol promises:
+// the cell is dropped AND a checkpoint committed (manifest without the
+// tenant, files zero-wiped and unlinked) before the reply leaves, so a
+// positive DROPNS reply means the erasure is already durable and
+// forensically complete.
+func (b *batcher) applyDrop(r writeReq, tw time.Time) {
+	b.st.nsDrops.Add(1)
+	var tid, sid uint64
+	if b.tr != nil {
+		// The erasure barrier commits a checkpoint — always slow, always
+		// kept. Mint the span identity now so the durable layer's
+		// checkpoint span parents under this request.
+		tid, sid = mintSpan(b.tr, r.tc)
+	}
+	// Drop and checkpoint as one operation: a failed checkpoint restores
+	// the cell before the error reply, so the client is never told a
+	// tenant is gone while its data stays durable, and a retried DROPNS
+	// finds the tenant (or its lingering manifest entry) and completes
+	// the erasure.
+	changed, err := b.db.DropNamespaceSync(r.ns, tid, sid)
+	ta := time.Now()
+	b.sm.phaseApply.Observe(int64(ta.Sub(tw)))
+	ec := byte(0)
+	if err != nil {
+		ec = proto.ErrCodeInternal
+		b.pscratch = proto.AppendError(b.pscratch[:0], ec, err.Error())
+	} else {
+		b.pscratch = proto.AppendBool(b.pscratch[:0], changed)
+	}
+	if sid != 0 {
+		// The barrier span covers the drop-and-checkpoint apply window;
+		// the checkpoint span recorded inside it is a sibling child of
+		// the same server span, linked by the committed manifest hash.
+		b.tr.Record(trace.Span{Trace: tid, ID: b.tr.NewID(), Parent: sid,
+			Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindEraseBarrier,
+			Shard: -1, Err: ec})
+	}
+	b.reply(r, ec, 0, tw, ta, tid, sid)
+	b.sm.phaseEncode.Observe(int64(time.Since(ta)))
+}
+
+// reply sends one write's reply — b.pscratch, an error payload when
+// errCode is nonzero — and records the request's latency, span tree
+// and slow-op line. batch is the size of the ApplyBatch that carried
+// the write (0: none did); tw and ta bound its apply phase; tid/sid
+// are traceWrite's preminted identity. Error replies are counted and
+// traced, but not timed. The slow-op record never carries the tenant
+// name or key.
+func (b *batcher) reply(r writeReq, errCode byte, batch int, tw, ta time.Time, tid, sid uint64) {
+	op := r.op | proto.FlagReply
+	if errCode != 0 {
+		op = proto.OpError
+		b.st.errors.Add(1)
+	}
+	r.c.sendFrame(op, r.id, b.pscratch, r.ver, r.tc)
+	r.c.pending.Done()
+
+	now := time.Now()
+	total := now.Sub(r.t0)
+	if h := b.sm.ops[r.op]; h != nil && errCode == 0 {
+		h.Observe(int64(total))
+	}
+	if b.tr != nil {
+		tid = b.traceWrite(r, errCode, len(b.pscratch), batch, tw, ta, now, tid, sid)
+	}
+	if errCode == 0 && b.slow.Slow(total) {
+		b.slow.Record(obs.SlowOp{
+			Op: opLabels[r.op], ReqID: r.id, Shard: b.shardOf(r),
+			BytesIn: r.in, BytesOut: len(b.pscratch), Batch: batch,
+			Total: total, Wait: tw.Sub(r.t0),
+			Apply: ta.Sub(tw), Encode: now.Sub(ta),
+			Trace: tid,
+		})
+	}
+}
+
+// shardOf returns the shard index telemetry may carry for r: the
+// routed shard in the default keyspace, -1 for a tenant's write.
+func (b *batcher) shardOf(r writeReq) int {
+	if r.ns != "" {
+		return -1
+	}
+	return b.db.Store().ShardOf(r.key)
 }
 
 // traceWrite records one coalesced write's span tree when the request
@@ -236,9 +368,8 @@ func (b *batcher) applyDefault(reqs []writeReq, tw time.Time) {
 // otherwise the keep rule is sampled (by the client, or by the server
 // for requests arriving with no trace context) || slow || error.
 // Returns the kept trace id (0: not kept). batch 0 suppresses the
-// batch span — namespaced point ops have no coalesced batch to
-// describe.
-func (b *batcher) traceWrite(r writeReq, opb, errCode byte, out, batch int, tw, ta, now time.Time, tid, sid uint64) uint64 {
+// batch span — a DROPNS or a quota refusal rode no ApplyBatch.
+func (b *batcher) traceWrite(r writeReq, errCode byte, out, batch int, tw, ta, now time.Time, tid, sid uint64) uint64 {
 	tr := b.tr
 	total := now.Sub(r.t0)
 	if sid == 0 {
@@ -246,153 +377,15 @@ func (b *batcher) traceWrite(r writeReq, opb, errCode byte, out, batch int, tw, 
 			(r.tc.ID == 0 && tr.Sample())) {
 			return 0
 		}
-		tid = r.tc.ID
-		if tid == 0 {
-			tid = tr.NewID()
-		}
-		sid = tr.NewID()
+		tid, sid = mintSpan(tr, r.tc)
 	}
-	shard := int32(-1) // tenant cells keep their routing secret
-	if r.ns == "" {
-		shard = int32(b.db.Store().ShardOf(r.key))
-	}
-	t0n := r.t0.UnixNano()
-	tr.Record(trace.Span{
+	r.c.recordTree(trace.Span{
 		Trace: tid, ID: sid, Parent: r.tc.Span,
-		Start: t0n, Dur: int64(total),
-		Kind: trace.KindServer, Op: opb, Err: errCode, Shard: shard,
+		Start: r.t0.UnixNano(), Dur: int64(total),
+		Kind: trace.KindServer, Op: r.op, Err: errCode, Shard: int32(b.shardOf(r)),
 		In: int32(r.in), Out: int32(out),
-	})
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: t0n, Dur: int64(r.td.Sub(r.t0)), Kind: trace.KindDecode, Shard: shard})
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: r.td.UnixNano(), Dur: int64(tw.Sub(r.td)), Kind: trace.KindWait, Shard: shard})
-	if batch > 0 {
-		tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-			Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindBatch, Shard: shard,
-			In: int32(batch)})
-	}
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindApply, Shard: shard})
-	tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-		Start: ta.UnixNano(), Dur: int64(now.Sub(ta)), Kind: trace.KindEncode, Shard: shard})
-	r.c.noteFlushTrace(tid, sid)
-	if h := b.sm.ops[opb]; h != nil {
-		h.Exemplar(int64(total), tid)
-	}
+	}, batch, r.t0, r.td, tw, ta, now)
 	return tid
-}
-
-// applyNS applies one namespaced write as a point op — tenant cells
-// have their own shard locks, so there is nothing to coalesce — and
-// DROPNS as the erasure barrier the protocol promises: the cell is
-// dropped AND a checkpoint committed (manifest without the tenant,
-// files zero-wiped and unlinked) before the reply leaves, so a
-// positive DROPNS reply means the erasure is already durable and
-// forensically complete.
-func (b *batcher) applyNS(r writeReq, tw time.Time) {
-	var (
-		opb      byte
-		changed  bool
-		errCode  byte
-		errMsg   string
-		tid, sid uint64 // preminted span identity (DROPNS under tracing)
-	)
-	switch {
-	case r.drop:
-		opb = proto.OpDropNS
-		b.st.nsDrops.Add(1)
-		if b.tr != nil && r.c != nil {
-			// The erasure barrier commits a checkpoint — always slow,
-			// always kept. Mint the span identity now so the durable
-			// layer's checkpoint span parents under this request.
-			tid = r.tc.ID
-			if tid == 0 {
-				tid = b.tr.NewID()
-			}
-			sid = b.tr.NewID()
-		}
-		// Drop and checkpoint as one operation: a failed checkpoint
-		// restores the cell before the error reply, so the client is
-		// never told a tenant is gone while its data stays durable, and
-		// a retried DROPNS finds the tenant (or its lingering manifest
-		// entry) and completes the erasure.
-		var err error
-		if changed, err = b.db.DropNamespaceSyncTraced(r.ns, tid, sid); err != nil {
-			errCode, errMsg = proto.ErrCodeInternal, err.Error()
-		}
-	case r.del:
-		opb = proto.OpNSDel
-		changed = b.db.NSDelete(r.ns, r.key)
-	default:
-		opb = proto.OpNSPut
-		if q := b.nsQuota; q > 0 && !b.db.NSHas(r.ns, r.key) && b.db.NSLen(r.ns) >= q {
-			b.st.nsQuotaRejected.Add(1)
-			errCode = proto.ErrCodeQuota
-			errMsg = fmt.Sprintf("namespace is at its %d-key quota", q)
-		} else {
-			var err error
-			changed, err = b.db.NSPutTTL(r.ns, r.key, r.val, r.exp)
-			if err != nil {
-				errCode, errMsg = proto.ErrCodeBadFrame, err.Error()
-			}
-		}
-	}
-	ta := time.Now()
-	b.sm.phaseApply.Observe(int64(ta.Sub(tw)))
-	if r.c == nil {
-		return
-	}
-	if sid != 0 {
-		// The barrier span covers the drop-and-checkpoint apply window;
-		// the checkpoint span recorded inside it is a sibling child of
-		// the same server span, linked by the committed manifest hash.
-		b.tr.Record(trace.Span{Trace: tid, ID: b.tr.NewID(), Parent: sid,
-			Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindEraseBarrier,
-			Shard: -1, Err: errCode})
-	}
-	if errMsg != "" {
-		b.st.errors.Add(1)
-		b.pscratch = proto.AppendError(b.pscratch[:0], errCode, errMsg)
-		r.c.sendFrame(proto.OpError, r.id, b.pscratch, r.ver, r.tc)
-		r.c.pending.Done()
-		now := time.Now()
-		if b.tr != nil {
-			b.traceWrite(r, opb, errCode, len(b.pscratch), 0, tw, ta, now, tid, sid)
-		}
-		b.sm.phaseEncode.Observe(int64(time.Since(ta)))
-		return
-	}
-	if opb == proto.OpNSPut {
-		b.pscratch = proto.AppendTTLAck(b.pscratch[:0], changed, r.exp)
-	} else {
-		b.pscratch = proto.AppendBool(b.pscratch[:0], changed)
-	}
-	r.c.sendFrame(opb|proto.FlagReply, r.id, b.pscratch, r.ver, r.tc)
-	r.c.pending.Done()
-
-	now := time.Now()
-	total := now.Sub(r.t0)
-	if h := b.sm.ops[opb]; h != nil {
-		h.Observe(int64(total))
-	}
-	var ktid uint64
-	if b.tr != nil {
-		ktid = b.traceWrite(r, opb, 0, len(b.pscratch), 0, tw, ta, now, tid, sid)
-	}
-	if b.slow.Slow(total) {
-		// Forensic cleanliness: the record carries the opcode label and
-		// sizes, never the tenant name or key. Shard is -1 — a tenant
-		// cell's routing is its own secret.
-		b.slow.Record(obs.SlowOp{
-			Op: opLabels[opb], ReqID: r.id, Shard: -1,
-			BytesIn: r.in, BytesOut: len(b.pscratch), Batch: 1,
-			Total: total, Wait: tw.Sub(r.t0),
-			Apply: ta.Sub(tw), Encode: now.Sub(ta),
-			Trace: ktid,
-		})
-	}
-	b.sm.phaseEncode.Observe(int64(time.Since(ta)))
 }
 
 // drain greedily moves queued writes into reqs without blocking, up to

@@ -15,14 +15,16 @@
 //
 // # Write coalescing
 //
-// Reads (GET, BATCH-get, RANGE, LEN) execute inline on the reader
-// goroutine — they take one shard read-lock and return. Writes (PUT,
-// DEL, BATCH-put, BATCH-del) are handed to a server-wide batcher: a
-// single goroutine that drains every connection's pending writes into
-// one shard.Op slice and applies it with DB.ApplyBatch, taking each
-// shard's write lock once per drain instead of once per operation. The
-// batch preserves each connection's submission order, and per-op
-// outcome flags route each reply back to its connection. Under
+// Reads (GET, GETTTL, NSGET, BATCH-get, RANGE, LEN) execute inline on
+// the reader goroutine — they take one shard read-lock and return.
+// Point writes (PUT, PUTTTL, DEL, NSPUT, NSDEL) are handed to a
+// server-wide batcher: a single goroutine that drains every
+// connection's pending writes, groups them by keyspace (the default
+// keyspace is the one named ""), and applies each group with one
+// DB.NSApplyBatch, taking each shard's write lock once per drain
+// instead of once per operation. A group preserves each connection's
+// submission order, and per-op outcome flags route each reply back to
+// its connection; DROPNS rides the same queue as a barrier. Under
 // concurrent load the batcher turns k lock acquisitions into at most
 // min(k, shards) — the same trick PutBatch plays for one caller,
 // applied across callers.
@@ -37,11 +39,10 @@
 //
 // # Expiry sweeping
 //
-// PUTTTL writes ride the same coalescer as PUTs; GETTTL reads execute
-// inline like GETs. The server additionally runs an epoch-triggered
-// sweeper (Config.SweepInterval bounds only its reaction latency): when
-// the database clock's epoch advances, it lists the entries already
-// dead at the new epoch and submits conditional Expire ops through the
+// The server runs an epoch-triggered sweeper (Config.SweepInterval
+// bounds only its reaction latency): when the database clock's epoch
+// advances, it lists the entries already dead at the new epoch, in
+// every keyspace, and submits conditional Expire ops through the
 // write coalescer, so physical removals serialize with the pipelined
 // client writes they race — each Expire op re-checks the entry's
 // recorded expiry under the shard lock, so a key a client resurrects

@@ -124,20 +124,21 @@ func physicalLen(db *durable.DB) int {
 	return n
 }
 
-// noteInline records one inline-dispatched (non-coalesced) request's
-// phases and total latency, and feeds the slow-op log when the total
-// crosses its threshold. Timestamps: t0 receipt, td decode done, tw
-// barrier wait done, ta apply done; encode runs from ta to now. For
-// key-addressed ops hasKey routes the slow-op record's shard index;
-// the key itself never reaches telemetry.
+// replyInline answers one inline-dispatched (non-coalesced) request f
+// with payload, then records its phases and total latency, and feeds
+// the slow-op log when the total crosses its threshold. Timestamps: t0
+// receipt, td decode done, tw barrier wait done, ta apply done; encode
+// runs from ta to now. For key-addressed ops hasKey routes the slow-op
+// record's shard index; the key itself never reaches telemetry.
 //
 // When tracing is on and the request is kept — head-sampled by the
-// client, slow, or carrying preminted ids (CHECKPOINT) — noteInline
+// client, slow, or carrying preminted ids (CHECKPOINT) — replyInline
 // records the server span plus its four phase children, arms the
 // connection's flush attribution, and feeds the opcode histogram's
 // exemplar slot; the slow-op record then carries the trace id. Runs
 // on the reader goroutine only (reqT/preTID/preSID are safe to read).
-func (c *conn) noteInline(op byte, id uint64, inBytes, outBytes int, key int64, hasKey bool, t0, td, tw, ta time.Time) {
+func (c *conn) replyInline(f proto.Frame, payload []byte, key int64, hasKey bool, t0, td, tw, ta time.Time) {
+	c.sendFrame(f.Op|proto.FlagReply, f.ID, payload, c.reqVer, c.reqT)
 	sm := c.srv.sm
 	te := time.Now()
 	sm.phaseDecode.Observe(int64(td.Sub(t0)))
@@ -145,10 +146,14 @@ func (c *conn) noteInline(op byte, id uint64, inBytes, outBytes int, key int64, 
 	sm.phaseApply.Observe(int64(ta.Sub(tw)))
 	sm.phaseEncode.Observe(int64(te.Sub(ta)))
 	total := te.Sub(t0)
-	if h := sm.ops[op]; h != nil {
+	if h := sm.ops[f.Op]; h != nil {
 		h.Observe(int64(total))
 	}
 	slow := c.srv.slow.Slow(total)
+	shard := -1
+	if hasKey && (slow || c.srv.tr != nil) {
+		shard = c.srv.db.Store().ShardOf(key)
+	}
 	var tid uint64
 	if tr := c.srv.tr; tr != nil {
 		sid := c.preSID
@@ -161,48 +166,61 @@ func (c *conn) noteInline(op byte, id uint64, inBytes, outBytes int, key int64, 
 				tid = c.preTID
 				c.preTID, c.preSID = 0, 0
 			} else {
-				tid = c.reqT.ID
-				if tid == 0 {
-					tid = tr.NewID() // server-minted: slow but untraced upstream
-				}
-				sid = tr.NewID()
+				tid, sid = mintSpan(tr, c.reqT)
 			}
-			shard := int32(-1)
-			if hasKey {
-				shard = int32(c.srv.db.Store().ShardOf(key))
-			}
-			t0n := t0.UnixNano()
-			tr.Record(trace.Span{
+			c.recordTree(trace.Span{
 				Trace: tid, ID: sid, Parent: c.reqT.Span,
-				Start: t0n, Dur: int64(total),
-				Kind: trace.KindServer, Op: op, Shard: shard,
-				In: int32(inBytes), Out: int32(outBytes),
-			})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: t0n, Dur: int64(td.Sub(t0)), Kind: trace.KindDecode, Shard: shard})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: td.UnixNano(), Dur: int64(tw.Sub(td)), Kind: trace.KindWait, Shard: shard})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: tw.UnixNano(), Dur: int64(ta.Sub(tw)), Kind: trace.KindApply, Shard: shard})
-			tr.Record(trace.Span{Trace: tid, ID: tr.NewID(), Parent: sid,
-				Start: ta.UnixNano(), Dur: int64(te.Sub(ta)), Kind: trace.KindEncode, Shard: shard})
-			c.noteFlushTrace(tid, sid)
-			if h := sm.ops[op]; h != nil {
-				h.Exemplar(int64(total), tid)
-			}
+				Start: t0.UnixNano(), Dur: int64(total),
+				Kind: trace.KindServer, Op: f.Op, Shard: int32(shard),
+				In: int32(len(f.Payload)), Out: int32(len(payload)),
+			}, 0, t0, td, tw, ta, te)
 		}
 	}
-	if sl := c.srv.slow; slow {
-		shard := -1
-		if hasKey {
-			shard = c.srv.db.Store().ShardOf(key)
-		}
-		sl.Record(obs.SlowOp{
-			Op: opLabels[op], ReqID: id, Shard: shard,
-			BytesIn: inBytes, BytesOut: outBytes,
+	if slow {
+		c.srv.slow.Record(obs.SlowOp{
+			Op: opLabels[f.Op], ReqID: f.ID, Shard: shard,
+			BytesIn: len(f.Payload), BytesOut: len(payload),
 			Total: total, Decode: td.Sub(t0), Wait: tw.Sub(td),
 			Apply: ta.Sub(tw), Encode: te.Sub(ta),
 			Trace: tid,
 		})
+	}
+}
+
+// mintSpan returns the identity a kept request's server span records
+// under: the trace id the request arrived with — a fresh one if it
+// carried none — and a fresh span id.
+func mintSpan(tr *trace.Store, tc proto.TraceCtx) (tid, sid uint64) {
+	if tid = tc.ID; tid == 0 {
+		tid = tr.NewID()
+	}
+	return tid, tr.NewID()
+}
+
+// recordTree records a kept request's span tree: root — the server
+// span, already parented under the client's — then its decode /
+// coalesce-wait / batch / apply / encode children from the phase
+// boundaries t0 ≤ td ≤ tw ≤ ta ≤ te, the connection's flush
+// attribution, and the opcode histogram's exemplar. batch is the size
+// of the ApplyBatch that carried the request; 0 suppresses the batch
+// span. Called from the reader goroutine (inline ops) and from the
+// coalescer (writes), so it reads no per-request conn state.
+func (c *conn) recordTree(root trace.Span, batch int, t0, td, tw, ta, te time.Time) {
+	tr := c.srv.tr
+	tr.Record(root)
+	child := func(kind trace.Kind, from, to time.Time, in int) {
+		tr.Record(trace.Span{Trace: root.Trace, ID: tr.NewID(), Parent: root.ID,
+			Start: from.UnixNano(), Dur: int64(to.Sub(from)), Kind: kind, Shard: root.Shard, In: int32(in)})
+	}
+	child(trace.KindDecode, t0, td, 0)
+	child(trace.KindWait, td, tw, 0)
+	if batch > 0 {
+		child(trace.KindBatch, tw, ta, batch)
+	}
+	child(trace.KindApply, tw, ta, 0)
+	child(trace.KindEncode, ta, te, 0)
+	c.noteFlushTrace(root.Trace, root.ID)
+	if h := c.srv.sm.ops[root.Op]; h != nil {
+		h.Exemplar(root.Dur, root.Trace)
 	}
 }

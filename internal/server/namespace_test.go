@@ -296,7 +296,7 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 	}
 
 	// The default SHARDHASH reply carries the committed tenant table.
-	_, _, names, err := c.SyncShardHashesNS()
+	_, _, names, err := c.SyncShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 	}
 	// The per-tenant form advertises the derived seed and per-shard
 	// hashes; SYNC with the tenant name fetches images that verify.
-	nsHseed, entries, err := c.SyncNSShardHashes("acme")
+	nsHseed, entries, _, err := c.SyncShardHashes("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 	for i, e := range entries {
 		var img []byte
 		for off := uint64(0); ; {
-			chunk, more, err := c.SyncNSShardChunk("acme", i, e.Hash, off, 0)
+			chunk, more, err := c.SyncShardChunk("acme", i, e.Hash, off, 0)
 			if err != nil {
 				t.Fatalf("sync shard %d: %v", i, err)
 			}
@@ -331,7 +331,7 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 	}
 	// A tenant absent from the committed checkpoint is a typed refusal.
 	var rerr *proto.RemoteError
-	if _, _, err := c.SyncNSShardHashes("ghost"); !errors.As(err, &rerr) {
+	if _, _, _, err := c.SyncShardHashes("ghost"); !errors.As(err, &rerr) {
 		t.Fatalf("absent tenant hashes: %v, want RemoteError", err)
 	}
 	_ = durable.ErrNoNamespace // the server maps this to ErrCodeBadFrame on the wire

@@ -268,11 +268,11 @@ func (s *Server) sweepLoop() {
 }
 
 // sweepOnceNow runs one epoch-triggered sweep if one is due: list the
-// keys already dead at the current epoch and push conditional
-// expire-deletes through the write coalescer, so the physical removals
-// serialize with the pipelined client writes they race — an expire op
-// re-checks the entry's recorded expiry under the shard lock, so a key
-// a client resurrects mid-sweep survives.
+// keys already dead at the current epoch, in every keyspace, and push
+// conditional expire-deletes through the write coalescer, so the
+// physical removals serialize with the pipelined client writes they
+// race — an expire op re-checks the entry's recorded expiry under the
+// shard lock, so a key a client resurrects mid-sweep survives.
 func (s *Server) sweepOnceNow() {
 	if s.readOnly.Load() {
 		// A replica's dead entries leave when the primary's swept
@@ -285,12 +285,13 @@ func (s *Server) sweepOnceNow() {
 	if !due {
 		return
 	}
-	keys := s.db.Store().ExpiredKeys(epoch, nil)
-	for _, k := range keys {
-		s.bat.submit(writeReq{key: k, exp: epoch, expire: true})
-	}
+	n := 0
+	s.db.ExpiredKeys(epoch, func(ns string, k int64) {
+		s.bat.submit(writeReq{ns: ns, key: k, exp: epoch})
+		n++
+	})
 	s.sweep.MarkDone(epoch)
-	if len(keys) > 0 {
+	if n > 0 {
 		s.st.sweeps.Add(1)
 	}
 }
@@ -569,7 +570,7 @@ type conn struct {
 	// A span identity preminted before an inline apply, for ops that
 	// must hand their trace to a lower layer mid-flight (CHECKPOINT
 	// threads it into durable so the checkpoint span can parent here).
-	// noteInline consumes it: nonzero preSID means "this request is
+	// replyInline consumes it: nonzero preSID means "this request is
 	// kept, under exactly these ids". Reader-goroutine only.
 	preTID uint64
 	preSID uint64
@@ -854,10 +855,6 @@ func (c *conn) sendError(id uint64, code byte, msg string) {
 	}
 }
 
-func (c *conn) reply(id uint64, op byte, payload []byte) {
-	c.sendFrame(op|proto.FlagReply, id, payload, c.reqVer, c.reqT)
-}
-
 // dispatch executes one request. It returns false when the connection
 // must close (protocol violation so severe the stream is untrustworthy
 // — currently nothing below qualifies; malformed payloads get an error
@@ -865,7 +862,7 @@ func (c *conn) reply(id uint64, op byte, payload []byte) {
 //
 // t0 is the frame's receipt time. Each inline-served case captures the
 // phase boundaries (decode done / barrier-wait done / apply done) and
-// hands them to noteInline; coalesced writes record their decode phase
+// hands them to replyInline; coalesced writes record their decode phase
 // here and carry t0 into the batcher, which owns their wait/apply/
 // encode phases and total latency. Error paths are not timed — the
 // errors counter covers them.
@@ -878,73 +875,30 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		return true
 	}
 	switch f.Op {
-	case proto.OpPut:
-		key, val, err := proto.DecodeKeyVal(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{key: key, val: val, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
+	case proto.OpPut, proto.OpPutTTL, proto.OpDel, proto.OpNSPut, proto.OpNSDel, proto.OpDropNS:
+		c.submitWrite(f, t0)
 
-	case proto.OpPutTTL:
-		key, val, exp, err := proto.DecodeKeyValExp(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{key: key, val: val, exp: exp, ttl: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpDel:
-		key, err := proto.DecodeKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{key: key, del: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpGet:
-		key, err := proto.DecodeKey(f.Payload)
+	case proto.OpGet, proto.OpGetTTL, proto.OpNSGet:
+		ns, key, _, _, err := decodePoint(f)
 		if err != nil {
 			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
 			return true
 		}
 		s.st.reads.Add(1)
+		if f.Op == proto.OpNSGet {
+			s.st.nsOps.Add(1)
+		}
 		td := time.Now()
 		c.pending.Wait() // program order: reads see this conn's writes
 		tw := time.Now()
-		val, ok := s.db.Get(key)
+		val, exp, ok := s.db.NSGetTTL(ns, key)
 		ta := time.Now()
-		c.pscratch = proto.AppendFound(c.pscratch[:0], ok, val, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpGet, c.pscratch)
-		c.noteInline(proto.OpGet, f.ID, len(f.Payload), len(c.pscratch), key, true, t0, td, tw, ta)
-
-	case proto.OpGetTTL:
-		key, err := proto.DecodeKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
+		if f.Op == proto.OpGet {
+			c.pscratch = proto.AppendFound(c.pscratch[:0], ok, val, s.db.Checkpoints())
+		} else {
+			c.pscratch = proto.AppendFoundTTL(c.pscratch[:0], ok, val, exp, s.db.Checkpoints())
 		}
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		val, exp, ok := s.db.GetTTL(key)
-		ta := time.Now()
-		c.pscratch = proto.AppendFoundTTL(c.pscratch[:0], ok, val, exp, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpGetTTL, c.pscratch)
-		c.noteInline(proto.OpGetTTL, f.ID, len(f.Payload), len(c.pscratch), key, true, t0, td, tw, ta)
+		c.replyInline(f, c.pscratch, key, ns == "", t0, td, tw, ta)
 
 	case proto.OpBatch:
 		kind, items, keys, err := proto.DecodeBatch(f.Payload)
@@ -961,8 +915,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 			n := s.db.PutBatch(items)
 			ta := time.Now()
 			c.pscratch = proto.AppendU32(c.pscratch[:0], uint32(n))
-			c.reply(f.ID, proto.OpBatch, c.pscratch)
-			c.noteInline(proto.OpBatch, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
+			c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
 		case proto.BatchGet:
 			if len(keys) > proto.MaxBatchGet {
 				// The reply (9 bytes per key) would exceed the frame
@@ -975,15 +928,13 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 			vals, ok := s.db.GetBatch(keys)
 			ta := time.Now()
 			c.pscratch = proto.AppendBatchGetReply(c.pscratch[:0], vals, ok, s.db.Checkpoints())
-			c.reply(f.ID, proto.OpBatch, c.pscratch)
-			c.noteInline(proto.OpBatch, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
+			c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
 		case proto.BatchDel:
 			s.st.writes.Add(uint64(len(keys)))
 			n := s.db.DeleteBatch(keys)
 			ta := time.Now()
 			c.pscratch = proto.AppendU32(c.pscratch[:0], uint32(n))
-			c.reply(f.ID, proto.OpBatch, c.pscratch)
-			c.noteInline(proto.OpBatch, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
+			c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
 		}
 
 	case proto.OpRange:
@@ -1006,8 +957,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		ta := time.Now()
 		c.rangeBuf = items
 		c.pscratch = proto.AppendRangeReply(c.pscratch[:0], items, more, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpRange, c.pscratch)
-		c.noteInline(proto.OpRange, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
+		c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
 
 	case proto.OpLen:
 		s.st.reads.Add(1)
@@ -1017,8 +967,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		n := uint64(s.db.Len())
 		ta := time.Now()
 		c.pscratch = proto.AppendLenReply(c.pscratch[:0], n, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpLen, c.pscratch)
-		c.noteInline(proto.OpLen, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
+		c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
 
 	case proto.OpCheckpoint:
 		// A durability barrier: everything this connection has been
@@ -1026,14 +975,10 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		// tracing, the span identity is minted up front (the barrier is
 		// inherently slow — always kept) so the durable layer's
 		// checkpoint/sweep spans can parent under this request's server
-		// span; noteInline consumes the premint instead of re-deciding.
+		// span; replyInline consumes the premint instead of re-deciding.
 		var ptid, psid uint64
 		if s.tr != nil {
-			ptid = f.Trace.ID
-			if ptid == 0 {
-				ptid = s.tr.NewID()
-			}
-			psid = s.tr.NewID()
+			ptid, psid = mintSpan(s.tr, f.Trace)
 			c.preTID, c.preSID = ptid, psid
 		}
 		td := time.Now()
@@ -1046,16 +991,14 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		}
 		ta := time.Now() // apply phase = the checkpoint commit itself
 		c.pscratch = proto.AppendU64(c.pscratch[:0], s.db.Checkpoints())
-		c.reply(f.ID, proto.OpCheckpoint, c.pscratch)
-		c.noteInline(proto.OpCheckpoint, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
+		c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
 
 	case proto.OpPing:
 		// f.Payload may alias the FrameReader's reused buffer; sendFrame
 		// copies it into the outbound queue before returning, so the
 		// echo is captured before the next frame overwrites it.
 		tn := time.Now()
-		c.reply(f.ID, proto.OpPing, f.Payload)
-		c.noteInline(proto.OpPing, f.ID, len(f.Payload), len(f.Payload), 0, false, t0, tn, tn, tn)
+		c.replyInline(f, f.Payload, 0, false, t0, tn, tn, tn)
 
 	case proto.OpHealth:
 		// A liveness probe with a staleness report. Deliberately NO
@@ -1073,8 +1016,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 			Epoch:      epoch,
 			Hash:       hash,
 		})
-		c.reply(f.ID, proto.OpHealth, c.pscratch)
-		c.noteInline(proto.OpHealth, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, tn, tn, tn)
+		c.replyInline(f, c.pscratch, 0, false, t0, tn, tn, tn)
 
 	case proto.OpPromote:
 		if len(f.Payload) != 0 {
@@ -1089,64 +1031,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		}
 		ta := time.Now()
 		c.pscratch = proto.AppendU64(c.pscratch[:0], n)
-		c.reply(f.ID, proto.OpPromote, c.pscratch)
-		c.noteInline(proto.OpPromote, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, td, ta)
-
-	case proto.OpNSPut:
-		ns, key, val, exp, err := proto.DecodeNSKeyValExp(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{ns: ns, key: key, val: val, exp: exp, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpNSGet:
-		ns, key, err := proto.DecodeNSKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		c.pending.Wait() // program order: reads see this conn's writes
-		tw := time.Now()
-		val, exp, ok := s.db.NSGetTTL(ns, key)
-		ta := time.Now()
-		c.pscratch = proto.AppendFoundTTL(c.pscratch[:0], ok, val, exp, s.db.Checkpoints())
-		c.reply(f.ID, proto.OpNSGet, c.pscratch)
-		c.noteInline(proto.OpNSGet, f.ID, len(f.Payload), len(c.pscratch), 0, false, t0, td, tw, ta)
-
-	case proto.OpNSDel:
-		ns, key, err := proto.DecodeNSKey(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{ns: ns, key: key, del: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
-
-	case proto.OpDropNS:
-		ns, err := proto.DecodeNSName(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.writes.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-		c.pending.Add(1)
-		s.bat.submit(writeReq{ns: ns, drop: true, id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
+		c.replyInline(f, c.pscratch, 0, false, t0, td, td, ta)
 
 	case proto.OpListNS:
 		if len(f.Payload) != 0 {
@@ -1174,8 +1059,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 			c.sendError(f.ID, proto.ErrCodeTooLarge, "namespace listing exceeds the frame payload cap")
 			return true
 		}
-		c.reply(f.ID, proto.OpListNS, payload)
-		c.noteInline(proto.OpListNS, f.ID, len(f.Payload), len(payload), 0, false, t0, td, tw, ta)
+		c.replyInline(f, payload, 0, false, t0, td, tw, ta)
 
 	case proto.OpShardHash:
 		// Replication: advertise the last committed checkpoint's
@@ -1185,50 +1069,28 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		// appends the committed namespace-name table); a request carrying
 		// nslen(2) ns addresses that tenant's cell.
 		s.st.syncHashes.Add(1)
+		var ns string
 		if len(f.Payload) != 0 {
-			ns, err := proto.DecodeNSName(f.Payload)
-			if err != nil {
+			var err error
+			if ns, err = proto.DecodeNSName(f.Payload); err != nil {
 				c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
 				return true
 			}
-			td := time.Now()
-			c.pending.Wait()
-			tw := time.Now()
-			nsHseed, entries, err := s.db.NSShardHashes(ns)
-			if err != nil {
-				code := byte(proto.ErrCodeInternal)
-				if errors.Is(err, durable.ErrNoNamespace) {
-					code = proto.ErrCodeBadFrame
-				}
-				c.sendError(f.ID, code, err.Error())
-				return true
-			}
-			ta := time.Now()
-			if len(entries) > proto.MaxSyncShards {
-				c.sendError(f.ID, proto.ErrCodeTooLarge,
-					fmt.Sprintf("%d shards exceed the %d-shard reply cap", len(entries), proto.MaxSyncShards))
-				return true
-			}
-			out := make([]proto.ShardHash, len(entries))
-			for i, e := range entries {
-				out[i] = proto.ShardHash{Size: e.Size, Hash: e.Hash}
-			}
-			payload := proto.AppendShardHashes(nil, nsHseed, out)
-			c.reply(f.ID, proto.OpShardHash, payload)
-			c.noteInline(proto.OpShardHash, f.ID, len(f.Payload), len(payload), 0, false, t0, td, tw, ta)
-			return true
 		}
 		td := time.Now()
 		c.pending.Wait()
 		tw := time.Now()
-		hseed, entries, err := s.db.ShardHashes()
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
+		hseed, entries, err := s.db.ShardHashes(ns)
+		var names []string
+		if err == nil && ns == "" {
+			names, err = s.db.NSNames()
 		}
-		names, err := s.db.NSNames()
 		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
+			code := byte(proto.ErrCodeInternal)
+			if errors.Is(err, durable.ErrNoNamespace) {
+				code = proto.ErrCodeBadFrame
+			}
+			c.sendError(f.ID, code, err.Error())
 			return true
 		}
 		ta := time.Now()
@@ -1246,8 +1108,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 			c.sendError(f.ID, proto.ErrCodeTooLarge, "shard-hash reply exceeds the frame payload cap")
 			return true
 		}
-		c.reply(f.ID, proto.OpShardHash, payload)
-		c.noteInline(proto.OpShardHash, f.ID, len(f.Payload), len(payload), 0, false, t0, td, tw, ta)
+		c.replyInline(f, payload, 0, false, t0, td, tw, ta)
 
 	case proto.OpSync:
 		shardIdx, hash, off, maxLen, ns, err := proto.DecodeSyncReqNS(f.Payload)
@@ -1296,13 +1157,54 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		s.st.syncBytesOut.Add(uint64(len(chunk)))
 		ta := time.Now()
 		payload := proto.AppendSyncChunk(nil, more, chunk)
-		c.reply(f.ID, proto.OpSync, payload)
-		c.noteInline(proto.OpSync, f.ID, len(f.Payload), len(payload), 0, false, t0, td, td, ta)
+		c.replyInline(f, payload, 0, false, t0, td, td, ta)
 
 	default:
 		c.sendError(f.ID, proto.ErrCodeUnknownOp, proto.OpName(f.Op))
 	}
 	return true
+}
+
+// decodePoint decodes any point op's payload into the one shape they
+// all share: a keyspace ("": the default one), a key, and — for the
+// puts — a value and an absolute expiry (0: none). DROPNS carries only
+// the keyspace.
+func decodePoint(f proto.Frame) (ns string, key, val, exp int64, err error) {
+	switch f.Op {
+	case proto.OpPut:
+		key, val, err = proto.DecodeKeyVal(f.Payload)
+	case proto.OpPutTTL:
+		key, val, exp, err = proto.DecodeKeyValExp(f.Payload)
+	case proto.OpNSPut:
+		ns, key, val, exp, err = proto.DecodeNSKeyValExp(f.Payload)
+	case proto.OpNSGet, proto.OpNSDel:
+		ns, key, err = proto.DecodeNSKey(f.Payload)
+	case proto.OpDropNS:
+		ns, err = proto.DecodeNSName(f.Payload)
+	default: // GET, GETTTL, DEL
+		key, err = proto.DecodeKey(f.Payload)
+	}
+	return ns, key, val, exp, err
+}
+
+// submitWrite decodes a point write or DROPNS and hands it to the
+// coalescer, which owns its wait/apply/encode phases and its reply.
+func (c *conn) submitWrite(f proto.Frame, t0 time.Time) {
+	s := c.srv
+	ns, key, val, exp, err := decodePoint(f)
+	if err != nil {
+		c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
+		return
+	}
+	s.st.writes.Add(1)
+	if ns != "" {
+		s.st.nsOps.Add(1)
+	}
+	td := time.Now()
+	s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
+	c.pending.Add(1)
+	s.bat.submit(writeReq{op: f.Op, ns: ns, key: key, val: val, exp: exp,
+		id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
 }
 
 // shardImage returns the committed image for (ns, idx, hash) through
@@ -1315,13 +1217,7 @@ func (s *Server) shardImage(ns string, idx int, hash [32]byte) ([]byte, error) {
 		return img, nil
 	}
 	s.syncMu.Unlock()
-	var img []byte
-	var err error
-	if ns == "" {
-		img, err = s.db.ShardImage(idx, hash)
-	} else {
-		img, err = s.db.NSShardImage(ns, idx, hash)
-	}
+	img, err := s.db.ShardImage(ns, idx, hash)
 	if err != nil {
 		return nil, err
 	}

@@ -33,14 +33,14 @@ func TestSyncOpcodes(t *testing.T) {
 	}
 	defer c.Close()
 
-	hseed, entries, err := c.SyncShardHashes()
+	hseed, entries, _, err := c.SyncShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hseed != db.Store().RoutingSeed() {
 		t.Fatalf("hseed over the wire %x, store says %x", hseed, db.Store().RoutingSeed())
 	}
-	wantSeed, wantEntries, err := db.ShardHashes()
+	wantSeed, wantEntries, err := db.ShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSyncOpcodes(t *testing.T) {
 		var img []byte
 		chunks := 0
 		for {
-			data, more, err := c.SyncShardChunk(i, e.Hash, uint64(len(img)), 0)
+			data, more, err := c.SyncShardChunk("", i, e.Hash, uint64(len(img)), 0)
 			if err != nil {
 				t.Fatalf("shard %d chunk at %d: %v", i, len(img), err)
 			}
@@ -76,7 +76,7 @@ func TestSyncOpcodes(t *testing.T) {
 		if e.Size > 512 && chunks < 2 {
 			t.Fatalf("shard %d (%d bytes) arrived in %d chunk(s) despite the 512-byte cap", i, e.Size, chunks)
 		}
-		want, err := db.ShardImage(i, e.Hash)
+		want, err := db.ShardImage("", i, e.Hash)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestSyncOpcodes(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, fresh, err := c.SyncShardHashes()
+	_, fresh, _, err := c.SyncShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSyncOpcodes(t *testing.T) {
 		if fresh[i].Hash == prevHash {
 			continue
 		}
-		_, _, err := c.SyncShardChunk(i, prevHash, 0, 0)
+		_, _, err := c.SyncShardChunk("", i, prevHash, 0, 0)
 		var re *proto.RemoteError
 		if !errors.As(err, &re) || re.Code != proto.ErrCodeStale {
 			t.Fatalf("superseded fetch of shard %d: %v, want ErrCodeStale", i, err)
@@ -131,18 +131,18 @@ func TestSyncHostileRequests(t *testing.T) {
 	c := client.NewConn(cliEnd)
 	defer c.Close()
 
-	_, entries, err := c.SyncShardHashes()
+	_, entries, _, err := c.SyncShardHashes("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Offset past the end of the image.
-	_, _, err = c.SyncShardChunk(0, entries[0].Hash, uint64(entries[0].Size)+1, 0)
+	_, _, err = c.SyncShardChunk("", 0, entries[0].Hash, uint64(entries[0].Size)+1, 0)
 	var re *proto.RemoteError
 	if !errors.As(err, &re) || re.Code != proto.ErrCodeBadFrame {
 		t.Fatalf("offset past image: %v", err)
 	}
 	// Shard index out of range.
-	if _, _, err = c.SyncShardChunk(99, entries[0].Hash, 0, 0); err == nil {
+	if _, _, err = c.SyncShardChunk("", 99, entries[0].Hash, 0, 0); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 	// The stream survived both refusals.

@@ -141,7 +141,8 @@ func TestTraceStitchedSpanTree(t *testing.T) {
 	}
 	dcs := clientSpanFor(t, tr, proto.OpDropNS)
 	dsps := spansOf(t, tr, dcs.Trace, func(sps []trace.Span) bool {
-		return hasKind(sps, trace.KindCheckpoint) && hasKind(sps, trace.KindEraseBarrier)
+		// The server root lands after the reply; the other two before it.
+		return hasKind(sps, trace.KindCheckpoint) && hasKind(sps, trace.KindEraseBarrier) && hasKind(sps, trace.KindServer)
 	})
 	droot := one(t, dsps, trace.KindServer)
 	if droot.Parent != dcs.ID || droot.Op != proto.OpDropNS {
@@ -173,7 +174,7 @@ func TestTraceStitchedSpanTree(t *testing.T) {
 	}
 	ccs := clientSpanFor(t, tr, proto.OpCheckpoint)
 	csps := spansOf(t, tr, ccs.Trace, func(sps []trace.Span) bool {
-		return hasKind(sps, trace.KindCheckpoint)
+		return hasKind(sps, trace.KindCheckpoint) && hasKind(sps, trace.KindServer)
 	})
 	croot := one(t, csps, trace.KindServer)
 	ccp := one(t, csps, trace.KindCheckpoint)

@@ -183,6 +183,64 @@ func TestTTLSweeperEpochTriggered(t *testing.T) {
 	}
 }
 
+// TestTTLSweeperVisitsTenants: the sweeper must remove a tenant's dead
+// entries exactly as it removes the default keyspace's. With no
+// background checkpointer nothing else would — a sweeper that lists the
+// default keyspace only leaves a tenant's expired bytes physically
+// resident until somebody happens to checkpoint.
+func TestTTLSweeperVisitsTenants(t *testing.T) {
+	clk := expiry.NewManual(10)
+	db := openTTLDB(t, clk) // NoBackground
+	defer db.Abandon()
+	srv, addr := startTCP(t, db, Config{SweepInterval: -1}) // sweep only when told to
+	defer srv.Close()
+	c := dialNS(t, addr)
+
+	const n = 64
+	for k := int64(0); k < n; k++ {
+		if _, err := c.NSPutTTL("acme", k, k*3, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.PutTTL(1, 1, 20); err != nil {
+		t.Fatal(err)
+	}
+	resident := func() (tenant, root int) {
+		db.ExpiredKeys(20, func(ns string, _ int64) {
+			if ns == "acme" {
+				tenant++
+			} else {
+				root++
+			}
+		})
+		return tenant, root
+	}
+	if tenant, root := resident(); tenant != n || root != 1 {
+		t.Fatalf("before the sweep: %d tenant and %d default entries resident, want %d and 1", tenant, root, n)
+	}
+	cps := db.Checkpoints()
+
+	clk.Set(20)
+	srv.sweepOnceNow() // one sweep: expire ops for every keyspace go through the coalescer
+	deadline := time.Now().Add(5 * time.Second)
+	for db.SweptKeys() != n+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("one sweep removed %d entries, want %d (the tenant's %d and the default keyspace's 1)",
+				db.SweptKeys(), n+1, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if tenant, root := resident(); tenant != 0 || root != 0 {
+		t.Fatalf("after the sweep: %d tenant and %d default dead entries still physically resident", tenant, root)
+	}
+	if got := db.Checkpoints(); got != cps {
+		t.Fatalf("a checkpoint ran (%d -> %d): the test must see the sweeper's removals alone", cps, got)
+	}
+	if st := srv.Stats(); st.Sweeps != 1 {
+		t.Fatalf("stats sweeps = %d, want 1", st.Sweeps)
+	}
+}
+
 // physicalKeys counts entries actually present in the store, expired or
 // not.
 func physicalKeys(db *durable.DB) int {
