@@ -182,16 +182,30 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 	return d.pma.WriteTo(w)
 }
 
-// ReadDictionary deserializes a dictionary image produced by WriteTo.
-// The seed supplies fresh randomness for future operations; io may be
-// nil. Dictionary-level invariants (unique sorted keys) are verified.
+// ReadDictionary reads one dictionary image produced by WriteTo from r
+// (exactly its bytes; see hipma.ReadImage) and decodes it as
+// DecodeDictionary does.
 func ReadDictionary(r io.Reader, seed uint64, io2 *iomodel.Tracker) (*Dictionary, error) {
-	p, err := hipma.ReadImage(r, seed, io2)
+	return loaded(hipma.ReadImage(r, seed, io2))
+}
+
+// DecodeDictionary deserializes a dictionary from img, which must be
+// exactly one image produced by WriteTo. The seed supplies fresh
+// randomness for future operations; io may be nil. The PMA's structural
+// invariants (hipma.DecodeImage) and the dictionary-level one (unique
+// sorted keys) are each verified once.
+func DecodeDictionary(img []byte, seed uint64, io2 *iomodel.Tracker) (*Dictionary, error) {
+	return loaded(hipma.DecodeImage(img, seed, io2))
+}
+
+// loaded wraps a freshly decoded — and therefore already
+// invariant-checked — PMA, adding the check only a dictionary needs.
+func loaded(p *hipma.PMA, err error) (*Dictionary, error) {
 	if err != nil {
 		return nil, err
 	}
 	d := &Dictionary{pma: p}
-	if err := d.CheckInvariants(); err != nil {
+	if err := d.checkSorted(); err != nil {
 		return nil, fmt.Errorf("cobt: corrupt image: %w", err)
 	}
 	return d, nil
@@ -203,16 +217,19 @@ func (d *Dictionary) CheckInvariants() error {
 	if err := d.pma.CheckInvariants(); err != nil {
 		return err
 	}
-	n := d.pma.Len()
-	if n == 0 {
-		return nil
-	}
-	items := d.pma.Query(0, n-1, nil)
-	for i := 1; i < len(items); i++ {
-		if items[i].Key <= items[i-1].Key {
-			return fmt.Errorf("cobt: keys not strictly increasing at rank %d: %d <= %d",
-				i, items[i].Key, items[i-1].Key)
+	return d.checkSorted()
+}
+
+// checkSorted walks the keys in rank order, leaf by leaf.
+func (d *Dictionary) checkSorted() error {
+	var err error
+	var prev int64
+	d.pma.Ascend(func(rank int, it Item) bool {
+		if rank > 0 && it.Key <= prev {
+			err = fmt.Errorf("cobt: keys not strictly increasing at rank %d: %d <= %d", rank, it.Key, prev)
 		}
-	}
-	return nil
+		prev = it.Key
+		return err == nil
+	})
+	return err
 }

@@ -23,8 +23,9 @@ import (
 // commit sequence, and wipes and unlinks whatever the new manifest no
 // longer references. A checkpoint that changes nothing is a no-op.
 // Checkpoints serialize with each other; readers and writers on clean
-// shards are never blocked (each dirty shard is snapshotted under its
-// own brief read lock).
+// shards are never blocked, and a dirty shard's lock is held only while
+// its sorted contents are copied out — rendering, hashing and
+// publishing happen after it is released, one shard at a time.
 func (db *DB) Checkpoint() error {
 	return db.CheckpointTraced(0, 0)
 }
@@ -39,15 +40,6 @@ func (db *DB) CheckpointTraced(tid, psid uint64) error {
 		return ErrClosed
 	}
 	return db.checkpoint(tid, psid)
-}
-
-// pendingShard is one shard image of cell staged for publication.
-type pendingShard struct {
-	cell    *namespace.Cell
-	idx     int
-	data    []byte
-	hash    [32]byte
-	version uint64
 }
 
 // checkpoint commits the current contents (see Checkpoint). tid/psid
@@ -101,16 +93,19 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		}
 	}
 	newMan := &manifest{hseed: cells[0].Store.RoutingSeed()}
-	var writes []pendingShard
-	// Render buffers come from (and return to) renderPool; pendingShard
-	// data aliases them, so they go back only at exit, after the images
-	// have been published.
-	var bufs []*bytes.Buffer
-	defer func() {
-		for _, b := range bufs {
-			db.renderPool.Put(b)
-		}
-	}()
+	// dirtyShard is one shard whose version moved since the last commit:
+	// where its new manifest entry goes, the committed entry (if any) its
+	// bytes are compared with, and — once published — the version its
+	// image was captured at.
+	type dirtyShard struct {
+		cell      *namespace.Cell
+		idx       int
+		ent, prev *ShardHash
+		version   uint64
+		published bool
+	}
+	var dirty []dirtyShard
+	maxImage := int64(0)
 	// Cells in canonical order: the root, then tenants byte-sorted by
 	// name. The root is always committed; a tenant that is physically
 	// empty after the sweep is excluded from the manifest entirely:
@@ -137,46 +132,70 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		}
 		ent := cellEntry{name: c.Name, shards: make([]ShardHash, c.Store.NumShards())}
 		for i := range ent.shards {
-			if prev != nil && c.Store.ShardVersion(i) == c.CPVersions[i] {
-				ent.shards[i] = prev.shards[i] // image still current
-				continue
+			d := dirtyShard{cell: c, idx: i, ent: &ent.shards[i]}
+			if prev != nil {
+				if c.Store.ShardVersion(i) == c.CPVersions[i] {
+					ent.shards[i] = prev.shards[i] // image still current
+					continue
+				}
+				d.prev = &prev.shards[i]
 			}
-			buf, _ := db.renderPool.Get().(*bytes.Buffer)
-			if buf == nil {
-				buf = new(bytes.Buffer)
-			}
-			buf.Reset()
-			bufs = append(bufs, buf)
-			ver, _, err := c.Store.SnapshotShard(i, buf)
-			if err != nil {
-				return fmt.Errorf("durable: snapshotting keyspace %q shard %d: %w", c.Name, i, err)
-			}
-			h := sha256.Sum256(buf.Bytes())
-			ent.shards[i] = ShardHash{Size: int64(buf.Len()), Hash: h}
-			if prev != nil && h == prev.shards[i].Hash {
-				// Version moved but the canonical bytes did not (e.g. an
-				// insert undone by a delete): the committed file is already
-				// exact, so just advance the version floor.
-				c.CPVersions[i] = ver
-				continue
-			}
-			writes = append(writes, pendingShard{cell: c, idx: i, data: buf.Bytes(), hash: h, version: ver})
+			dirty = append(dirty, d)
+			maxImage = max(maxImage, c.Store.ShardImageSize(i))
 		}
 		newMan.cells = append(newMan.cells, ent)
 		manCells = append(manCells, c)
 	}
+
+	// Each dirty shard goes render → hash → compare → publish before the
+	// next one is touched, all through one buffer sized for the largest
+	// of them. The image files land under content-addressed names the old
+	// manifest does not reference, so they are invisible to recovery
+	// until the manifest swap below — the single commit point — and
+	// publishing as we go is as safe as publishing at the end: a failure
+	// part-way leaves orphans for the next sweep (or Open), never a mixed
+	// checkpoint.
+	var buf bytes.Buffer
+	buf.Grow(int(maxImage))
+	cpBytes, cpShards := 0, 0
+	for k := range dirty {
+		d := &dirty[k]
+		buf.Reset()
+		ver, _, err := d.cell.Store.SnapshotShard(d.idx, &buf)
+		if err != nil {
+			return fmt.Errorf("durable: snapshotting keyspace %q shard %d: %w", d.cell.Name, d.idx, err)
+		}
+		img := buf.Bytes()
+		h := sha256.Sum256(img)
+		*d.ent = ShardHash{Size: int64(len(img)), Hash: h}
+		if d.prev != nil && h == d.prev.Hash {
+			// Version moved but the canonical bytes did not (e.g. an
+			// insert undone by a delete): the committed file is already
+			// exact, so just advance the version floor.
+			d.cell.CPVersions[d.idx] = ver
+			continue
+		}
+		if err := db.publishImage(d.cell.Store.RoutingSeed(), d.idx, h, img); err != nil {
+			return err
+		}
+		d.version, d.published = ver, true
+		cpBytes += len(img)
+		cpShards++
+	}
 	manBytes := newMan.encode()
-	if len(writes) == 0 && bytes.Equal(manBytes, db.manBytes) {
+	if cpShards == 0 && bytes.Equal(manBytes, db.manBytes) {
 		return nil // nothing changed; the manifest bytes would be identical
 	}
-	cpBytes, err := db.commit(newMan, manBytes, writes)
-	if err != nil {
+	if err := db.commitManifest(newMan, manBytes); err != nil {
 		return err
 	}
+	cpBytes += len(manBytes)
 
 	// Committed. Everything below is housekeeping.
-	for _, p := range writes {
-		p.cell.CPVersions[p.idx] = p.version
+	for _, d := range dirty {
+		if d.published {
+			d.cell.CPVersions[d.idx] = d.version
+		}
 	}
 	for _, c := range manCells {
 		c.Committed = true
@@ -186,7 +205,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	db.sweep()
 	db.m.cpSeconds.ObserveSince(cpStart)
 	db.m.cpBytes.Observe(int64(cpBytes))
-	db.m.cpShards.Observe(int64(len(writes)))
+	db.m.cpShards.Observe(int64(cpShards))
 	if tr != nil {
 		// Link carries the committed manifest hash's first eight bytes:
 		// the same stamp CheckpointStamp exposes and a replica's
@@ -197,38 +216,39 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 			Trace: tid, ID: cpSID, Parent: psid,
 			Start: cpStart.UnixNano(), Dur: int64(time.Since(cpStart)),
 			Kind: trace.KindCheckpoint, Shard: -1,
-			In: int32(len(writes)), Out: int32(cpBytes),
+			In: int32(cpShards), Out: int32(cpBytes),
 			Link: binary.BigEndian.Uint64(h[:8]),
 		})
 	}
 	return nil
 }
 
-// commit publishes writes and then newMan (encoded as manBytes) with
-// the atomic commit sequence, and returns the bytes written. The image
-// files land under content-addressed names the old manifest does not
-// reference, so they are invisible to recovery until the manifest swap
-// — the single commit point. Caller holds cpMu.
-func (db *DB) commit(newMan *manifest, manBytes []byte, writes []pendingShard) (int, error) {
-	n := len(manBytes)
-	for _, p := range writes {
-		name := imageFileName(p.cell.Store.RoutingSeed(), p.idx, p.hash)
-		if err := db.writeFileAtomic(name, p.data); err != nil {
-			return 0, fmt.Errorf("durable: publishing shard %d image: %w", p.idx, err)
-		}
-		n += len(p.data)
+// publishImage writes one shard image under its content-addressed
+// name. The old manifest does not reference that name, so the file is
+// invisible to recovery until a manifest that does is committed. Caller
+// holds cpMu.
+func (db *DB) publishImage(hseed uint64, idx int, hash [32]byte, data []byte) error {
+	if err := db.writeFileAtomic(imageFileName(hseed, idx, hash), data); err != nil {
+		return fmt.Errorf("durable: publishing shard %d image: %w", idx, err)
 	}
+	return nil
+}
+
+// commitManifest makes the images published so far durable and then
+// swaps in newMan (encoded as manBytes) — the single commit point of
+// the atomic commit sequence. Caller holds cpMu.
+func (db *DB) commitManifest(newMan *manifest, manBytes []byte) error {
 	if err := db.fs.SyncDir(db.dir); err != nil {
-		return 0, fmt.Errorf("durable: syncing %s: %w", db.dir, err)
+		return fmt.Errorf("durable: syncing %s: %w", db.dir, err)
 	}
 	if err := db.writeFileAtomic(manifestName, manBytes); err != nil {
-		return 0, fmt.Errorf("durable: publishing manifest: %w", err)
+		return fmt.Errorf("durable: publishing manifest: %w", err)
 	}
 	if err := db.fs.SyncDir(db.dir); err != nil {
-		return 0, fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
+		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
 	}
 	db.man, db.manBytes = newMan, manBytes
-	return n, nil
+	return nil
 }
 
 // writeFileAtomic publishes data under name via the temp-file dance:

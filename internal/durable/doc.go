@@ -23,6 +23,21 @@
 // and because every persisted byte is canonical, the recovered disk
 // leaks nothing about the operations (or crashes) that preceded it.
 //
+// A checkpoint touches each image's bytes once. Dirty shards are taken
+// one at a time: the shard's sorted contents are copied out under its
+// read lock (held for the copy only), the canonical image is rendered
+// from the copy into one staging buffer sized in advance — an image's
+// length is a function of its header — then hashed, compared with the
+// committed entry, and published before the next shard is touched, so
+// at most one image is resident. The files are content-addressed and
+// unreferenced by the old manifest, so publishing shard by shard is as
+// safe as publishing at the end: a checkpoint that fails part-way
+// leaves orphans for the next sweep (or Open), never a mixed state.
+// Reads are the mirror: files are read at the size the manifest gives
+// (checked before a byte is read), and images are decoded from exact-
+// length slices, length and checksum verified before a slot is
+// allocated.
+//
 // Checkpoints are incremental: each shard carries a version counter
 // bumped under its write lock, and the checkpointer rewrites only
 // shards whose version moved — then only those whose canonical bytes

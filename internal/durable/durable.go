@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -130,10 +129,6 @@ type DB struct {
 	// its encoding — the bytes in the MANIFEST file.
 	man      *manifest
 	manBytes []byte
-	// renderPool recycles the bytes.Buffers that stage shard images
-	// during a checkpoint, so steady-state checkpoints stop paying the
-	// image-sized allocation per dirty shard.
-	renderPool sync.Pool
 
 	dirtyOps    atomic.Uint64 // mutating ops since the last checkpoint
 	checkpoints atomic.Uint64 // committed checkpoints (in-memory stat)
@@ -228,7 +223,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 
 // recover rebuilds every committed cell from the last checkpoint.
 func (db *DB) recover(seed uint64) error {
-	data, err := db.readFile(manifestName)
+	data, err := db.readFile(manifestName, -1)
 	if err != nil {
 		return fmt.Errorf("durable: reading manifest: %w", err)
 	}
@@ -254,13 +249,9 @@ func (db *DB) recoverCell(man *manifest, e cellEntry, seed uint64) (*namespace.C
 	hseed := man.cellSeed(e.name)
 	images := make([][]byte, len(e.shards))
 	for i, se := range e.shards {
-		img, err := db.readFile(imageFileName(hseed, i, se.Hash))
+		img, err := db.readFile(imageFileName(hseed, i, se.Hash), se.Size)
 		if err != nil {
 			return nil, fmt.Errorf("durable: keyspace %q shard %d image: %w", e.name, i, err)
-		}
-		if int64(len(img)) != se.Size {
-			return nil, fmt.Errorf("durable: keyspace %q shard %d image is %d bytes, manifest says %d",
-				e.name, i, len(img), se.Size)
 		}
 		if sha256.Sum256(img) != se.Hash {
 			return nil, fmt.Errorf("durable: keyspace %q shard %d image hash mismatch", e.name, i)
@@ -283,11 +274,7 @@ func (db *DB) assembleCell(rootHseed uint64, name string, images [][]byte, seed 
 		seed = namespace.DeriveSeed(rootHseed, name)
 		hseed = shard.MixSeed(seed)
 	}
-	readers := make([]io.Reader, len(images))
-	for i, img := range images {
-		readers[i] = bytes.NewReader(img)
-	}
-	st, err := shard.AssembleStore(hseed, readers, seed, nil)
+	st, err := shard.AssembleStore(hseed, images, seed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("durable: keyspace %q: %w", name, err)
 	}
@@ -320,12 +307,32 @@ func (db *DB) cell(ns string) *namespace.Cell {
 
 func (db *DB) path(name string) string { return path.Join(db.dir, name) }
 
-func (db *DB) readFile(name string) ([]byte, error) {
-	f, err := db.fs.Open(db.path(name))
+// openSized opens name for reading after checking that it is exactly
+// size bytes long (size < 0: however long the filesystem says it is),
+// and returns its length: a wrong-length file fails before a byte of it
+// is read.
+func (db *DB) openSized(name string, size int64) (File, int64, error) {
+	p := db.path(name)
+	onDisk, err := db.fs.Size(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	if size >= 0 && onDisk != size {
+		return nil, 0, fmt.Errorf("file is %d bytes, manifest says %d", onDisk, size)
+	}
+	f, err := db.fs.Open(p)
+	return f, onDisk, err
+}
+
+// readFile reads the whole of name (see openSized for size) into a
+// buffer allocated once, at the file's length.
+func (db *DB) readFile(name string, size int64) ([]byte, error) {
+	f, size, err := db.openSized(name, size)
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	data := make([]byte, size)
+	_, err = io.ReadFull(f, data)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -619,10 +626,12 @@ func (db *DB) CheckpointStamp() (epoch uint64, hash [32]byte) {
 	return db.checkpoints.Load(), hash
 }
 
-// VerifyCanonical re-renders every committed cell's shards in memory
-// and compares them byte for byte against the committed on-disk files,
-// confirming that the directory is exactly the canonical image of the
-// current contents. It fails if uncheckpointed changes are pending.
+// VerifyCanonical re-renders every committed cell's shards and re-reads
+// the committed on-disk files, streaming both through SHA-256 against
+// the manifest's hash — so render, file and manifest agree byte for
+// byte without either image ever being held whole — confirming that the
+// directory is exactly the canonical image of the current contents. It
+// fails if uncheckpointed changes are pending.
 func (db *DB) VerifyCanonical() error {
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
@@ -631,6 +640,10 @@ func (db *DB) VerifyCanonical() error {
 	}
 	// Every committed cell must be live, version-clean, and re-render
 	// to exactly its committed files.
+	h := sha256.New()
+	var sum [sha256.Size]byte
+	hashIs := func(want [32]byte) bool { return [32]byte(h.Sum(sum[:0])) == want }
+	copyBuf := make([]byte, 64<<10)
 	for _, e := range db.man.cells {
 		c := db.cell(e.name)
 		if c == nil {
@@ -641,18 +654,17 @@ func (db *DB) VerifyCanonical() error {
 			if ver := c.Store.ShardVersion(i); c.CPVersions == nil || ver != c.CPVersions[i] {
 				return fmt.Errorf("durable: keyspace %q shard %d has uncheckpointed changes", e.name, i)
 			}
-			var buf bytes.Buffer
-			if _, _, err := c.Store.SnapshotShard(i, &buf); err != nil {
+			h.Reset()
+			if _, n, err := c.Store.SnapshotShard(i, h); err != nil {
 				return fmt.Errorf("durable: rendering keyspace %q shard %d: %w", e.name, i, err)
-			}
-			if sha256.Sum256(buf.Bytes()) != se.Hash {
+			} else if n != se.Size || !hashIs(se.Hash) {
 				return fmt.Errorf("durable: keyspace %q shard %d canonical image diverges from manifest", e.name, i)
 			}
-			disk, err := db.readFile(imageFileName(hseed, i, se.Hash))
-			if err != nil {
+			h.Reset()
+			if err := db.hashFile(imageFileName(hseed, i, se.Hash), se.Size, h, copyBuf); err != nil {
 				return fmt.Errorf("durable: keyspace %q shard %d image: %w", e.name, i, err)
 			}
-			if !bytes.Equal(disk, buf.Bytes()) {
+			if !hashIs(se.Hash) {
 				return fmt.Errorf("durable: keyspace %q shard %d on-disk image is not canonical", e.name, i)
 			}
 		}
@@ -664,4 +676,21 @@ func (db *DB) VerifyCanonical() error {
 		}
 	}
 	return nil
+}
+
+// hashFile streams name, which must be exactly size bytes long, into h
+// through buf.
+func (db *DB) hashFile(name string, size int64, h io.Writer, buf []byte) error {
+	f, _, err := db.openSized(name, size)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	// LimitReader bounds the copy at size+1 bytes, enough to notice a
+	// file that outgrew its Size without reading on without bound.
+	n, err := io.CopyBuffer(h, io.LimitReader(f, size+1), buf)
+	if err == nil && n != size {
+		err = fmt.Errorf("read %d bytes, manifest says %d", n, size)
+	}
+	return err
 }

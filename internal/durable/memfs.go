@@ -48,6 +48,7 @@ type MemFS struct {
 	failed  bool
 	removed []Removal
 	counts  map[string]int
+	held    int64 // bytes allocated for file content: see HeapBytes
 }
 
 // Removal records one Remove for test inspection: the file's name and
@@ -114,6 +115,16 @@ func (m *MemFS) OpCounts() map[string]int {
 		out[k] = v
 	}
 	return out
+}
+
+// HeapBytes returns the bytes MemFS itself has allocated, cumulatively,
+// to hold file content: every growth of a file's volatile content plus
+// the copy each File.Sync takes. An allocation measurement over a MemFS
+// subtracts the delta to leave what the engine allocated.
+func (m *MemFS) HeapBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.held
 }
 
 // Removals returns every Remove performed, in order.
@@ -315,11 +326,15 @@ func (f *memFile) Write(p []byte) (int, error) {
 	if err := f.fs.step("write"); err != nil {
 		return 0, err
 	}
+	before := cap(f.ino.content)
 	for len(f.ino.content) < f.pos {
 		f.ino.content = append(f.ino.content, 0)
 	}
 	n := copy(f.ino.content[f.pos:], p)
 	f.ino.content = append(f.ino.content, p[n:]...)
+	if c := cap(f.ino.content); c != before {
+		f.fs.held += int64(c)
+	}
 	f.pos += len(p)
 	return len(p), nil
 }
@@ -334,6 +349,7 @@ func (f *memFile) Sync() error {
 		return err
 	}
 	f.ino.synced = append([]byte(nil), f.ino.content...)
+	f.fs.held += int64(cap(f.ino.synced))
 	return nil
 }
 

@@ -88,7 +88,7 @@ func (db *DB) ShardImage(ns string, i int, hash [32]byte) ([]byte, error) {
 	if e.shards[i].Hash != hash {
 		return nil, fmt.Errorf("%w: shard %d", ErrStaleShard, i)
 	}
-	img, err := db.readFile(imageFileName(db.man.cellSeed(ns), i, hash))
+	img, err := db.readFile(imageFileName(db.man.cellSeed(ns), i, hash), e.shards[i].Size)
 	if err != nil {
 		return nil, fmt.Errorf("durable: shard %d image: %w", i, err)
 	}
@@ -181,7 +181,6 @@ func (db *DB) InstallCheckpoint(hseed uint64, set []CellImages) error {
 		// no byte on disk. Leave the live store untouched too.
 		return nil
 	}
-	var writes []pendingShard
 	for k, ci := range set {
 		// Same root seed means same file names: an image whose hash is
 		// already committed at the same index needs no rewrite.
@@ -194,10 +193,12 @@ func (db *DB) InstallCheckpoint(hseed uint64, set []CellImages) error {
 			if prev != nil && i < len(prev.shards) && prev.shards[i].Hash == h {
 				continue // committed file already has these exact bytes
 			}
-			writes = append(writes, pendingShard{cell: cells[k], idx: i, data: img, hash: h})
+			if err := db.publishImage(cells[k].Store.RoutingSeed(), i, h, img); err != nil {
+				return err
+			}
 		}
 	}
-	if _, err := db.commit(newMan, manBytes, writes); err != nil {
+	if err := db.commitManifest(newMan, manBytes); err != nil {
 		return err
 	}
 	// Committed: publish the new state to readers and reset the

@@ -184,8 +184,8 @@ func (p *PMA) Rebuilds() uint64 { return p.rebuilds }
 func (p *PMA) FullRebuilds() uint64 { return p.fullRebuilds }
 
 // geometry computes the derived parameters for a given N̂.
-func (p *PMA) geometry(nhat int) (h, leafSlots int, cand []int) {
-	if nhat < p.cfg.MinTreeNhat {
+func (c Config) geometry(nhat int) (h, leafSlots int, cand []int) {
+	if nhat < c.MinTreeNhat {
 		// Dynamic-array fallback (footnote 5): a single evenly-spread
 		// leaf of 2·N̂ slots.
 		ls := 2 * nhat
@@ -199,14 +199,14 @@ func (p *PMA) geometry(nhat int) (h, leafSlots int, cand []int) {
 	if h < 1 {
 		h = 1
 	}
-	leafSlots = int(math.Ceil(p.cfg.CL * logN))
+	leafSlots = int(math.Ceil(c.CL * logN))
 	// Effective c₁ must satisfy c₁ < 1 − 6/log N̂ (Lemma 8) and
 	// C_L ≥ 1 + c₁ + 6/log N̂ (Lemma 7); clamp with a safety factor.
-	c1 := p.cfg.C1
+	c1 := c.C1
 	if lim := 0.8 * (1 - 6/logN); c1 > lim {
 		c1 = lim
 	}
-	if lim := 0.9 * (p.cfg.CL - 1 - 6/logN); c1 > lim {
+	if lim := 0.9 * (c.CL - 1 - 6/logN); c1 > lim {
 		c1 = lim
 	}
 	cand = make([]int, h)
@@ -224,7 +224,7 @@ func (p *PMA) geometry(nhat int) (h, leafSlots int, cand []int) {
 // laying out elems (the full logical contents, in order).
 func (p *PMA) install(elems []Item) {
 	p.nhat = p.sizer.Size()
-	p.h, p.leafSlots, p.cand = p.geometry(p.nhat)
+	p.h, p.leafSlots, p.cand = p.cfg.geometry(p.nhat)
 	ns := (1 << uint(p.h)) * p.leafSlots
 	p.slots = make([]Item, ns)
 	layout := veb.NewLayout(p.h + 1)

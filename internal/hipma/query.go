@@ -56,6 +56,12 @@ func (p *PMA) Query(i, j int, out []Item) []Item {
 	return out
 }
 
+// AppendAll appends every element, in rank order, to out and returns
+// it: a leaf-by-leaf copy, O(1 + N/B) I/Os, valid on an empty PMA.
+func (p *PMA) AppendAll(out []Item) []Item {
+	return p.collectRange(1, 0, out)
+}
+
 // SearchKey returns the rank of the first element >= key and whether an
 // exact match exists, by descending the balance-key tree (§5): this is
 // the cache-oblivious B-tree search, O(log_B N) I/Os in vEB layout.

@@ -369,12 +369,19 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 	return sum, nil
 }
 
+// fetchReserve is the most fetchShard reserves ahead of the bytes it
+// has actually received. The advertised size is the peer's word: below
+// the bound it is reserved exactly, so an honest image is allocated
+// once; past it the buffer grows with what arrives.
+const fetchReserve = 64 << 20
+
 // fetchShard pulls one shard image chunk by chunk — from the default
 // keyspace when ns is empty, from tenant ns's cell otherwise — and
 // verifies it against the advertised size and hash, so a lying or
-// corrupted peer cannot hand us installable garbage.
+// corrupted peer cannot hand us installable garbage — nor, by
+// advertising an absurd size, make us reserve memory for it.
 func (r *Replica) fetchShard(conn *client.Conn, ns string, i int, e proto.ShardHash) ([]byte, error) {
-	buf := make([]byte, 0, e.Size)
+	buf := make([]byte, 0, min(e.Size, fetchReserve))
 	for {
 		data, more, err := conn.SyncShardChunk(ns, i, e.Hash, uint64(len(buf)), r.cfg.ChunkSize)
 		if err != nil {

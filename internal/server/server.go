@@ -820,12 +820,15 @@ func (c *conn) readLoop() {
 				fmt.Sprintf("protocol version %d, server speaks %d (and %d)", f.Ver, proto.Version, proto.Version-1))
 			return
 		}
+		c.pscratch = c.pscratch[:0]
 		if !c.dispatch(f, t0) {
 			return
 		}
-		if cap(c.pscratch) > 64<<10 {
-			// A jumbo batch or range reply grew the scratch; don't pin
-			// it for the connection's lifetime.
+		if cap(c.pscratch) > 64<<10 && len(c.pscratch) <= 64<<10 {
+			// A jumbo batch, range or sync reply grew the scratch. It
+			// stays while replies keep needing it — a SYNC stream reuses
+			// it chunk after chunk — and goes with the first reply that
+			// does not, so it is not pinned for the connection's lifetime.
 			c.pscratch = nil
 		}
 	}
@@ -1156,8 +1159,8 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		}
 		s.st.syncBytesOut.Add(uint64(len(chunk)))
 		ta := time.Now()
-		payload := proto.AppendSyncChunk(nil, more, chunk)
-		c.replyInline(f, payload, 0, false, t0, td, td, ta)
+		c.pscratch = proto.AppendSyncChunk(c.pscratch[:0], more, chunk)
+		c.replyInline(f, c.pscratch, 0, false, t0, td, td, ta)
 
 	default:
 		c.sendError(f.ID, proto.ErrCodeUnknownOp, proto.OpName(f.Op))

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -299,3 +300,92 @@ func TestStoreConcurrentSnapshotOps(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// snapshotOp is step j of TestSnapshotShardUnderWriter's deterministic
+// write stream over one shard: every step bumps the shard's version by
+// exactly one, so "the contents at version v" is the first v steps.
+func snapshotOp(s *Store, keys []int64, j int) {
+	flicker, stable := keys[0], keys[1+(j/4)%(len(keys)-1)]
+	switch j % 4 {
+	case 0:
+		s.Put(flicker, int64(j))
+	case 1:
+		s.Put(stable, int64(j))
+	case 2:
+		s.Delete(flicker) // present since step j-2
+	case 3:
+		s.PutTTL(stable, int64(j), 1<<40)
+	}
+}
+
+// TestSnapshotShardUnderWriter hammers one shard with writes while it
+// is snapshotted. SnapshotShard copies the contents under the shard's
+// lock and renders after releasing it, so the contract to hold is: the
+// returned version names exactly the contents the image encodes — the
+// image must equal the canonical image of a quiescent store holding the
+// first `version` steps of the write stream. Run under -race: the
+// render reads its private copy while the writer mutates the shard.
+func TestSnapshotShardUnderWriter(t *testing.T) {
+	const seed = 77
+	steps := scaled(24000)
+	s, err := New(2, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []int64
+	for k := int64(1); len(keys) < 200; k++ {
+		if s.ShardOf(k) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for j := 0; j < steps; j++ {
+			snapshotOp(s, keys, j)
+		}
+	}()
+
+	check := func() uint64 {
+		var img bytes.Buffer
+		ver, n, err := s.SnapshotShard(0, &img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(img.Len()) {
+			t.Fatalf("SnapshotShard reported %d bytes, wrote %d", n, img.Len())
+		}
+		ref, err := New(2, seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < int(ver); j++ {
+			snapshotOp(ref, keys, j)
+		}
+		var want bytes.Buffer
+		if _, err := ref.WriteShard(0, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(img.Bytes(), want.Bytes()) {
+			t.Fatalf("image captured at version %d is not the canonical image of the first %d writes", ver, ver)
+		}
+		return ver
+	}
+	torn := 0 // snapshots taken while the writer was mid-stream
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if ver := check(); ver > 0 && ver < uint64(steps) {
+			torn++
+		}
+	}
+	if ver := check(); ver != uint64(steps) || s.ShardVersion(0) != ver {
+		t.Fatalf("quiescent snapshot at version %d, shard at %d, want both %d", ver, s.ShardVersion(0), steps)
+	}
+	if torn == 0 {
+		t.Log("no snapshot landed mid-stream on this run; the contract was only checked at rest")
+	}
+}

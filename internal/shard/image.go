@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,18 +22,21 @@ import (
 // own checksum, see hipma.WriteTo): the data dictionary, then the TTL
 // expiry index (key -> absolute expiry for exactly the keys that have
 // one; empty when no TTLs are in play). The data image is length-
-// prefixed (u64 little-endian) so each part is read through its own
-// bounded reader — the PMA image reader buffers, so back-to-back images
-// cannot share one stream.
+// prefixed (u64 little-endian); the prefix is redundant with the data
+// image's own header and is checked against it on load.
 //
 // The persisted shard images are CANONICAL: WriteTo does not dump the
 // in-memory incarnation (whose layout depends on the random stream the
 // update history happened to consume — history independent only in
-// distribution), but instead serializes a fresh bulk-load of the shard's
-// sorted contents under a seed derived from (hseed, shard index). The
-// byte stream is therefore a pure function of the store's contents and
-// its persisted randomness: two stores with the same seed and the same
-// (key, value, expiry) set produce byte-identical images for every
+// distribution). Each image instead EQUALS the image of a fresh bulk
+// load of the shard's sorted contents under a seed derived from (hseed,
+// shard index) — but no second PMA is built to obtain it: the layout is
+// a pure function of (sorted contents, N̂, balance elements), so
+// hipma.WriteCanonical emits it in one pass over the sorted items, and
+// its length is known (hipma.CanonicalSize) before a byte is written.
+// The byte stream is therefore a pure function of the store's contents
+// and its persisted randomness: two stores with the same seed and the
+// same (key, value, expiry) set produce byte-identical images for every
 // shard, whatever operation sequences built them — including whatever
 // schedule of TTL sweeps physically removed their dead entries. That is
 // the paper's anti-persistence goal stated at the layer the observer
@@ -59,76 +61,87 @@ func canonExpSeed(hseed uint64, i int) uint64 {
 	return mix(canonSeed(hseed, i) ^ 0x7ee150deadc0ffee)
 }
 
-// canonicalDictImage writes the canonical image of one dictionary: a
-// one-shot bulk load of its current sorted contents under the given
-// seed. The caller holds the owning cell's lock.
-func canonicalDictImage(d *cobt.Dictionary, cfg hipma.Config, seed uint64, w io.Writer) (int64, error) {
-	var items []Item
-	if n := d.Len(); n > 0 {
-		items = d.PMA().Query(0, n-1, nil)
-	}
-	canon, err := hipma.BulkLoadWithConfig(cfg, items, seed, nil)
-	if err != nil {
-		return 0, err
-	}
-	return canon.WriteTo(w)
+// snapshot is one shard's sorted contents copied out of its
+// dictionaries: what a canonical image is rendered from once the
+// shard's lock has been released. Stores recycle them through snapPool.
+type snapshot struct {
+	data, exps []Item
 }
 
-// canonicalShardImage writes the canonical image of shard c: the data
-// dictionary's bulk-loaded image (length-prefixed) followed by the
-// expiry index's. The caller holds c's lock.
-func canonicalShardImage(c *cell, cfg hipma.Config, hseed uint64, i int, w io.Writer) (int64, error) {
-	var data bytes.Buffer
-	if _, err := canonicalDictImage(c.dict, cfg, canonSeed(hseed, i), &data); err != nil {
-		return 0, err
+// capture copies c's two sorted item runs into sn, reusing its
+// capacity. The caller holds c's lock.
+func (sn *snapshot) capture(c *cell) {
+	sn.data = c.dict.PMA().AppendAll(sn.data[:0])
+	sn.exps = c.exps.PMA().AppendAll(sn.exps[:0])
+}
+
+func (s *Store) getSnapshot() *snapshot {
+	if sn, ok := s.snapPool.Get().(*snapshot); ok {
+		return sn
 	}
+	return new(snapshot)
+}
+
+// shardImageSize returns the length of shard i's canonical image when
+// it holds nData entries, nExps of them with an expiry: the data-part
+// length prefix plus the two PMA images.
+func shardImageSize(cfg hipma.Config, hseed uint64, i, nData, nExps int) (data, total int64) {
+	data = hipma.CanonicalSize(cfg, nData, canonSeed(hseed, i))
+	return data, 8 + data + hipma.CanonicalSize(cfg, nExps, canonExpSeed(hseed, i))
+}
+
+// ShardImageSize returns the length SnapshotShard's image of shard i
+// would have for the shard's current contents: what a checkpointer
+// sizes its staging buffer by.
+func (s *Store) ShardImageSize(i int) int64 {
+	c := &s.cells[i]
+	c.rlock()
+	nData, nExps := c.dict.Len(), c.exps.Len()
+	c.runlock()
+	_, total := shardImageSize(s.cfg, s.hseed, i, nData, nExps)
+	return total
+}
+
+// canonicalShardImage writes shard i's canonical image for the captured
+// contents: the data dictionary's canonical image, length-prefixed,
+// followed by the expiry index's. Every length is computed up front, so
+// nothing is staged. No lock is needed — sn is a private copy.
+func canonicalShardImage(sn *snapshot, cfg hipma.Config, hseed uint64, i int, w io.Writer) (int64, error) {
+	dataLen, _ := shardImageSize(cfg, hseed, i, len(sn.data), len(sn.exps))
 	var lenHdr [8]byte
-	binary.LittleEndian.PutUint64(lenHdr[:], uint64(data.Len()))
-	total := int64(0)
+	binary.LittleEndian.PutUint64(lenHdr[:], uint64(dataLen))
 	n, err := w.Write(lenHdr[:])
-	total += int64(n)
+	written := int64(n)
 	if err != nil {
-		return total, err
+		return written, err
 	}
-	n64, err := data.WriteTo(w)
-	total += n64
+	n64, err := hipma.WriteCanonical(cfg, sn.data, canonSeed(hseed, i), w)
+	written += n64
 	if err != nil {
-		return total, err
+		return written, err
 	}
-	n64, err = canonicalDictImage(c.exps, cfg, canonExpSeed(hseed, i), w)
-	return total + n64, err
+	n64, err = hipma.WriteCanonical(cfg, sn.exps, canonExpSeed(hseed, i), w)
+	return written + n64, err
 }
 
-// maxDictImageLen bounds the data-part length accepted from an
-// untrusted shard image; the PMA reader's own incremental allocation
-// bounds memory, this just rejects absurd prefixes before wrapping a
-// reader around them.
-const maxDictImageLen = int64(1) << 48
-
-// readShardImage reads one shard's canonical image pair from r,
-// returning the data dictionary and the expiry index.
-func readShardImage(r io.Reader, seed uint64, i int, t *iomodel.Tracker) (dict, exps *cobt.Dictionary, err error) {
-	var lenHdr [8]byte
-	if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("reading data image length: %w", err)
+// decodeShardImage decodes one shard's canonical image pair — img must
+// be exactly that — returning the data dictionary and the expiry index.
+// Each part's own header fixes its length (hipma.DecodeImage), so a
+// wrong prefix, a short image or trailing bytes all fail before any
+// slot array is allocated.
+func decodeShardImage(img []byte, seed uint64, i int, t *iomodel.Tracker) (dict, exps *cobt.Dictionary, err error) {
+	if len(img) < 8 {
+		return nil, nil, fmt.Errorf("image of %d bytes has no data image length", len(img))
 	}
-	dataLen := int64(binary.LittleEndian.Uint64(lenHdr[:]))
-	if dataLen < 0 || dataLen > maxDictImageLen {
-		return nil, nil, fmt.Errorf("implausible data image length %d", dataLen)
+	dataLen := binary.LittleEndian.Uint64(img)
+	if dataLen > uint64(len(img)-8) {
+		return nil, nil, fmt.Errorf("data image length %d exceeds the %d-byte image", dataLen, len(img))
 	}
-	dlr := io.LimitReader(r, dataLen)
-	dict, err = cobt.ReadDictionary(dlr, shardSeed(seed, i), t)
+	dict, err = cobt.DecodeDictionary(img[8:8+dataLen], shardSeed(seed, i), t)
 	if err != nil {
 		return nil, nil, err
 	}
-	// The data image must fill its declared length exactly, or the
-	// expiry read below would start misaligned.
-	if extra, err := io.Copy(io.Discard, dlr); err != nil {
-		return nil, nil, err
-	} else if extra > 0 {
-		return nil, nil, fmt.Errorf("%d trailing bytes after data image", extra)
-	}
-	exps, err = cobt.ReadDictionary(r, expShardSeed(seed, i), nil)
+	exps, err = cobt.DecodeDictionary(img[8+dataLen:], expShardSeed(seed, i), nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("expiry index: %w", err)
 	}
@@ -150,21 +163,19 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return total, err
 	}
+	sn := s.getSnapshot()
+	defer s.snapPool.Put(sn)
 	for i := range s.cells {
-		// The length prefix needs the image size up front, so render the
-		// canonical shard image to memory first (it is 1/S of the store).
-		var buf bytes.Buffer
-		if _, err := canonicalShardImage(&s.cells[i], s.cfg, s.hseed, i, &buf); err != nil {
-			return total, err
-		}
+		sn.capture(&s.cells[i])
 		var lenHdr [8]byte
-		binary.LittleEndian.PutUint64(lenHdr[:], uint64(buf.Len()))
+		_, size := shardImageSize(s.cfg, s.hseed, i, len(sn.data), len(sn.exps))
+		binary.LittleEndian.PutUint64(lenHdr[:], uint64(size))
 		n, err := w.Write(lenHdr[:])
 		total += int64(n)
 		if err != nil {
 			return total, err
 		}
-		n64, err := buf.WriteTo(w)
+		n64, err := canonicalShardImage(sn, s.cfg, s.hseed, i, w)
 		total += n64
 		if err != nil {
 			return total, err
@@ -178,30 +189,31 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 // byte-identical across any two operation histories that reach the same
 // contents.
 func (s *Store) WriteShard(i int, w io.Writer) (int64, error) {
-	if i < 0 || i >= len(s.cells) {
-		return 0, fmt.Errorf("shard: WriteShard(%d) out of range, %d shards", i, len(s.cells))
-	}
-	c := &s.cells[i]
-	c.rlock()
-	defer c.runlock()
-	return canonicalShardImage(c, s.cfg, s.hseed, i, w)
+	_, written, err := s.SnapshotShard(i, w)
+	return written, err
 }
 
 // SnapshotShard writes shard i's canonical image to w, like WriteShard,
 // and additionally returns the shard's version counter at the moment of
-// the snapshot. The version and the image are captured under the same
-// lock hold, so a later ShardVersion(i) == version guarantees the image
-// still describes the shard's exact contents — the contract an
-// incremental checkpointer needs.
+// the snapshot. The version is captured and the shard's sorted contents
+// are copied out under one hold of the shard's read lock — held for
+// that copy only; the image is rendered from the copy after the lock is
+// released, so writers wait for a memcpy, never for a render. A later
+// ShardVersion(i) == version therefore guarantees the image still
+// describes the shard's exact contents — the contract an incremental
+// checkpointer needs.
 func (s *Store) SnapshotShard(i int, w io.Writer) (version uint64, written int64, err error) {
 	if i < 0 || i >= len(s.cells) {
 		return 0, 0, fmt.Errorf("shard: SnapshotShard(%d) out of range, %d shards", i, len(s.cells))
 	}
+	sn := s.getSnapshot()
+	defer s.snapPool.Put(sn)
 	c := &s.cells[i]
 	c.rlock()
-	defer c.runlock()
 	version = c.version
-	written, err = canonicalShardImage(c, s.cfg, s.hseed, i, w)
+	sn.capture(c)
+	c.runlock()
+	written, err = canonicalShardImage(sn, s.cfg, s.hseed, i, w)
 	return version, written, err
 }
 
@@ -209,12 +221,13 @@ func (s *Store) SnapshotShard(i int, w io.Writer) (version uint64, written int64
 // produced by WriteShard or SnapshotShard) plus the persisted routing
 // seed. It is the recovery path of the durable layer: the manifest
 // carries hseed and the shard files carry the images. len(images) must
-// be a power of two >= 1; trackers must be nil or hold one tracker per
-// shard. The caller's seed supplies fresh randomness for future
-// operations. Shard, routing, and TTL invariants are verified. The
-// returned store has no clock; the caller attaches one with SetClock
-// before sharing it.
-func AssembleStore(hseed uint64, images []io.Reader, seed uint64, trackers []*iomodel.Tracker) (*Store, error) {
+// be a power of two >= 1, and each image must be exactly its shard's
+// bytes; trackers must be nil or hold one tracker per shard. The
+// caller's seed supplies fresh randomness for future operations. Every
+// dictionary's invariants are verified as it is decoded, then the
+// store's routing and TTL invariants. The returned store has no clock;
+// the caller attaches one with SetClock before sharing it.
+func AssembleStore(hseed uint64, images [][]byte, seed uint64, trackers []*iomodel.Tracker) (*Store, error) {
 	nsh := len(images)
 	if nsh < 1 || nsh&(nsh-1) != 0 {
 		return nil, fmt.Errorf("shard: %d shard images is not a power of two >= 1", nsh)
@@ -223,29 +236,37 @@ func AssembleStore(hseed uint64, images []io.Reader, seed uint64, trackers []*io
 		return nil, fmt.Errorf("shard: %d trackers for %d shard images", len(trackers), nsh)
 	}
 	s := &Store{mask: uint64(nsh - 1), hseed: hseed, cells: make([]cell, nsh)}
-	for i, r := range images {
-		var t *iomodel.Tracker
-		if trackers != nil {
-			t = trackers[i]
+	for i, img := range images {
+		if err := s.loadCell(i, img, seed, trackers); err != nil {
+			return nil, err
 		}
-		d, e, err := readShardImage(r, seed, i, t)
-		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		}
-		// The pair must fill its image exactly; trailing bytes mean a
-		// corrupt or truncated-and-padded file.
-		if extra, err := io.Copy(io.Discard, r); err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		} else if extra > 0 {
-			return nil, fmt.Errorf("shard: shard %d: %d trailing bytes after image", i, extra)
-		}
-		s.cells[i].dict = d
-		s.cells[i].exps = e
-		s.cells[i].io = t
 	}
+	return s.loaded()
+}
+
+// loadCell decodes shard i's image into its cell.
+func (s *Store) loadCell(i int, img []byte, seed uint64, trackers []*iomodel.Tracker) error {
+	var t *iomodel.Tracker
+	if trackers != nil {
+		t = trackers[i]
+	}
+	d, e, err := decodeShardImage(img, seed, i, t)
+	if err != nil {
+		return fmt.Errorf("shard: shard %d: %w", i, err)
+	}
+	s.cells[i].dict, s.cells[i].exps, s.cells[i].io = d, e, t
+	return nil
+}
+
+// loaded finishes a store whose every cell was just decoded — so every
+// dictionary has already passed its own invariants — by checking what
+// only the store can: routing and the TTL index.
+func (s *Store) loaded() (*Store, error) {
 	s.cfg = s.cells[0].dict.PMA().Config()
-	if err := s.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("shard: corrupt shard images: %w", err)
+	for i := range s.cells {
+		if err := s.checkRouting(i); err != nil {
+			return nil, fmt.Errorf("shard: corrupt image: %w", err)
+		}
 	}
 	return s, nil
 }
@@ -274,35 +295,25 @@ func ReadStore(r io.Reader, seed uint64, trackers []*iomodel.Tracker) (*Store, e
 		return nil, fmt.Errorf("shard: %d trackers for %d stored shards", len(trackers), nsh)
 	}
 	s := &Store{mask: nsh64 - 1, hseed: hseed, cells: make([]cell, nsh)}
+	var img []byte
 	for i := 0; i < nsh; i++ {
 		var lenHdr [8]byte
 		if _, err := io.ReadFull(r, lenHdr[:]); err != nil {
 			return nil, fmt.Errorf("shard: reading shard %d length: %w", i, err)
 		}
-		imgLen := binary.LittleEndian.Uint64(lenHdr[:])
-		var t *iomodel.Tracker
-		if trackers != nil {
-			t = trackers[i]
+		// The prefix is untrusted: ReadBounded reserves only a bounded
+		// distance ahead of the bytes that actually arrive.
+		imgLen := int64(binary.LittleEndian.Uint64(lenHdr[:]))
+		if imgLen < 0 {
+			return nil, fmt.Errorf("shard: shard %d: implausible image length", i)
 		}
-		lr := io.LimitReader(r, int64(imgLen))
-		d, e, err := readShardImage(lr, seed, i, t)
-		if err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
+		var err error
+		if img, err = hipma.ReadBounded(r, imgLen, img[:0]); err != nil {
+			return nil, fmt.Errorf("shard: reading shard %d: %w", i, err)
 		}
-		// The shard image must fill its declared length exactly; trailing
-		// bytes would misalign every later shard's length header.
-		if extra, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", i, err)
-		} else if extra > 0 {
-			return nil, fmt.Errorf("shard: shard %d: %d trailing bytes after image", i, extra)
+		if err := s.loadCell(i, img, seed, trackers); err != nil {
+			return nil, err
 		}
-		s.cells[i].dict = d
-		s.cells[i].exps = e
-		s.cells[i].io = t
 	}
-	s.cfg = s.cells[0].dict.PMA().Config()
-	if err := s.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("shard: corrupt image: %w", err)
-	}
-	return s, nil
+	return s.loaded()
 }

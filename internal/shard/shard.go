@@ -79,6 +79,10 @@ type Store struct {
 	// and per-shard item buffers) across Range/RangeN/Ascend calls.
 	// Item is pointer-free, so pooled buffers pin no user data.
 	mergePool sync.Pool
+	// snapPool recycles the sorted-contents copies (*snapshot) that
+	// canonical images are rendered from, so a steady checkpointer copies
+	// each shard into the same scratch every time.
+	snapPool sync.Pool
 }
 
 // New returns an empty store with the given power-of-two shard count.
@@ -323,35 +327,41 @@ func (s *Store) CheckInvariants() error {
 		if err := s.cells[i].exps.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d expiry index: %w", i, err)
 		}
-		var routeErr error
-		s.cells[i].dict.Ascend(func(it Item) bool {
-			if got := s.ShardOf(it.Key); got != i {
-				routeErr = fmt.Errorf("shard: key %d stored in shard %d but routes to %d",
-					it.Key, i, got)
-				return false
-			}
-			return true
-		})
-		if routeErr != nil {
-			return routeErr
-		}
-		s.cells[i].exps.Ascend(func(it Item) bool {
-			switch {
-			case it.Val == 0:
-				routeErr = fmt.Errorf("shard: key %d has a zero expiry recorded in shard %d", it.Key, i)
-			case s.ShardOf(it.Key) != i:
-				routeErr = fmt.Errorf("shard: expiry for key %d stored in shard %d but routes to %d",
-					it.Key, i, s.ShardOf(it.Key))
-			case !s.cells[i].dict.Has(it.Key):
-				routeErr = fmt.Errorf("shard: shard %d records an expiry for absent key %d", i, it.Key)
-			}
-			return routeErr == nil
-		})
-		if routeErr != nil {
-			return routeErr
+		if err := s.checkRouting(i); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// checkRouting verifies the store-level invariants of shard i: its
+// keys and recorded expiries route to it, and every expiry is nonzero
+// and names a key the shard holds. The caller holds the shard's lock or
+// owns the store outright.
+func (s *Store) checkRouting(i int) error {
+	var err error
+	s.cells[i].dict.Ascend(func(it Item) bool {
+		if got := s.ShardOf(it.Key); got != i {
+			err = fmt.Errorf("shard: key %d stored in shard %d but routes to %d", it.Key, i, got)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	s.cells[i].exps.Ascend(func(it Item) bool {
+		switch {
+		case it.Val == 0:
+			err = fmt.Errorf("shard: key %d has a zero expiry recorded in shard %d", it.Key, i)
+		case s.ShardOf(it.Key) != i:
+			err = fmt.Errorf("shard: expiry for key %d stored in shard %d but routes to %d",
+				it.Key, i, s.ShardOf(it.Key))
+		case !s.cells[i].dict.Has(it.Key):
+			err = fmt.Errorf("shard: shard %d records an expiry for absent key %d", i, it.Key)
+		}
+		return err == nil
+	})
+	return err
 }
 
 // lockAllShared acquires every shard's read-path lock in shard order.

@@ -118,6 +118,11 @@ func (t *Tree) Add(bfs int, delta int64) {
 	t.vals[p] += delta
 }
 
+// Physical returns the tree's values in physical (vEB) order — the
+// tree's memory representation itself, not a copy, and uncharged: it is
+// what an image writer dumps and an image reader fills.
+func (t *Tree) Physical() []int64 { return t.vals }
+
 // IsLeaf reports whether the BFS index is a leaf of the tree.
 func (t *Tree) IsLeaf(bfs int) bool {
 	return bfs >= t.layout.NumLeaves()
