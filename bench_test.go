@@ -1,11 +1,14 @@
 // Benchmark harness: one benchmark per evaluation artifact of the
-// paper. The experiment IDs (F2, C1, C2, T1a, T1b, T2, T3, L15, O1)
-// match the index in DESIGN.md; EXPERIMENTS.md records paper-vs-measured
-// for each. Custom metrics are emitted via b.ReportMetric, so run with
+// paper, labelled with the experiment IDs the README's benchmark table
+// uses (F2, C1, C2, T1a, T1b, T2, T3, L15, O1, S1–S4). Custom metrics
+// are emitted via b.ReportMetric, so run with
 //
 //	go test -bench=. -benchmem
 //
 // and read the labelled columns (moves/op-normalized, ios/op, ...).
+// The DAM experiments (T1b, T2, T3, L15) are built by the helpers at
+// the end of the T-section, which TestTheoremBands (theorem_test.go)
+// runs at fixed sizes and holds to recorded constants.
 package antipersist
 
 import (
@@ -133,22 +136,9 @@ func BenchmarkThm1IO(b *testing.B) {
 	const n = 1 << 16
 	for _, blk := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("B=%d", blk), func(b *testing.B) {
-			io := NewIOTracker(blk, 64)
-			p := NewPMA(5, io)
-			rng := xrand.New(6)
-			for j := 0; j < n; j++ {
-				p.InsertAt(rng.Intn(p.Len()+1), Item{Key: int64(j)})
-			}
-			io.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.InsertAt(rng.Intn(p.Len()+1), Item{Key: int64(i)})
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
-			shape := math.Pow(math.Log2(n), 2)/float64(blk) +
-				math.Log2(n)/math.Log2(float64(blk))
-			b.ReportMetric(shape, "theory-shape")
+			io, insert := pmaInsertExp(n, blk)
+			benchIOs(b, io, insert)
+			b.ReportMetric(pmaInsertShape(n, blk), "theory-shape")
 		})
 	}
 }
@@ -188,20 +178,9 @@ func BenchmarkThm2Search(b *testing.B) {
 	const n = 1 << 16
 	for _, blk := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("cobt/B=%d", blk), func(b *testing.B) {
-			io := NewIOTracker(blk, 64)
-			d := NewDictionary(9, io)
-			for j := 0; j < n; j++ {
-				d.Put(int64(j), int64(j))
-			}
-			rng := xrand.New(10)
-			io.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Get(int64(rng.Intn(n)))
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
-			b.ReportMetric(math.Log2(n)/math.Log2(float64(blk)), "logB-n")
+			io, _, search := cobtExp(n, blk)
+			benchIOs(b, io, search)
+			b.ReportMetric(logB(n, blk), "logB-n")
 		})
 		b.Run(fmt.Sprintf("btree/B=%d", blk), func(b *testing.B) {
 			io := NewIOTracker(blk, 64)
@@ -210,13 +189,7 @@ func BenchmarkThm2Search(b *testing.B) {
 				bt.Insert(int64(j))
 			}
 			rng := xrand.New(12)
-			io.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bt.Contains(int64(rng.Intn(n)))
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
+			benchIOs(b, io, func() { bt.Contains(int64(rng.Intn(n))) })
 		})
 	}
 }
@@ -226,22 +199,9 @@ func BenchmarkThm2Range(b *testing.B) {
 	const blk = 64
 	for _, k := range []int{64, 1024, 16384} {
 		b.Run(fmt.Sprintf("cobt/k=%d", k), func(b *testing.B) {
-			io := NewIOTracker(blk, 64)
-			d := NewDictionary(13, io)
-			for j := 0; j < n; j++ {
-				d.Put(int64(j), int64(j))
-			}
-			rng := xrand.New(14)
-			buf := make([]Item, 0, k)
-			io.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lo := int64(rng.Intn(n - k))
-				buf = d.Range(lo, lo+int64(k)-1, buf[:0])
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
-			b.ReportMetric(math.Log2(n)/math.Log2(blk)+float64(k)/blk, "theory-shape")
+			io, d, _ := cobtExp(n, blk)
+			benchIOs(b, io, cobtRangeOp(d, n, k))
+			b.ReportMetric(rangeShape(n, blk, k), "theory-shape")
 		})
 		b.Run(fmt.Sprintf("btree/k=%d", k), func(b *testing.B) {
 			io := NewIOTracker(blk, 64)
@@ -251,14 +211,10 @@ func BenchmarkThm2Range(b *testing.B) {
 			}
 			rng := xrand.New(16)
 			buf := make([]int64, 0, k)
-			io.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchIOs(b, io, func() {
 				lo := int64(rng.Intn(n - k))
 				buf = bt.Range(lo, lo+int64(k)-1, buf[:0])
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
+			})
 		})
 	}
 }
@@ -273,23 +229,9 @@ func BenchmarkThm3Search(b *testing.B) {
 	const n = 1 << 16
 	for _, blk := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("B=%d", blk), func(b *testing.B) {
-			io := NewIOTracker(blk, 64)
-			s, err := NewSkipList(SkipListConfig{B: blk, Epsilon: 1.0 / 3.0}, 17, io)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 1; j <= n; j++ {
-				s.Insert(int64(j))
-			}
-			rng := xrand.New(18)
-			io.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Contains(int64(rng.Intn(n)) + 1)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
-			b.ReportMetric(math.Log2(n)/math.Log2(float64(blk)), "logB-n")
+			io, search := skipSearchExp(n, blk)
+			benchIOs(b, io, search)
+			b.ReportMetric(logB(n, blk), "logB-n")
 		})
 	}
 }
@@ -359,38 +301,130 @@ func BenchmarkThm3Range(b *testing.B) {
 // ---------------------------------------------------------------------
 
 func BenchmarkLemma15(b *testing.B) {
-	const n = 1 << 15
-	const blk = 32
-	variants := []struct {
-		name string
-		cfg  SkipListConfig
-	}{
-		{"hi", SkipListConfig{B: blk, Epsilon: 1.0 / 3.0}},
-		{"folklore", SkipListConfig{B: blk, Folklore: true}},
-	}
-	for _, v := range variants {
+	for _, v := range []struct {
+		name     string
+		folklore bool
+	}{{"hi", false}, {"folklore", true}} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				io := NewIOTracker(blk, 16)
-				s, err := NewSkipList(v.cfg, uint64(i)+23, io)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for j := 1; j <= n; j++ {
-					s.Insert(int64(j))
-				}
-				costs := make([]int, 0, n/4)
-				for k := 1; k <= n; k += 4 {
-					io.Reset()
-					s.Contains(int64(k))
-					costs = append(costs, int(io.IOs()))
-				}
-				sort.Ints(costs)
+				costs := coldSearchCosts(v.folklore, uint64(i)+23)
 				b.ReportMetric(float64(costs[len(costs)-1]), "worst-ios")
 				b.ReportMetric(float64(costs[int(0.999*float64(len(costs)-1))]), "p999-ios")
 			}
 		})
 	}
+}
+
+// ---------------------------------------------------------------------
+// The DAM experiments' bodies, shared by the benchmarks above (which
+// run the op stream b.N times) and TestTheoremBands (a fixed number of
+// times). Each builds its structure over a damCacheFrames-frame tracker
+// with the block size under test and returns the tracker plus one step
+// of the op stream; seeds are fixed, so I/O counts repeat exactly.
+// ---------------------------------------------------------------------
+
+// damCacheFrames is the LRU cache every shared DAM experiment runs with.
+const damCacheFrames = 64
+
+// benchIOs runs op b.N times against freshly reset counters and reports
+// the mean I/Os per op.
+func benchIOs(b *testing.B, io *IOTracker, op func()) {
+	io.Reset()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(io.IOs())/float64(b.N), "ios/op")
+}
+
+// logB is log_B N, the search shape of Theorems 2 and 3.
+func logB(n, blk int) float64 { return math.Log2(float64(n)) / math.Log2(float64(blk)) }
+
+// pmaInsertShape is Theorem 1's amortized insert bound, log²N/B + log_B N.
+func pmaInsertShape(n, blk int) float64 {
+	return math.Pow(math.Log2(float64(n)), 2)/float64(blk) + logB(n, blk)
+}
+
+// rangeShape is Theorem 2's range-query bound, log_B N + k/B.
+func rangeShape(n, blk, k int) float64 { return logB(n, blk) + float64(k)/float64(blk) }
+
+// pmaInsertExp is T1b: an HI PMA of n randomly inserted elements; each
+// step inserts one more at a uniformly random rank.
+func pmaInsertExp(n, blk int) (*IOTracker, func()) {
+	io := NewIOTracker(blk, damCacheFrames)
+	p := NewPMA(5, io)
+	rng := xrand.New(6)
+	insert := func() { p.InsertAt(rng.Intn(p.Len()+1), Item{Key: int64(p.Len())}) }
+	for j := 0; j < n; j++ {
+		insert()
+	}
+	return io, insert
+}
+
+// cobtExp is T2: an HI cache-oblivious B-tree holding keys 0..n-1; each
+// search step looks up a uniformly random one.
+func cobtExp(n, blk int) (*IOTracker, *Dictionary, func()) {
+	io := NewIOTracker(blk, damCacheFrames)
+	d := NewDictionary(9, io)
+	for j := 0; j < n; j++ {
+		d.Put(int64(j), int64(j))
+	}
+	rng := xrand.New(10)
+	return io, d, func() { d.Get(int64(rng.Intn(n))) }
+}
+
+// cobtRangeOp returns T2's range step over cobtExp's dictionary: a
+// k-key range query at a uniformly random start.
+func cobtRangeOp(d *Dictionary, n, k int) func() {
+	rng := xrand.New(14)
+	buf := make([]Item, 0, k)
+	return func() {
+		lo := int64(rng.Intn(n - k))
+		buf = d.Range(lo, lo+int64(k)-1, buf[:0])
+	}
+}
+
+// skipSearchExp is T3: an HI external skip list (ε = 1/3) holding keys
+// 1..n; each step searches a uniformly random one.
+func skipSearchExp(n, blk int) (*IOTracker, func()) {
+	io := NewIOTracker(blk, damCacheFrames)
+	s, err := NewSkipList(SkipListConfig{B: blk, Epsilon: 1.0 / 3.0}, 17, io)
+	if err != nil {
+		panic(err) // a constant config; only a bug can reject it
+	}
+	for j := 1; j <= n; j++ {
+		s.Insert(int64(j))
+	}
+	rng := xrand.New(18)
+	return io, func() { s.Contains(int64(rng.Intn(n)) + 1) }
+}
+
+// coldSearchCosts is L15: the sorted cold-cache search costs of every
+// fourth key of a 2^15-key skip list at B = 32, HI or folklore.
+func coldSearchCosts(folklore bool, seed uint64) []int {
+	const n = 1 << 15
+	const blk = 32
+	cfg := SkipListConfig{B: blk, Epsilon: 1.0 / 3.0}
+	if folklore {
+		cfg = SkipListConfig{B: blk, Folklore: true}
+	}
+	io := NewIOTracker(blk, 16)
+	s, err := NewSkipList(cfg, seed, io)
+	if err != nil {
+		panic(err) // a constant config; only a bug can reject it
+	}
+	for j := 1; j <= n; j++ {
+		s.Insert(int64(j))
+	}
+	costs := make([]int, 0, n/4)
+	for k := 1; k <= n; k += 4 {
+		io.Reset()
+		s.Contains(int64(k))
+		costs = append(costs, int(io.IOs()))
+	}
+	sort.Ints(costs)
+	return costs
 }
 
 // ---------------------------------------------------------------------
@@ -454,7 +488,7 @@ func BenchmarkObservation1(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablations — design choices DESIGN.md calls out.
+// Ablations — the design choices the paper leaves as constants.
 // ---------------------------------------------------------------------
 
 // AblationC1 sweeps the candidate-set fraction c₁: larger candidate

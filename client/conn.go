@@ -70,7 +70,7 @@ type Conn struct {
 	m *clientMetrics
 
 	// tr is the span store this connection records client spans into
-	// (nil pointer: tracing off). When set, every request carries a v4
+	// (nil pointer: tracing off). When set, every request carries a
 	// trace-context extension — a fresh trace id, this call's span id
 	// as the parent the server stitches under, and the head-sampling
 	// decision — and sampled or failed calls record a client span. An
@@ -195,11 +195,15 @@ func (c *Conn) writeLoop() {
 // readLoop routes replies to their waiting callers by request id.
 func (c *Conn) readLoop() {
 	defer close(c.done)
-	br := bufio.NewReaderSize(c.nc, 64<<10)
+	fr := proto.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10), proto.MaxPayload)
 	for {
-		f, err := proto.ReadFrame(br, proto.MaxPayload)
+		f, err := fr.Next()
 		if err != nil {
 			c.fail(fmt.Errorf("%w: read: %w", ErrConnClosed, err))
+			return
+		}
+		if f.Ver != proto.Version {
+			c.fail(fmt.Errorf("%w: reply in protocol version %d, client speaks %d", ErrConnClosed, f.Ver, proto.Version))
 			return
 		}
 		c.mu.Lock()
@@ -207,6 +211,9 @@ func (c *Conn) readLoop() {
 		delete(c.pending, f.ID)
 		c.mu.Unlock()
 		if ok {
+			// The payload aliases the reader's buffer, which the next
+			// Next overwrites; the caller gets its own copy.
+			f.Payload = append([]byte(nil), f.Payload...)
 			ch <- f // buffered; never blocks
 			continue
 		}
@@ -247,7 +254,7 @@ func (c *Conn) call(op byte, payload []byte) (proto.Frame, error) {
 const errLocalFailure = 0xff
 
 // SetTrace wires a span store into the connection: requests start
-// carrying the v4 trace-context extension, and calls that are
+// carrying the trace-context extension, and calls that are
 // head-sampled (the store's rate) or fail record a client span. Safe
 // to call concurrently with in-flight calls; a nil store is ignored.
 func (c *Conn) SetTrace(st *trace.Store) {
@@ -565,7 +572,7 @@ func (c *Conn) SyncShardHashes(ns string) (hseed uint64, entries []ShardHash, na
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return proto.DecodeShardHashesNS(f.Payload)
+	return proto.DecodeShardHashes(f.Payload)
 }
 
 // SyncShardChunk fetches up to maxLen bytes (0: the server's default)
@@ -577,7 +584,7 @@ func (c *Conn) SyncShardHashes(ns string) (hseed uint64, entries []ShardHash, na
 // assembling a whole image must verify its SHA-256 against the
 // advertised hash.
 func (c *Conn) SyncShardChunk(ns string, i int, hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
-	f, err := c.call(proto.OpSync, proto.AppendSyncReqNS(nil, uint32(i), hash, offset, uint32(maxLen), ns))
+	f, err := c.call(proto.OpSync, proto.AppendSyncReq(nil, uint32(i), hash, offset, uint32(maxLen), ns))
 	if err != nil {
 		return nil, false, err
 	}

@@ -198,8 +198,7 @@ func TestPersistenceAcrossFacade(t *testing.T) {
 }
 
 // TestWorkloadSweepInvariants runs every workload kind against the HI
-// PMA and the HI skip list, checking invariants at the end — the
-// failure-injection sweep DESIGN.md calls for.
+// PMA and the HI skip list, checking invariants at the end.
 func TestWorkloadSweepInvariants(t *testing.T) {
 	for _, kind := range workload.Kinds() {
 		t.Run(fmt.Sprintf("hipma/%v", kind), func(t *testing.T) {

@@ -269,7 +269,8 @@ func TestSpaceOverheadClaim(t *testing.T) {
 	// elements". The theory bound is N_S = 2^h·⌈C_L log N̂⌉ ≤ (2C_L+1)·N̂
 	// ≤ 10N with the default C_L = 2 (§3.3), because both the rounding of
 	// h and N̂ ∈ [N, 2N) contribute a factor; we enforce that hard bound
-	// here and report the empirically observed band in EXPERIMENTS.md.
+	// here, and BenchmarkSpaceOverhead (experiment C2) reports the
+	// empirically observed band.
 	p := New(29, nil)
 	for i := 0; i < 200000; i++ {
 		p.InsertAt(p.Len(), Item{Key: int64(i)})

@@ -9,9 +9,9 @@
 //   - Hot-path cost. Recording into any metric is a handful of atomic
 //     adds and allocates nothing, so the server's dispatch loop, the
 //     write coalescer, and the client's request path can record every
-//     operation without disturbing the 0-alloc budgets the perf
-//     trajectory (BENCH_*.json) enforces. Scraping is the slow side:
-//     a snapshot walks the buckets with atomic loads.
+//     operation without disturbing the allocation counts the gated
+//     benchmark (bench/, BENCHMARK.json) holds. Scraping is the slow
+//     side: a snapshot walks the buckets with atomic loads.
 //
 //   - Forensic cleanliness. This database erases operation history
 //     from its persistent state (see ARCHITECTURE.md); telemetry that

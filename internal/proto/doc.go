@@ -3,12 +3,15 @@
 // tables, and the payload codecs shared by the server
 // (repro/internal/server) and the client (repro/client).
 //
-// Every message — request or reply — is one frame:
+// Every message — request or reply — is one frame, in the one layout
+// AppendFrame writes and DecodeFrame reads:
 //
-//	u32 BE  length   byte count of the rest of the frame (10 + payload)
-//	u8      version  protocol version, currently 1
+//	u32 BE  length   byte count of the rest of the frame (11 + extension + payload)
+//	u8      version  protocol version, Version; anything else is refused
 //	u8      opcode   request opcode, reply (opcode|FlagReply), or OpError
 //	u64 BE  id       request id, echoed verbatim in the reply
+//	u8      extlen   0, or TraceExtLen when a trace context follows
+//	...     ext      trace id(8), parent span id(8), flags(1) — TraceCtx
 //	...     payload  opcode-specific, at most MaxPayload bytes
 //
 // The id makes connections pipelined: a client may have any number of

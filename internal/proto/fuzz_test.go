@@ -32,8 +32,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Ver: Version, Op: OpError, ID: 2, Payload: AppendError(nil, ErrCodeBadFrame, "boom")},
 		{Ver: Version, Op: OpShardHash, ID: 10},
 		{Ver: Version, Op: OpShardHash | FlagReply, ID: 10,
-			Payload: AppendShardHashes(nil, 0xfeed, []ShardHash{{Size: 64, Hash: [32]byte{1, 2}}, {Size: 0}})},
-		{Ver: Version, Op: OpSync, ID: 11, Payload: AppendSyncReq(nil, 3, [32]byte{9}, 128, 4096)},
+			Payload: AppendShardHashes(nil, 0xfeed, []ShardHash{{Size: 64, Hash: [32]byte{1, 2}}, {Size: 0}}, nil)},
+		{Ver: Version, Op: OpSync, ID: 11, Payload: AppendSyncReq(nil, 3, [32]byte{9}, 128, 4096, "")},
 		{Ver: Version, Op: OpSync | FlagReply, ID: 11, Payload: AppendSyncChunk(nil, true, []byte("img"))},
 		{Ver: Version, Op: OpPutTTL, ID: 12, Payload: AppendKeyValExp(nil, 7, 70, 1_900_000_000)},
 		{Ver: Version, Op: OpPutTTL | FlagReply, ID: 12, Payload: AppendTTLAck(nil, true, 1_900_000_000)},
@@ -56,22 +56,23 @@ func FuzzDecodeFrame(f *testing.F) {
 			Payload: AppendNSList(nil, 1000, []NSStat{{Name: "acme", Keys: 3}, {Name: "globex", Keys: 9}})},
 		{Ver: Version, Op: OpShardHash, ID: 21, Payload: AppendNSName(nil, "acme")},
 		{Ver: Version, Op: OpShardHash | FlagReply, ID: 21,
-			Payload: AppendShardHashesNS(nil, 0xfeed, []ShardHash{{Size: 64, Hash: [32]byte{1, 2}}}, []string{"acme", "globex"})},
-		{Ver: Version, Op: OpSync, ID: 22, Payload: AppendSyncReqNS(nil, 3, [32]byte{9}, 128, 4096, "acme")},
+			Payload: AppendShardHashes(nil, 0xfeed, []ShardHash{{Size: 64, Hash: [32]byte{1, 2}}}, []string{"acme", "globex"})},
+		{Ver: Version, Op: OpSync, ID: 22, Payload: AppendSyncReq(nil, 3, [32]byte{9}, 128, 4096, "acme")},
 		{Ver: Version, Op: OpError, ID: 16, Payload: AppendError(nil, ErrCodeQuota, "namespace over quota")},
 
-		// Version-4 trace-context extension: present (sampled and not),
-		// echoed on a reply, and on an empty payload.
+		// The trace-context extension: present (sampled and not), echoed
+		// on a reply, and on an empty payload.
 		{Ver: Version, Op: OpPut, ID: 23, Trace: TraceCtx{ID: 0xdead, Span: 0xbeef, Sampled: true},
 			Payload: AppendKeyVal(nil, 1, 2)},
 		{Ver: Version, Op: OpPut | FlagReply, ID: 23, Trace: TraceCtx{ID: 0xdead, Span: 0xbeef},
 			Payload: AppendBool(nil, true)},
 		{Ver: Version, Op: OpCheckpoint, ID: 24, Trace: TraceCtx{ID: 1, Sampled: true}},
-		// Version-3 frames keep decoding with the pre-extension layout: a
-		// v4 server speaks v3 back to v3 clients.
-		{Ver: Version - 1, Op: OpGet, ID: 25, Payload: AppendKey(nil, 42)},
-		{Ver: Version - 1, Op: OpGet | FlagReply, ID: 25, Payload: AppendFound(nil, true, 42, 7)},
-		{Ver: Version - 1, Op: OpDropNS, ID: 26, Payload: AppendNSName(nil, "acme")},
+		// A retired or unknown version byte changes nothing for the codec:
+		// there is one layout, such a frame decodes under it and re-encodes
+		// to the same bytes, and refusing it is the receiver's job.
+		{Ver: 3, Op: OpGet, ID: 25, Payload: AppendKey(nil, 42)},
+		{Ver: 3, Op: OpGet | FlagReply, ID: 25, Payload: AppendFound(nil, true, 42, 7)},
+		{Ver: 99, Op: OpDropNS, ID: 26, Payload: AppendNSName(nil, "acme")},
 	}
 	for _, fr := range seeds {
 		wire := AppendFrame(nil, fr)
@@ -91,6 +92,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			// reader knows to wait for more input.
 			if n != 0 {
 				t.Fatalf("error with %d bytes consumed", n)
+			}
+			if _, serr := NewFrameReader(bytes.NewReader(data), payloadCap).Next(); serr == nil {
+				t.Fatalf("FrameReader accepted what DecodeFrame rejected: %v", err)
 			}
 			return
 		}
@@ -117,25 +121,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		DecodeRangeReq(fr.Payload)
 		DecodeRangeReply(fr.Payload)
 		DecodeError(fr.Payload)
-		if _, entries, err := DecodeShardHashes(fr.Payload); err == nil {
-			// The count was validated against the payload length, so a
-			// hostile count can never out-allocate its own frame.
-			if len(entries)*40+12 != len(fr.Payload) {
+		if _, entries, names, err := DecodeShardHashes(fr.Payload); err == nil {
+			// The counts were validated against the payload length, so a
+			// hostile count can never out-allocate its own frame: entries
+			// are 40 bytes each after the 12-byte head, and a name table
+			// costs its count plus at least 3 bytes (2+1) per name.
+			if names == nil && len(entries)*40+12 != len(fr.Payload) {
 				t.Fatalf("shard-hash entries %d disagree with payload %d", len(entries), len(fr.Payload))
 			}
-		}
-		if _, entries, names, err := DecodeShardHashesNS(fr.Payload); err == nil {
-			// The bare-form lower bound still holds; names account for the
-			// rest of the payload, each at least 3 bytes (count + 2+1 name).
-			if len(entries)*40+12 > len(fr.Payload) {
-				t.Fatalf("ns shard-hash entries %d disagree with payload %d", len(entries), len(fr.Payload))
-			}
-			if len(names) > 0 && len(entries)*40+12+4+3*len(names) > len(fr.Payload) {
-				t.Fatalf("ns shard-hash names %d disagree with payload %d", len(names), len(fr.Payload))
+			if names != nil && len(entries)*40+12+4+3*len(names) > len(fr.Payload) {
+				t.Fatalf("shard-hash names %d disagree with payload %d", len(names), len(fr.Payload))
 			}
 		}
 		DecodeSyncReq(fr.Payload)
-		DecodeSyncReqNS(fr.Payload)
 		DecodeSyncChunk(fr.Payload)
 		DecodeKeyValExp(fr.Payload)
 		DecodeTTLAck(fr.Payload)
@@ -153,27 +151,18 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 
-		// The streaming reader must agree with the buffer decoder.
-		sf, serr := ReadFrame(bytes.NewReader(data), payloadCap)
-		if serr != nil {
-			t.Fatalf("DecodeFrame ok but ReadFrame failed: %v", serr)
-		}
-		if sf.Op != fr.Op || sf.ID != fr.ID || sf.Trace != fr.Trace || !bytes.Equal(sf.Payload, fr.Payload) {
-			t.Fatalf("stream/buffer disagree: %+v vs %+v", sf, fr)
-		}
-
-		// The pooled-buffer reader must agree too — and its buffer reuse
-		// must never corrupt a frame that was fully consumed (copied)
-		// before the next Next call. Feeding the same frame twice through
-		// one reader is exactly the reuse path: the second decode
-		// overwrites the first's payload in place.
+		// The streaming reader must agree with the buffer decoder — and
+		// its buffer reuse must never corrupt a frame that was fully
+		// consumed (copied) before the next Next call. Feeding the same
+		// frame twice through one reader is exactly the reuse path: the
+		// second decode overwrites the first's payload in place.
 		rd := NewFrameReader(bytes.NewReader(append(append([]byte(nil), data[:n]...), data[:n]...)), payloadCap)
 		pf1, perr := rd.Next()
 		if perr != nil {
 			t.Fatalf("DecodeFrame ok but FrameReader failed: %v", perr)
 		}
 		if pf1.Op != fr.Op || pf1.ID != fr.ID || pf1.Trace != fr.Trace || !bytes.Equal(pf1.Payload, fr.Payload) {
-			t.Fatalf("pooled/buffer disagree: %+v vs %+v", pf1, fr)
+			t.Fatalf("stream/buffer disagree: %+v vs %+v", pf1, fr)
 		}
 		saved := append([]byte(nil), pf1.Payload...)
 		pf2, perr := rd.Next()
@@ -210,23 +199,6 @@ func TestNSCodecRoundTrip(t *testing.T) {
 	if err != nil || quota != 17 || len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
 		t.Fatalf("ns-list round trip: %d %v %v", quota, out, err)
 	}
-	hseed, entries, names, err := DecodeShardHashesNS(
-		AppendShardHashesNS(nil, 42, []ShardHash{{Size: 9, Hash: [32]byte{5}}}, []string{"acme", "globex"}))
-	if err != nil || hseed != 42 || len(entries) != 1 || len(names) != 2 || names[1] != "globex" {
-		t.Fatalf("ns shard-hash round trip: %d %v %v %v", hseed, entries, names, err)
-	}
-	// The bare form must keep decoding with names == nil.
-	_, _, names, err = DecodeShardHashesNS(AppendShardHashes(nil, 42, []ShardHash{{Size: 9}}))
-	if err != nil || names != nil {
-		t.Fatalf("bare shard-hash decodes names=%v err=%v", names, err)
-	}
-	sh, hash, off, ml, ns, err := DecodeSyncReqNS(AppendSyncReqNS(nil, 3, [32]byte{7}, 64, 512, "acme"))
-	if err != nil || sh != 3 || hash != ([32]byte{7}) || off != 64 || ml != 512 || ns != "acme" {
-		t.Fatalf("ns sync-req round trip: %d %v %d %d %q %v", sh, hash, off, ml, ns, err)
-	}
-	if _, _, _, _, ns, err = DecodeSyncReqNS(AppendSyncReq(nil, 3, [32]byte{7}, 64, 512)); err != nil || ns != "" {
-		t.Fatalf("bare sync-req decodes ns=%q err=%v", ns, err)
-	}
 }
 
 // TestNSCodecCountValidation drives each namespace decoder with hostile
@@ -260,14 +232,14 @@ func TestNSCodecCountValidation(t *testing.T) {
 		t.Error("ns-list with short payload accepted")
 	}
 	// shard-hash namespace table with a hostile count.
-	withTable := AppendShardHashes(nil, 1, nil)
+	withTable := AppendShardHashes(nil, 1, nil, nil)
 	withTable = AppendU32(withTable, 1<<30)
-	if _, _, _, err := DecodeShardHashesNS(withTable); err == nil {
+	if _, _, _, err := DecodeShardHashes(withTable); err == nil {
 		t.Error("shard-hash namespace table with hostile count accepted")
 	}
 	// sync request with garbage after the name.
-	bad := append(AppendSyncReqNS(nil, 0, [32]byte{}, 0, 0, "acme"), 0x01)
-	if _, _, _, _, _, err := DecodeSyncReqNS(bad); err == nil {
+	bad := append(AppendSyncReq(nil, 0, [32]byte{}, 0, 0, "acme"), 0x01)
+	if _, _, _, _, _, err := DecodeSyncReq(bad); err == nil {
 		t.Error("sync request with trailing bytes accepted")
 	}
 }

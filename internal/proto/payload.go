@@ -367,67 +367,120 @@ const (
 
 // AppendShardHashes appends an OpShardHash reply: the routing seed, a
 // shard count, then each shard's committed image size and SHA-256 in
-// shard order.
-func AppendShardHashes(dst []byte, hseed uint64, entries []ShardHash) []byte {
+// shard order, then (when names is non-empty) a name count and each
+// committed namespace name. The names let a replica discover the
+// primary's tenants in one round; a reply for a SINGLE tenant's cell
+// (per-namespace SHARDHASH request) carries no table, and the tenant's
+// derived seed in the hseed field.
+func AppendShardHashes(dst []byte, hseed uint64, entries []ShardHash, names []string) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, hseed)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
 	for _, e := range entries {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Size))
 		dst = append(dst, e.Hash[:]...)
 	}
+	if len(names) == 0 {
+		return dst
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
+	for _, ns := range names {
+		dst = appendNSName(dst, ns)
+	}
 	return dst
 }
 
-// DecodeShardHashes decodes an OpShardHash reply. The count is
-// validated against the actual payload length and MaxSyncShards before
-// allocating.
-func DecodeShardHashes(p []byte) (hseed uint64, entries []ShardHash, err error) {
+// DecodeShardHashes decodes an OpShardHash reply, with or without the
+// trailing namespace-name table (names is nil without one). Both counts
+// are validated against the actual payload length and their caps
+// (MaxSyncShards, MaxListNS) before allocating.
+func DecodeShardHashes(p []byte) (hseed uint64, entries []ShardHash, names []string, err error) {
 	if len(p) < 12 {
-		return 0, nil, fmt.Errorf("proto: shard-hash reply is %d bytes, want >= 12", len(p))
+		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply is %d bytes, want >= 12", len(p))
 	}
 	hseed = binary.BigEndian.Uint64(p)
 	n := binary.BigEndian.Uint32(p[8:])
 	if n > MaxSyncShards {
-		return 0, nil, fmt.Errorf("proto: shard-hash reply claims %d shards, cap %d", n, MaxSyncShards)
+		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply claims %d shards, cap %d", n, MaxSyncShards)
 	}
 	body := p[12:]
-	if uint64(len(body)) != uint64(n)*40 {
-		return 0, nil, fmt.Errorf("proto: shard-hash reply of %d shards has %d payload bytes", n, len(body))
+	if uint64(len(body)) < uint64(n)*40 {
+		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply of %d shards has %d payload bytes", n, len(body))
 	}
 	entries = make([]ShardHash, n)
 	for i := range entries {
 		e := body[i*40 : i*40+40]
 		size := int64(binary.BigEndian.Uint64(e))
 		if size < 0 {
-			return 0, nil, fmt.Errorf("proto: shard-hash entry %d has negative size", i)
+			return 0, nil, nil, fmt.Errorf("proto: shard-hash entry %d has negative size", i)
 		}
 		entries[i].Size = size
 		copy(entries[i].Hash[:], e[8:])
 	}
-	return hseed, entries, nil
+	rest := body[uint64(n)*40:]
+	if len(rest) == 0 {
+		return hseed, entries, nil, nil
+	}
+	if len(rest) < 4 {
+		return 0, nil, nil, fmt.Errorf("proto: shard-hash namespace table is %d bytes, want >= 4", len(rest))
+	}
+	cnt := binary.BigEndian.Uint32(rest)
+	if cnt > MaxListNS {
+		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply claims %d namespaces, cap %d", cnt, MaxListNS)
+	}
+	rest = rest[4:]
+	names = make([]string, 0, cnt)
+	for i := uint32(0); i < cnt; i++ {
+		ns, after, err := decodeNSName(rest)
+		if err != nil {
+			return 0, nil, nil, fmt.Errorf("proto: shard-hash namespace %d: %w", i, err)
+		}
+		names = append(names, ns)
+		rest = after
+	}
+	if len(rest) != 0 {
+		return 0, nil, nil, fmt.Errorf("proto: %d trailing bytes in shard-hash reply", len(rest))
+	}
+	return hseed, entries, names, nil
 }
 
 // AppendSyncReq appends an OpSync request: the shard index, the
 // expected image hash (from a SHARDHASH reply), a byte offset into the
-// image, and the maximum bytes wanted back (0: the server's default;
-// always clamped to MaxSyncChunk).
-func AppendSyncReq(dst []byte, shard uint32, hash [32]byte, offset uint64, maxLen uint32) []byte {
+// image, the maximum bytes wanted back (0: the server's default; always
+// clamped to MaxSyncChunk), and — for a tenant's cell — the namespace
+// name. An empty ns (the default keyspace) adds nothing to the 48
+// fixed bytes.
+func AppendSyncReq(dst []byte, shard uint32, hash [32]byte, offset uint64, maxLen uint32, ns string) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, shard)
 	dst = append(dst, hash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, offset)
-	return binary.BigEndian.AppendUint32(dst, maxLen)
+	dst = binary.BigEndian.AppendUint32(dst, maxLen)
+	if ns != "" {
+		dst = appendNSName(dst, ns)
+	}
+	return dst
 }
 
-// DecodeSyncReq decodes an OpSync request.
-func DecodeSyncReq(p []byte) (shard uint32, hash [32]byte, offset uint64, maxLen uint32, err error) {
-	if len(p) != 48 {
-		return 0, hash, 0, 0, fmt.Errorf("proto: sync request is %d bytes, want 48", len(p))
+// DecodeSyncReq decodes an OpSync request (ns is "" for the default
+// keyspace).
+func DecodeSyncReq(p []byte) (shard uint32, hash [32]byte, offset uint64, maxLen uint32, ns string, err error) {
+	if len(p) < 48 {
+		return 0, hash, 0, 0, "", fmt.Errorf("proto: sync request is %d bytes, want >= 48", len(p))
 	}
 	shard = binary.BigEndian.Uint32(p)
 	copy(hash[:], p[4:36])
 	offset = binary.BigEndian.Uint64(p[36:])
 	maxLen = binary.BigEndian.Uint32(p[44:])
-	return shard, hash, offset, maxLen, nil
+	if len(p) == 48 {
+		return shard, hash, offset, maxLen, "", nil
+	}
+	ns, rest, err := decodeNSName(p[48:])
+	if err != nil {
+		return 0, hash, 0, 0, "", err
+	}
+	if len(rest) != 0 {
+		return 0, hash, 0, 0, "", fmt.Errorf("proto: %d trailing bytes in sync request", len(rest))
+	}
+	return shard, hash, offset, maxLen, ns, nil
 }
 
 // AppendSyncChunk appends an OpSync reply: a more flag (the image has
@@ -613,112 +666,6 @@ func DecodeNSList(p []byte) (quota uint64, entries []NSStat, err error) {
 		return 0, nil, fmt.Errorf("proto: %d trailing bytes in ns-list reply", len(rest))
 	}
 	return quota, entries, nil
-}
-
-// AppendShardHashesNS appends an OpShardHash reply with the committed
-// namespace-name table attached: the standard seed/count/entry section,
-// then (when names is non-empty) a name count and each name. The names
-// let a replica discover the primary's tenants in one round; a reply
-// for a SINGLE tenant's cell (per-namespace SHARDHASH request) uses the
-// plain AppendShardHashes form, with the tenant's derived seed in the
-// hseed field.
-func AppendShardHashesNS(dst []byte, hseed uint64, entries []ShardHash, names []string) []byte {
-	dst = AppendShardHashes(dst, hseed, entries)
-	if len(names) == 0 {
-		return dst
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
-	for _, ns := range names {
-		dst = appendNSName(dst, ns)
-	}
-	return dst
-}
-
-// DecodeShardHashesNS decodes an OpShardHash reply, with or without the
-// trailing namespace-name table (names is nil for the bare form, so
-// pre-namespace payloads decode unchanged).
-func DecodeShardHashesNS(p []byte) (hseed uint64, entries []ShardHash, names []string, err error) {
-	if len(p) < 12 {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply is %d bytes, want >= 12", len(p))
-	}
-	hseed = binary.BigEndian.Uint64(p)
-	n := binary.BigEndian.Uint32(p[8:])
-	if n > MaxSyncShards {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply claims %d shards, cap %d", n, MaxSyncShards)
-	}
-	body := p[12:]
-	if uint64(len(body)) < uint64(n)*40 {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply of %d shards has %d payload bytes", n, len(body))
-	}
-	entries = make([]ShardHash, n)
-	for i := range entries {
-		e := body[i*40 : i*40+40]
-		size := int64(binary.BigEndian.Uint64(e))
-		if size < 0 {
-			return 0, nil, nil, fmt.Errorf("proto: shard-hash entry %d has negative size", i)
-		}
-		entries[i].Size = size
-		copy(entries[i].Hash[:], e[8:])
-	}
-	rest := body[uint64(n)*40:]
-	if len(rest) == 0 {
-		return hseed, entries, nil, nil
-	}
-	if len(rest) < 4 {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash namespace table is %d bytes, want >= 4", len(rest))
-	}
-	cnt := binary.BigEndian.Uint32(rest)
-	if cnt > MaxListNS {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply claims %d namespaces, cap %d", cnt, MaxListNS)
-	}
-	rest = rest[4:]
-	names = make([]string, 0, cnt)
-	for i := uint32(0); i < cnt; i++ {
-		ns, after, err := decodeNSName(rest)
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("proto: shard-hash namespace %d: %w", i, err)
-		}
-		names = append(names, ns)
-		rest = after
-	}
-	if len(rest) != 0 {
-		return 0, nil, nil, fmt.Errorf("proto: %d trailing bytes in shard-hash reply", len(rest))
-	}
-	return hseed, entries, names, nil
-}
-
-// AppendSyncReqNS appends an OpSync request addressing a namespace's
-// cell: the standard 48-byte request plus the tenant name. An empty ns
-// produces the bare 48-byte form (the default keyspace).
-func AppendSyncReqNS(dst []byte, shard uint32, hash [32]byte, offset uint64, maxLen uint32, ns string) []byte {
-	dst = AppendSyncReq(dst, shard, hash, offset, maxLen)
-	if ns != "" {
-		dst = appendNSName(dst, ns)
-	}
-	return dst
-}
-
-// DecodeSyncReqNS decodes an OpSync request, bare or namespaced (ns is
-// "" for the default keyspace).
-func DecodeSyncReqNS(p []byte) (shard uint32, hash [32]byte, offset uint64, maxLen uint32, ns string, err error) {
-	if len(p) < 48 {
-		return 0, hash, 0, 0, "", fmt.Errorf("proto: sync request is %d bytes, want >= 48", len(p))
-	}
-	shard = binary.BigEndian.Uint32(p)
-	copy(hash[:], p[4:36])
-	offset = binary.BigEndian.Uint64(p[36:])
-	maxLen = binary.BigEndian.Uint32(p[44:])
-	if len(p) == 48 {
-		return shard, hash, offset, maxLen, "", nil
-	}
-	ns, rest, err := decodeNSName(p[48:])
-	if err != nil {
-		return 0, hash, 0, 0, "", err
-	}
-	if len(rest) != 0 {
-		return 0, hash, 0, 0, "", fmt.Errorf("proto: %d trailing bytes in sync request", len(rest))
-	}
-	return shard, hash, offset, maxLen, ns, nil
 }
 
 // AppendError appends an OpError payload: the code plus a human-readable

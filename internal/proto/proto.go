@@ -14,29 +14,27 @@ import (
 // of the paper's structures, not a protocol limitation.
 type Item = hipma.Item
 
-// Version is the protocol version spoken by this package. Every frame
-// carries it; a peer that receives a frame with a version it does not
-// speak must reject it with ErrCodeVersion and may close the
-// connection.
-// Version 2 added the HEALTH/PROMOTE opcodes and stamped every read
-// reply with the serving node's checkpoint epoch (bounded staleness).
-// Version 3 added the namespace opcodes (NSPUT/NSGET/NSDEL/DROPNS/
-// LISTNS), per-namespace SHARDHASH/SYNC addressing, and ErrCodeQuota.
-// Version 4 added the optional trace-context extension after the
-// request id (a header layout change, hence the bump): extlen(1), then
-// — when extlen is TraceExtLen — trace id(8), parent span id(8),
-// flags(1). Servers keep speaking version 3 to version-3 clients: a
-// reply always carries its request's version.
+// Version is the protocol version spoken by this package, and the only
+// one: every frame carries it, and a peer that receives a frame with
+// any other version byte rejects it with ErrCodeVersion and closes the
+// connection. Version 2 added the HEALTH/PROMOTE opcodes and stamped
+// every read reply with the serving node's checkpoint epoch (bounded
+// staleness). Version 3 added the namespace opcodes (NSPUT/NSGET/NSDEL/
+// DROPNS/LISTNS), per-namespace SHARDHASH/SYNC addressing, and
+// ErrCodeQuota. Version 4 added the optional trace-context extension
+// after the request id (a header layout change, hence the bump):
+// extlen(1), then — when extlen is TraceExtLen — trace id(8), parent
+// span id(8), flags(1).
 const Version = 4
 
-// HeaderSize is the fixed frame overhead shared by every version: the
-// 4-byte length prefix plus version, opcode, and request id. Version-4
-// frames carry at least one more byte (the extension length).
+// HeaderSize is the frame overhead up to and including the request id:
+// the 4-byte length prefix plus version, opcode, and request id. Every
+// frame carries at least one more byte (the extension length).
 const HeaderSize = 4 + 1 + 1 + 8
 
 // TraceExtLen is the size of a present trace-context extension: trace
-// id(8), parent span id(8), flags(1). A version-4 frame's extlen byte
-// is either 0 or exactly TraceExtLen.
+// id(8), parent span id(8), flags(1). A frame's extlen byte is either 0
+// or exactly TraceExtLen.
 const TraceExtLen = 8 + 8 + 1
 
 // traceFlagSampled marks a head-sampled request; all other flag bits
@@ -190,7 +188,7 @@ func ErrCodeName(code byte) string {
 	return fmt.Sprintf("ErrCode(0x%02x)", code)
 }
 
-// TraceCtx is the optional version-4 trace-context extension: the
+// TraceCtx is the optional trace-context extension: the
 // request's trace id, the sender's span id (the parent of whatever
 // span the receiver opens), and the head-sample decision. A zero ID
 // means "no context" — frames encode the extension only when ID is
@@ -208,7 +206,7 @@ type Frame struct {
 	Ver     byte
 	Op      byte
 	ID      uint64
-	Trace   TraceCtx // version >= 4 only; zero ID means absent
+	Trace   TraceCtx // zero ID means absent
 	Payload []byte
 }
 
@@ -222,16 +220,8 @@ var ErrShortFrame = errors.New("proto: incomplete frame")
 
 // AppendFrame appends the encoded frame to dst and returns the extended
 // slice. It does not enforce the payload cap; writers construct their
-// own payloads and the cap protects readers. Frames with Ver < 4 use
-// the version-3 layout: no extension-length byte, and any TraceCtx is
-// silently omitted (it cannot be represented on that wire).
+// own payloads and the cap protects readers.
 func AppendFrame(dst []byte, f Frame) []byte {
-	if f.Ver < 4 {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(HeaderSize-4+len(f.Payload)))
-		dst = append(dst, f.Ver, f.Op)
-		dst = binary.BigEndian.AppendUint64(dst, f.ID)
-		return append(dst, f.Payload...)
-	}
 	ext := 0
 	if f.Trace.ID != 0 {
 		ext = TraceExtLen
@@ -252,46 +242,36 @@ func AppendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// decodeTraceExt parses a version-4 frame's extension region from body
-// (the bytes after the request id) and returns the trace context and
-// the number of bytes it occupied. Rejections are exact so that
-// encode∘decode stays the identity: the extension length must be 0 or
-// TraceExtLen, a present extension must carry a nonzero trace id, and
-// reserved flag bits must be zero.
-func decodeTraceExt(body []byte) (TraceCtx, int, error) {
-	if len(body) < 1 {
-		return TraceCtx{}, 0, fmt.Errorf("proto: version-4 frame missing extension length")
+// frameLen validates a frame's 4-byte length prefix against the payload
+// cap and returns the number of bytes that follow it: at least the
+// fixed header plus the extlen byte, at most that plus a full extension
+// and maxPayload. The gate admits the extension overhead; DecodeFrame
+// enforces the payload cap exactly once it knows how long the
+// extension is.
+func frameLen(prefix []byte, maxPayload int) (int, error) {
+	n := binary.BigEndian.Uint32(prefix)
+	if n < HeaderSize-4+1 {
+		return 0, fmt.Errorf("proto: frame length %d below header size", n)
 	}
-	extlen := int(body[0])
-	if extlen == 0 {
-		return TraceCtx{}, 1, nil
+	if n > uint32(HeaderSize-4+1+TraceExtLen+maxPayload) {
+		return 0, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+maxPayload)
 	}
-	if extlen != TraceExtLen {
-		return TraceCtx{}, 0, fmt.Errorf("proto: trace extension length %d, want 0 or %d", extlen, TraceExtLen)
-	}
-	if len(body) < 1+TraceExtLen {
-		return TraceCtx{}, 0, fmt.Errorf("proto: frame length too short for trace extension")
-	}
-	tc := TraceCtx{
-		ID:   binary.BigEndian.Uint64(body[1:]),
-		Span: binary.BigEndian.Uint64(body[9:]),
-	}
-	flags := body[17]
-	if tc.ID == 0 {
-		return TraceCtx{}, 0, fmt.Errorf("proto: trace extension with zero trace id")
-	}
-	if flags&^traceFlagSampled != 0 {
-		return TraceCtx{}, 0, fmt.Errorf("proto: reserved trace flag bits 0x%02x set", flags&^traceFlagSampled)
-	}
-	tc.Sampled = flags&traceFlagSampled != 0
-	return tc, 1 + TraceExtLen, nil
+	return int(n), nil
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the
-// frame and the number of bytes consumed. The returned payload aliases
-// b. A frame whose declared payload exceeds maxPayload (<=0 means
-// MaxPayload) fails with ErrFrameTooLarge; a prefix of a valid frame
-// fails with ErrShortFrame.
+// frame and the number of bytes consumed. It is the only function that
+// knows the frame layout — FrameReader.Next reads a frame's bytes and
+// calls it — and the inverse of AppendFrame on every frame it accepts,
+// whatever the version byte says: there is one layout, and refusing a
+// frame whose Ver is not Version is the receiver's job. The returned
+// payload aliases b. A frame whose declared payload exceeds maxPayload
+// (<=0 means MaxPayload) fails with ErrFrameTooLarge; a prefix of a
+// valid frame fails with ErrShortFrame.
+//
+// Rejections are exact so that encode∘decode stays the identity: the
+// extension length must be 0 or TraceExtLen, a present extension must
+// carry a nonzero trace id, and reserved flag bits must be zero.
 func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
 	if maxPayload <= 0 {
 		maxPayload = MaxPayload
@@ -299,16 +279,11 @@ func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
 	if len(b) < 4 {
 		return Frame{}, 0, ErrShortFrame
 	}
-	n := binary.BigEndian.Uint32(b)
-	if n < HeaderSize-4 {
-		return Frame{}, 0, fmt.Errorf("proto: frame length %d below header size", n)
+	n, err := frameLen(b, maxPayload)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	// The length gate admits the version-4 extension overhead; the
-	// payload cap is enforced exactly once the version is known.
-	if n > uint32(HeaderSize-4+1+TraceExtLen+maxPayload) {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+maxPayload)
-	}
-	if len(b) < 4+int(n) {
+	if len(b) < 4+n {
 		return Frame{}, 0, ErrShortFrame
 	}
 	f := Frame{
@@ -316,110 +291,37 @@ func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
 		Op:  b[5],
 		ID:  binary.BigEndian.Uint64(b[6:]),
 	}
-	body := b[HeaderSize : 4+n]
-	if f.Ver >= 4 {
-		tc, ext, err := decodeTraceExt(body)
-		if err != nil {
-			return Frame{}, 0, err
+	body := b[HeaderSize : 4+n] // frameLen guarantees the extlen byte
+	switch extlen := int(body[0]); {
+	case extlen == 0:
+		body = body[1:]
+	case extlen != TraceExtLen:
+		return Frame{}, 0, fmt.Errorf("proto: trace extension length %d, want 0 or %d", extlen, TraceExtLen)
+	case len(body) < 1+TraceExtLen:
+		return Frame{}, 0, fmt.Errorf("proto: frame length too short for trace extension")
+	default:
+		f.Trace.ID = binary.BigEndian.Uint64(body[1:])
+		f.Trace.Span = binary.BigEndian.Uint64(body[9:])
+		flags := body[17]
+		if f.Trace.ID == 0 {
+			return Frame{}, 0, fmt.Errorf("proto: trace extension with zero trace id")
 		}
-		f.Trace = tc
-		body = body[ext:]
+		if flags&^traceFlagSampled != 0 {
+			return Frame{}, 0, fmt.Errorf("proto: reserved trace flag bits 0x%02x set", flags&^traceFlagSampled)
+		}
+		f.Trace.Sampled = flags&traceFlagSampled != 0
+		body = body[1+TraceExtLen:]
 	}
 	if len(body) > maxPayload {
 		return Frame{}, 0, fmt.Errorf("%w: %d payload bytes, cap %d", ErrFrameTooLarge, len(body), maxPayload)
 	}
 	f.Payload = body
-	return f, 4 + int(n), nil
+	return f, 4 + n, nil
 }
 
-// ReadFrame reads exactly one frame from r, allocating at most
-// maxPayload bytes for the payload (<=0 means MaxPayload). It never
-// over-reads: the length prefix is validated before the body is read.
-func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	if maxPayload <= 0 {
-		maxPayload = MaxPayload
-	}
-	var hdr [HeaderSize + 1 + TraceExtLen]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < HeaderSize-4 {
-		return Frame{}, fmt.Errorf("proto: frame length %d below header size", n)
-	}
-	if n > uint32(HeaderSize-4+1+TraceExtLen+maxPayload) {
-		return Frame{}, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+maxPayload)
-	}
-	if _, err := io.ReadFull(r, hdr[4:HeaderSize]); err != nil {
-		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
-	}
-	f := Frame{
-		Ver: hdr[4],
-		Op:  hdr[5],
-		ID:  binary.BigEndian.Uint64(hdr[6:]),
-	}
-	body := int(n) - (HeaderSize - 4)
-	if f.Ver >= 4 {
-		ext, err := readTraceExt(r, hdr[HeaderSize:], body)
-		if err != nil {
-			return Frame{}, err
-		}
-		f.Trace, _, err = decodeTraceExt(hdr[HeaderSize : HeaderSize+ext])
-		if err != nil {
-			return Frame{}, err
-		}
-		body -= ext
-	}
-	if body > maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d payload bytes, cap %d", ErrFrameTooLarge, body, maxPayload)
-	}
-	if body > 0 {
-		f.Payload = make([]byte, body)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("proto: reading frame payload: %w", err)
-		}
-	}
-	return f, nil
-}
-
-// readTraceExt reads a version-4 frame's extension region (the extlen
-// byte, plus the extension itself when the byte announces one) into
-// scratch and returns the number of bytes read. body is the declared
-// byte count remaining after the request id.
-func readTraceExt(r io.Reader, scratch []byte, body int) (int, error) {
-	if body < 1 {
-		return 0, fmt.Errorf("proto: version-4 frame missing extension length")
-	}
-	if _, err := io.ReadFull(r, scratch[:1]); err != nil {
-		return 0, fmt.Errorf("proto: reading trace extension length: %w", err)
-	}
-	extlen := int(scratch[0])
-	if extlen == 0 {
-		return 1, nil
-	}
-	if extlen != TraceExtLen {
-		return 0, fmt.Errorf("proto: trace extension length %d, want 0 or %d", extlen, TraceExtLen)
-	}
-	if body < 1+TraceExtLen {
-		return 0, fmt.Errorf("proto: frame length too short for trace extension")
-	}
-	if _, err := io.ReadFull(r, scratch[1:1+TraceExtLen]); err != nil {
-		return 0, fmt.Errorf("proto: reading trace extension: %w", err)
-	}
-	return 1 + TraceExtLen, nil
-}
-
-// WriteFrame encodes f and writes it to w in one call.
-func WriteFrame(w io.Writer, f Frame) error {
-	buf := AppendFrame(make([]byte, 0, HeaderSize+len(f.Payload)), f)
-	_, err := w.Write(buf)
-	return err
-}
-
-// FrameReader decodes a stream of frames into one reusable payload
-// buffer, so a long-lived connection's read loop allocates nothing at
-// steady state (ReadFrame, by contrast, allocates a fresh payload per
-// frame). The buffer grows to the largest payload seen and is retained,
+// FrameReader decodes a stream of frames through one reusable buffer,
+// so a long-lived connection's read loop allocates nothing at steady
+// state. The buffer grows to the largest frame seen and is retained,
 // bounded by the reader's payload cap.
 //
 // ALIASING CONTRACT: the payload returned by Next aliases the internal
@@ -430,13 +332,8 @@ func WriteFrame(w io.Writer, f Frame) error {
 // semantics.
 type FrameReader struct {
 	r          io.Reader
-	buf        []byte
+	buf        []byte // the current frame, length prefix included
 	maxPayload int
-	// hdr lives in the struct rather than Next's frame so the interface
-	// call to io.ReadFull cannot force a per-frame heap allocation. It
-	// is sized for the longest fixed region: header plus the version-4
-	// extension-length byte and a full trace extension.
-	hdr [HeaderSize + 1 + TraceExtLen]byte
 }
 
 // NewFrameReader returns a FrameReader over r with the given payload
@@ -445,57 +342,31 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	if maxPayload <= 0 {
 		maxPayload = MaxPayload
 	}
-	return &FrameReader{r: r, maxPayload: maxPayload}
+	// 64 bytes hold any point op, so a connection's first few frames
+	// do not each regrow the buffer.
+	return &FrameReader{r: r, maxPayload: maxPayload, buf: make([]byte, 4, 64)}
 }
 
-// Next reads and decodes one frame. It never over-reads (the length
-// prefix is validated before the body is read) and never allocates
-// beyond the payload cap. The returned frame's payload is valid only
-// until the next call — see the aliasing contract above.
+// Next reads one frame's bytes and decodes them with DecodeFrame. It
+// never over-reads and never allocates beyond the payload cap: the
+// length prefix is validated before the buffer grows to hold the bytes
+// it announces. The returned frame's payload is valid only until the
+// next call — see the aliasing contract above.
 func (fr *FrameReader) Next() (Frame, error) {
-	hdr := fr.hdr[:]
-	if _, err := io.ReadFull(fr.r, hdr[:4]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.buf[:4]); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n < HeaderSize-4 {
-		return Frame{}, fmt.Errorf("proto: frame length %d below header size", n)
+	n, err := frameLen(fr.buf, fr.maxPayload)
+	if err != nil {
+		return Frame{}, err
 	}
-	if n > uint32(HeaderSize-4+1+TraceExtLen+fr.maxPayload) {
-		return Frame{}, fmt.Errorf("%w: %d bytes, cap %d", ErrFrameTooLarge, n, HeaderSize-4+fr.maxPayload)
+	if cap(fr.buf) < 4+n {
+		fr.buf = append(make([]byte, 0, 4+n), fr.buf[:4]...)
 	}
-	if _, err := io.ReadFull(fr.r, hdr[4:HeaderSize]); err != nil {
-		return Frame{}, fmt.Errorf("proto: reading frame header: %w", err)
+	fr.buf = fr.buf[:4+n]
+	if _, err := io.ReadFull(fr.r, fr.buf[4:]); err != nil {
+		return Frame{}, fmt.Errorf("proto: reading frame body: %w", err)
 	}
-	f := Frame{
-		Ver: hdr[4],
-		Op:  hdr[5],
-		ID:  binary.BigEndian.Uint64(hdr[6:]),
-	}
-	body := int(n) - (HeaderSize - 4)
-	if f.Ver >= 4 {
-		ext, err := readTraceExt(fr.r, hdr[HeaderSize:], body)
-		if err != nil {
-			return Frame{}, err
-		}
-		f.Trace, _, err = decodeTraceExt(hdr[HeaderSize : HeaderSize+ext])
-		if err != nil {
-			return Frame{}, err
-		}
-		body -= ext
-	}
-	if body > fr.maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d payload bytes, cap %d", ErrFrameTooLarge, body, fr.maxPayload)
-	}
-	if body > 0 {
-		if cap(fr.buf) < body {
-			fr.buf = make([]byte, body)
-		}
-		fr.buf = fr.buf[:body]
-		if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-			return Frame{}, fmt.Errorf("proto: reading frame payload: %w", err)
-		}
-		f.Payload = fr.buf
-	}
-	return f, nil
+	f, _, err := DecodeFrame(fr.buf, fr.maxPayload)
+	return f, err
 }

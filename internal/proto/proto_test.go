@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,9 +23,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	// Streaming reads.
-	r := bytes.NewReader(wire)
+	r := NewFrameReader(bytes.NewReader(wire), 0)
 	for i, want := range frames {
-		got, err := ReadFrame(r, 0)
+		got, err := r.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -33,7 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(r, 0); err != io.EOF {
+	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("after last frame: %v, want EOF", err)
 	}
 
@@ -65,7 +66,7 @@ func TestFrameHostile(t *testing.T) {
 	if _, _, err := DecodeFrame(huge, 0); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized length: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(huge), 0); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := NewFrameReader(bytes.NewReader(huge), 0).Next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized length (stream): %v", err)
 	}
 	// An incomplete frame asks for more bytes.
@@ -135,19 +136,28 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("error: %d %q %v", code, msg, err)
 	}
 
-	entries := []ShardHash{{Size: 100, Hash: [32]byte{1}}, {Size: 0, Hash: [32]byte{0xAA}}}
-	hseed, gotEntries, err := DecodeShardHashes(AppendShardHashes(nil, 0xdead, entries))
-	if err != nil || hseed != 0xdead || len(gotEntries) != 2 ||
-		gotEntries[0] != entries[0] || gotEntries[1] != entries[1] {
-		t.Fatalf("shard hashes: %x %v %v", hseed, gotEntries, err)
+	// SHARDHASH replies and SYNC requests, each with and without its
+	// namespace tail: no name table (a tenant's cell, or a primary with
+	// no tenants) decodes to nil names, no name to the default keyspace.
+	for _, tc := range []struct {
+		entries []ShardHash
+		names   []string
+	}{
+		{entries: []ShardHash{{Size: 100, Hash: [32]byte{1}}, {Size: 0, Hash: [32]byte{0xAA}}}},
+		{},
+		{entries: []ShardHash{{Size: 9, Hash: [32]byte{5}}}, names: []string{"acme", "globex"}},
+	} {
+		hseed, entries, names, err := DecodeShardHashes(AppendShardHashes(nil, 0xdead, tc.entries, tc.names))
+		if err != nil || hseed != 0xdead || !slices.Equal(entries, tc.entries) || !slices.Equal(names, tc.names) ||
+			(tc.names == nil) != (names == nil) {
+			t.Fatalf("shard hashes %v %v: %x %v %v %v", tc.entries, tc.names, hseed, entries, names, err)
+		}
 	}
-	if _, e0, err := DecodeShardHashes(AppendShardHashes(nil, 1, nil)); err != nil || len(e0) != 0 {
-		t.Fatalf("empty shard hashes: %v %v", e0, err)
-	}
-
-	sh, h, off, maxLen, err := DecodeSyncReq(AppendSyncReq(nil, 9, [32]byte{7, 7}, 1<<40, 512))
-	if err != nil || sh != 9 || h != ([32]byte{7, 7}) || off != 1<<40 || maxLen != 512 {
-		t.Fatalf("sync req: %d %x %d %d %v", sh, h[:2], off, maxLen, err)
+	for _, ns := range []string{"", "acme"} {
+		sh, h, off, maxLen, gotNS, err := DecodeSyncReq(AppendSyncReq(nil, 9, [32]byte{7, 7}, 1<<40, 512, ns))
+		if err != nil || sh != 9 || h != ([32]byte{7, 7}) || off != 1<<40 || maxLen != 512 || gotNS != ns {
+			t.Fatalf("sync req %q: %d %x %d %d %q %v", ns, sh, h[:2], off, maxLen, gotNS, err)
+		}
 	}
 	data, more, err := DecodeSyncChunk(AppendSyncChunk(nil, true, []byte("bytes")))
 	if err != nil || !more || string(data) != "bytes" {
@@ -196,15 +206,15 @@ func TestHostilePayloads(t *testing.T) {
 	// holds, or more than the protocol ceiling, must be rejected before
 	// any count-sized allocation.
 	lie = append(make([]byte, 8), 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, _, err := DecodeShardHashes(lie); err == nil {
+	if _, _, _, err := DecodeShardHashes(lie); err == nil {
 		t.Fatal("shard-hash count lie accepted")
 	}
 	overCap := append(make([]byte, 8), 0x00, 0x01, 0x00, 0x00) // 65536 > MaxSyncShards
 	overCap = append(overCap, make([]byte, 65536*40)...)
-	if _, _, err := DecodeShardHashes(overCap); err == nil {
+	if _, _, _, err := DecodeShardHashes(overCap); err == nil {
 		t.Fatal("shard-hash count over MaxSyncShards accepted")
 	}
-	if _, _, _, _, err := DecodeSyncReq(make([]byte, 47)); err == nil {
+	if _, _, _, _, _, err := DecodeSyncReq(make([]byte, 47)); err == nil {
 		t.Fatal("short sync request accepted")
 	}
 	if _, _, err := DecodeSyncChunk(nil); err == nil {

@@ -30,7 +30,7 @@ func serveLyingPrimary(nc net.Conn, shards int) {
 			for i := range entries {
 				entries[i] = proto.ShardHash{Size: 1 << 62, Hash: [32]byte{byte(i + 1)}}
 			}
-			payload = proto.AppendShardHashesNS(nil, 99, entries, nil)
+			payload = proto.AppendShardHashes(nil, 99, entries, nil)
 		case proto.OpSync:
 			payload = proto.AppendSyncChunk(nil, false, []byte("not an image"))
 		}

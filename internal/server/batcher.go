@@ -29,13 +29,12 @@ type writeReq struct {
 	in int       // request payload bytes, for the slow-op log
 
 	// Wire context carried across the goroutine hop: the request
-	// frame's protocol version (the reply echoes it) and trace context,
-	// plus the decode-done timestamp for the decode child span. The
-	// batcher must read these, never the conn's reader-goroutine
-	// per-request fields. Zero for sweeper ops.
-	td  time.Time
-	ver byte
-	tc  proto.TraceCtx
+	// frame's trace context (the reply echoes it), plus the decode-done
+	// timestamp for the decode child span. The batcher must read these,
+	// never the conn's reader-goroutine per-request fields. Zero for
+	// sweeper ops.
+	td time.Time
+	tc proto.TraceCtx
 }
 
 // batcher is the server-wide write coalescer: a single goroutine that
@@ -317,17 +316,30 @@ func (b *batcher) applyDrop(r writeReq, tw time.Time) {
 // reply sends one write's reply — b.pscratch, an error payload when
 // errCode is nonzero — and records the request's latency, span tree
 // and slow-op line. batch is the size of the ApplyBatch that carried
-// the write (0: none did); tw and ta bound its apply phase; tid/sid
-// are traceWrite's preminted identity. Error replies are counted and
-// traced, but not timed. The slow-op record never carries the tenant
-// name or key.
+// the write (0: none did — a DROPNS or a quota refusal — which
+// suppresses the batch span); tw and ta bound its apply phase. Error
+// replies are counted and traced, but not timed. The slow-op record
+// never carries the tenant name or key.
+//
+// The span tree is the server root (parented under the client's span)
+// with decode / coalesce-wait / batch / apply / encode children.
+// tid/sid nonzero mean the identity was preminted and the request is
+// kept unconditionally (DROPNS — the span ids had to exist before the
+// apply so the durable layer could parent its checkpoint span);
+// otherwise the keep rule is head-sampled || error || slow. The first
+// two are known before the send, so the identity is minted first and
+// sendFrame arms the flush attribution together with the reply; a keep
+// decided only by slowness arms it afterwards (see noteFlushTrace).
 func (b *batcher) reply(r writeReq, errCode byte, batch int, tw, ta time.Time, tid, sid uint64) {
 	op := r.op | proto.FlagReply
 	if errCode != 0 {
 		op = proto.OpError
 		b.st.errors.Add(1)
 	}
-	r.c.sendFrame(op, r.id, b.pscratch, r.ver, r.tc)
+	if b.tr != nil && sid == 0 && (errCode != 0 || headKeep(b.tr, r.tc)) {
+		tid, sid = mintSpan(b.tr, r.tc)
+	}
+	r.c.sendFrame(op, r.id, b.pscratch, r.tc, tid, sid)
 	r.c.pending.Done()
 
 	now := time.Now()
@@ -335,10 +347,22 @@ func (b *batcher) reply(r writeReq, errCode byte, batch int, tw, ta time.Time, t
 	if h := b.sm.ops[r.op]; h != nil && errCode == 0 {
 		h.Observe(int64(total))
 	}
+	slow := b.slow.Slow(total)
 	if b.tr != nil {
-		tid = b.traceWrite(r, errCode, len(b.pscratch), batch, tw, ta, now, tid, sid)
+		if sid == 0 && slow {
+			tid, sid = mintSpan(b.tr, r.tc)
+			r.c.noteFlushTrace(tid, sid)
+		}
+		if sid != 0 {
+			r.c.recordTree(trace.Span{
+				Trace: tid, ID: sid, Parent: r.tc.Span,
+				Start: r.t0.UnixNano(), Dur: int64(total),
+				Kind: trace.KindServer, Op: r.op, Err: errCode, Shard: int32(b.shardOf(r)),
+				In: int32(r.in), Out: int32(len(b.pscratch)),
+			}, batch, r.t0, r.td, tw, ta, now)
+		}
 	}
-	if errCode == 0 && b.slow.Slow(total) {
+	if errCode == 0 && slow {
 		b.slow.Record(obs.SlowOp{
 			Op: opLabels[r.op], ReqID: r.id, Shard: b.shardOf(r),
 			BytesIn: r.in, BytesOut: len(b.pscratch), Batch: batch,
@@ -356,36 +380,6 @@ func (b *batcher) shardOf(r writeReq) int {
 		return -1
 	}
 	return b.db.Store().ShardOf(r.key)
-}
-
-// traceWrite records one coalesced write's span tree when the request
-// is kept: the server root (parented under the client's span), then
-// decode / coalesce-wait / batch / apply / encode children, flush
-// attribution on the connection, and the opcode histogram's exemplar.
-// tid/sid nonzero mean the identity was preminted and the request is
-// kept unconditionally (DROPNS — the span ids had to exist before the
-// apply so the durable layer could parent its checkpoint span);
-// otherwise the keep rule is sampled (by the client, or by the server
-// for requests arriving with no trace context) || slow || error.
-// Returns the kept trace id (0: not kept). batch 0 suppresses the
-// batch span — a DROPNS or a quota refusal rode no ApplyBatch.
-func (b *batcher) traceWrite(r writeReq, errCode byte, out, batch int, tw, ta, now time.Time, tid, sid uint64) uint64 {
-	tr := b.tr
-	total := now.Sub(r.t0)
-	if sid == 0 {
-		if !(r.tc.Sampled || errCode != 0 || b.slow.Slow(total) ||
-			(r.tc.ID == 0 && tr.Sample())) {
-			return 0
-		}
-		tid, sid = mintSpan(tr, r.tc)
-	}
-	r.c.recordTree(trace.Span{
-		Trace: tid, ID: sid, Parent: r.tc.Span,
-		Start: r.t0.UnixNano(), Dur: int64(total),
-		Kind: trace.KindServer, Op: r.op, Err: errCode, Shard: int32(b.shardOf(r)),
-		In: int32(r.in), Out: int32(out),
-	}, batch, r.t0, r.td, tw, ta, now)
-	return tid
 }
 
 // drain greedily moves queued writes into reqs without blocking, up to

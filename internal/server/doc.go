@@ -6,12 +6,16 @@
 //
 // # Connection model
 //
-// Each connection gets two goroutines: a reader that decodes frames and
-// dispatches them, and a writer that serializes replies from a channel
-// through a buffered writer, flushing when the queue goes idle — so a
-// burst of pipelined replies costs one syscall, not one per reply.
-// Replies carry the request id of the frame they answer and may be
-// written out of request order.
+// Each connection gets two goroutines: a reader that decodes frames
+// (one proto.FrameReader per connection) and dispatches them, and a
+// writer. Replies are encoded straight into the connection's outbound
+// byte buffer as they are produced; the writer swaps that buffer for a
+// spare and writes the whole burst with one syscall, so pipelined
+// replies cost one write per burst, not one per reply. Replies carry
+// the request id of the frame they answer and may be written out of
+// request order. A frame whose version byte is not proto.Version is
+// answered with ErrCodeVersion and the connection closed; there is one
+// frame layout and no compatibility mode.
 //
 // # Write coalescing
 //

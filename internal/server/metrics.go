@@ -131,14 +131,27 @@ func physicalLen(db *durable.DB) int {
 // runs from ta to now. For key-addressed ops hasKey routes the slow-op
 // record's shard index; the key itself never reaches telemetry.
 //
-// When tracing is on and the request is kept — head-sampled by the
-// client, slow, or carrying preminted ids (CHECKPOINT) — replyInline
-// records the server span plus its four phase children, arms the
-// connection's flush attribution, and feeds the opcode histogram's
-// exemplar slot; the slow-op record then carries the trace id. Runs
-// on the reader goroutine only (reqT/preTID/preSID are safe to read).
+// When tracing is on and the request is kept, replyInline records the
+// server span plus its four phase children and feeds the opcode
+// histogram's exemplar slot; the slow-op record then carries the trace
+// id. A keep known before the reply is sent — preminted ids
+// (CHECKPOINT) or a head sample — mints the span identity first and
+// hands it to sendFrame, which arms the flush attribution together
+// with the reply; a keep decided only by slowness arms it afterwards
+// (see noteFlushTrace). Runs on the reader goroutine only
+// (reqT/preTID/preSID are safe to read).
 func (c *conn) replyInline(f proto.Frame, payload []byte, key int64, hasKey bool, t0, td, tw, ta time.Time) {
-	c.sendFrame(f.Op|proto.FlagReply, f.ID, payload, c.reqVer, c.reqT)
+	tr := c.srv.tr
+	var tid, sid uint64
+	if tr != nil {
+		if sid = c.preSID; sid != 0 {
+			tid = c.preTID
+			c.preTID, c.preSID = 0, 0
+		} else if headKeep(tr, c.reqT) {
+			tid, sid = mintSpan(tr, c.reqT)
+		}
+	}
+	c.sendFrame(f.Op|proto.FlagReply, f.ID, payload, c.reqT, tid, sid)
 	sm := c.srv.sm
 	te := time.Now()
 	sm.phaseDecode.Observe(int64(td.Sub(t0)))
@@ -151,23 +164,15 @@ func (c *conn) replyInline(f proto.Frame, payload []byte, key int64, hasKey bool
 	}
 	slow := c.srv.slow.Slow(total)
 	shard := -1
-	if hasKey && (slow || c.srv.tr != nil) {
+	if hasKey && (slow || tr != nil) {
 		shard = c.srv.db.Store().ShardOf(key)
 	}
-	var tid uint64
-	if tr := c.srv.tr; tr != nil {
-		sid := c.preSID
-		// An untraced request (no wire context) is the server's own to
-		// head-sample; a traced one defers to the client's decision.
-		keep := sid != 0 || c.reqT.Sampled || slow ||
-			(c.reqT.ID == 0 && tr.Sample())
-		if keep {
-			if sid != 0 {
-				tid = c.preTID
-				c.preTID, c.preSID = 0, 0
-			} else {
-				tid, sid = mintSpan(tr, c.reqT)
-			}
+	if tr != nil {
+		if sid == 0 && slow {
+			tid, sid = mintSpan(tr, c.reqT)
+			c.noteFlushTrace(tid, sid)
+		}
+		if sid != 0 {
 			c.recordTree(trace.Span{
 				Trace: tid, ID: sid, Parent: c.reqT.Span,
 				Start: t0.UnixNano(), Dur: int64(total),
@@ -187,6 +192,14 @@ func (c *conn) replyInline(f proto.Frame, payload []byte, key int64, hasKey bool
 	}
 }
 
+// headKeep reports whether a request's trace is kept by head sampling,
+// the one keep rule both reply paths can evaluate before the reply is
+// sent: a request that arrived with a trace context defers to the
+// client's decision, one with none is the server's own to sample.
+func headKeep(tr *trace.Store, tc proto.TraceCtx) bool {
+	return tc.Sampled || (tc.ID == 0 && tr.Sample())
+}
+
 // mintSpan returns the identity a kept request's server span records
 // under: the trace id the request arrived with — a fresh one if it
 // carried none — and a fresh span id.
@@ -200,11 +213,11 @@ func mintSpan(tr *trace.Store, tc proto.TraceCtx) (tid, sid uint64) {
 // recordTree records a kept request's span tree: root — the server
 // span, already parented under the client's — then its decode /
 // coalesce-wait / batch / apply / encode children from the phase
-// boundaries t0 ≤ td ≤ tw ≤ ta ≤ te, the connection's flush
-// attribution, and the opcode histogram's exemplar. batch is the size
-// of the ApplyBatch that carried the request; 0 suppresses the batch
-// span. Called from the reader goroutine (inline ops) and from the
-// coalescer (writes), so it reads no per-request conn state.
+// boundaries t0 ≤ td ≤ tw ≤ ta ≤ te, and the opcode histogram's
+// exemplar. The flush span is the writer's, armed by the caller. batch
+// is the size of the ApplyBatch that carried the request; 0 suppresses
+// the batch span. Called from the reader goroutine (inline ops) and
+// from the coalescer (writes), so it reads no per-request conn state.
 func (c *conn) recordTree(root trace.Span, batch int, t0, td, tw, ta, te time.Time) {
 	tr := c.srv.tr
 	tr.Record(root)
@@ -219,7 +232,6 @@ func (c *conn) recordTree(root trace.Span, batch int, t0, td, tw, ta, te time.Ti
 	}
 	child(trace.KindApply, tw, ta, 0)
 	child(trace.KindEncode, ta, te, 0)
-	c.noteFlushTrace(root.Trace, root.ID)
 	if h := c.srv.sm.ops[root.Op]; h != nil {
 		h.Exemplar(root.Dur, root.Trace)
 	}

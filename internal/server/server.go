@@ -436,7 +436,8 @@ func (s *Server) ServeConn(nc net.Conn) {
 func (s *Server) refuse(nc net.Conn, code byte, msg string) {
 	go func() {
 		nc.SetWriteDeadline(time.Now().Add(time.Second))
-		proto.WriteFrame(nc, errorFrame(0, code, msg))
+		nc.Write(proto.AppendFrame(nil, proto.Frame{
+			Ver: proto.Version, Op: proto.OpError, Payload: proto.AppendError(nil, code, msg)}))
 		nc.Close()
 	}()
 }
@@ -555,17 +556,14 @@ type conn struct {
 	rangeBuf []proto.Item
 
 	// Per-request wire state, written by readLoop before dispatch and
-	// read only on the reader goroutine: the frame's protocol version
-	// (replies echo it, which is what keeps v3 clients working against
-	// a v4 server) and its trace context. Coalesced writes carry copies
-	// in their writeReq instead — the batcher goroutine must never read
-	// these fields. reqOp/reqT0 let sendError record an error span for
-	// a traced request without threading more parameters through every
-	// decode-failure path.
-	reqVer byte
-	reqT   proto.TraceCtx
-	reqOp  byte
-	reqT0  time.Time
+	// read only on the reader goroutine: the frame's trace context.
+	// Coalesced writes carry a copy in their writeReq instead — the
+	// batcher goroutine must never read these fields. reqOp/reqT0 let
+	// sendError record an error span for a traced request without
+	// threading more parameters through every decode-failure path.
+	reqT  proto.TraceCtx
+	reqOp byte
+	reqT0 time.Time
 
 	// A span identity preminted before an inline apply, for ops that
 	// must hand their trace to a lower layer mid-flight (CHECKPOINT
@@ -575,11 +573,13 @@ type conn struct {
 	preTID uint64
 	preSID uint64
 
-	// The trace identity awaiting the next flush, set by whichever
-	// goroutine keeps a span tree (reader or batcher) and consumed by
-	// the writer after its Write returns, all under qmu. A flush
-	// carries many replies; attribution goes to the last kept request
-	// — approximate by design, like the flush phase histogram itself.
+	// The trace identity awaiting the next flush, set under qmu by
+	// whichever goroutine keeps a span tree (reader or batcher) — by
+	// sendFrame together with the reply when the keep was decided before
+	// the send, by noteFlushTrace otherwise — and consumed by the writer
+	// after its Write returns. A flush carries many replies; attribution
+	// goes to the last kept request — approximate by design, like the
+	// flush phase histogram itself.
 	flushTID uint64
 	flushSID uint64
 }
@@ -609,14 +609,17 @@ func (c *conn) markDone() {
 // Replies after end-of-stream are dropped; a peer whose queue is full
 // (it stopped reading) is disconnected.
 //
-// ver and tc are the request's protocol version and trace context,
-// passed explicitly because sendFrame runs on both the reader
-// goroutine (inline ops) and the coalescer goroutine (batched writes)
-// — per-conn "current request" fields would race. The reply is
-// encoded in the request's version (a v3 frame simply has nowhere to
-// put tc, and AppendFrame omits it) and echoes the trace context so
-// the client can confirm the server saw its ids.
-func (c *conn) sendFrame(op byte, id uint64, payload []byte, ver byte, tc proto.TraceCtx) {
+// tc is the request's trace context, passed explicitly because
+// sendFrame runs on both the reader goroutine (inline ops) and the
+// coalescer goroutine (batched writes) — per-conn "current request"
+// fields would race. The reply echoes it so the client can confirm the
+// server saw its ids.
+//
+// ftid/fsid nonzero are the span identity of a request whose trace is
+// already known to be kept: they arm the flush attribution in the same
+// critical section that queues the reply, so the flush that carries
+// this frame cannot run before it is armed.
+func (c *conn) sendFrame(op byte, id uint64, payload []byte, tc proto.TraceCtx, ftid, fsid uint64) {
 	c.qmu.Lock()
 	if c.qdone {
 		c.qmu.Unlock()
@@ -627,8 +630,11 @@ func (c *conn) sendFrame(op byte, id uint64, payload []byte, ver byte, tc proto.
 		c.close()
 		return
 	}
-	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: ver, Op: op, ID: id, Payload: payload, Trace: tc})
+	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: proto.Version, Op: op, ID: id, Payload: payload, Trace: tc})
 	c.nq++
+	if fsid != 0 {
+		c.flushTID, c.flushSID = ftid, fsid
+	}
 	c.qmu.Unlock()
 	select {
 	case c.qsig <- struct{}{}:
@@ -636,22 +642,16 @@ func (c *conn) sendFrame(op byte, id uint64, payload []byte, ver byte, tc proto.
 	}
 }
 
-// noteFlushTrace arms the writer's flush-span attribution for the
-// next flush on this connection. Called by whichever goroutine just
-// kept a span tree; last writer wins.
+// noteFlushTrace arms the flush attribution after the reply was queued:
+// the path of a request kept only because it turned out slow, which is
+// known only once the reply is on its way. The writer may already have
+// flushed that reply, in which case the attribution lands on the
+// connection's next flush or none — a slow-kept trace may lack its
+// flush span.
 func (c *conn) noteFlushTrace(tid, sid uint64) {
 	c.qmu.Lock()
 	c.flushTID, c.flushSID = tid, sid
 	c.qmu.Unlock()
-}
-
-func errorFrame(id uint64, code byte, msg string) proto.Frame {
-	return proto.Frame{
-		Ver:     proto.Version,
-		Op:      proto.OpError,
-		ID:      id,
-		Payload: proto.AppendError(nil, code, msg),
-	}
 }
 
 // handle runs one connection to completion: a writer goroutine plus the
@@ -659,11 +659,10 @@ func errorFrame(id uint64, code byte, msg string) proto.Frame {
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
 	c := &conn{
-		srv:    s,
-		nc:     nc,
-		qsig:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-		reqVer: proto.Version, // until a frame says otherwise
+		srv:  s,
+		nc:   nc,
+		qsig: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
@@ -800,24 +799,17 @@ func (c *conn) readLoop() {
 			return
 		}
 		t0 := time.Now() // receipt: phase timing starts here
-		wire := proto.HeaderSize + len(f.Payload)
-		if f.Ver >= 4 {
-			wire++ // extlen byte
-			if f.Trace.ID != 0 {
-				wire += proto.TraceExtLen
-			}
+		// Bytes on the wire: header, the extlen byte, extension, payload.
+		wire := proto.HeaderSize + 1 + len(f.Payload)
+		if f.Trace.ID != 0 {
+			wire += proto.TraceExtLen
 		}
 		s.st.bytesIn.Add(uint64(wire))
 		s.st.requests.Add(1)
-		c.reqVer, c.reqT, c.reqOp, c.reqT0 = f.Ver, f.Trace, f.Op, t0
-		if f.Ver != proto.Version && f.Ver != proto.Version-1 {
-			// v3 frames (no trace extension) stay welcome; their replies
-			// are encoded as v3 by sendFrame. An unknown version gets
-			// its refusal in the server's own version — there is
-			// nothing better to speak.
-			c.reqVer = proto.Version
+		c.reqT, c.reqOp, c.reqT0 = f.Trace, f.Op, t0
+		if f.Ver != proto.Version {
 			c.sendError(f.ID, proto.ErrCodeVersion,
-				fmt.Sprintf("protocol version %d, server speaks %d (and %d)", f.Ver, proto.Version, proto.Version-1))
+				fmt.Sprintf("protocol version %d, server speaks %d", f.Ver, proto.Version))
 			return
 		}
 		c.pscratch = c.pscratch[:0]
@@ -843,7 +835,7 @@ func (c *conn) sendError(id uint64, code byte, msg string) {
 	c.srv.st.errors.Add(1)
 	// Errors are cold; building the payload fresh keeps pscratch free
 	// for whatever reply construction the caller was in the middle of.
-	c.sendFrame(proto.OpError, id, proto.AppendError(nil, code, msg), c.reqVer, c.reqT)
+	c.sendFrame(proto.OpError, id, proto.AppendError(nil, code, msg), c.reqT, 0, 0)
 	// Tail-keep on error: a request that arrived with a trace context
 	// and failed keeps a server span carrying the error code, whatever
 	// the sampling decision was. Only the reader goroutine calls
@@ -1106,7 +1098,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		for i, e := range entries {
 			out[i] = proto.ShardHash{Size: e.Size, Hash: e.Hash}
 		}
-		payload := proto.AppendShardHashesNS(nil, hseed, out, names)
+		payload := proto.AppendShardHashes(nil, hseed, out, names)
 		if len(payload) > proto.MaxPayload {
 			c.sendError(f.ID, proto.ErrCodeTooLarge, "shard-hash reply exceeds the frame payload cap")
 			return true
@@ -1114,7 +1106,7 @@ func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
 		c.replyInline(f, payload, 0, false, t0, td, tw, ta)
 
 	case proto.OpSync:
-		shardIdx, hash, off, maxLen, ns, err := proto.DecodeSyncReqNS(f.Payload)
+		shardIdx, hash, off, maxLen, ns, err := proto.DecodeSyncReq(f.Payload)
 		if err != nil {
 			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
 			return true
@@ -1207,7 +1199,7 @@ func (c *conn) submitWrite(f proto.Frame, t0 time.Time) {
 	s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
 	c.pending.Add(1)
 	s.bat.submit(writeReq{op: f.Op, ns: ns, key: key, val: val, exp: exp,
-		id: f.ID, c: c, t0: t0, td: td, ver: f.Ver, tc: f.Trace, in: len(f.Payload)})
+		id: f.ID, c: c, t0: t0, td: td, tc: f.Trace, in: len(f.Payload)})
 }
 
 // shardImage returns the committed image for (ns, idx, hash) through

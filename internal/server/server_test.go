@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -237,6 +239,18 @@ func TestIdleReadTimeout(t *testing.T) {
 	}
 }
 
+// writeFrame and readFrame speak raw frames on a bare connection, for
+// tests that must send what the stock client never would. A
+// FrameReader never over-reads, so a fresh one per frame is safe.
+func writeFrame(nc net.Conn, f proto.Frame) error {
+	_, err := nc.Write(proto.AppendFrame(nil, f))
+	return err
+}
+
+func readFrame(nc net.Conn) (proto.Frame, error) {
+	return proto.NewFrameReader(nc, 0).Next()
+}
+
 // TestHostileFrames checks the server's reaction to protocol garbage:
 // an error frame (where the stream is still framed) and a close, with
 // the store unharmed.
@@ -246,23 +260,41 @@ func TestHostileFrames(t *testing.T) {
 	srv, addr := startTCP(t, db, Config{})
 	defer srv.Close()
 
-	// Bad version byte.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// Any version but the server's is refused with ErrCodeVersion and the
+	// connection closed: a version byte nobody speaks, and a frame in the
+	// retired version-3 layout (no extension-length byte after the id),
+	// which is hand-built here because no encoder emits it any more.
+	v3 := binary.BigEndian.AppendUint32(nil, uint32(proto.HeaderSize-4+8))
+	v3 = append(v3, 3, proto.OpGet)
+	v3 = binary.BigEndian.AppendUint64(v3, 7)
+	v3 = proto.AppendKey(v3, 42)
+	for name, wire := range map[string][]byte{
+		"version 99": proto.AppendFrame(nil, proto.Frame{Ver: 99, Op: proto.OpLen, ID: 7}),
+		"v3 layout":  v3,
+	} {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := nc.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(nc)
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", name, err)
+		}
+		if f.Ver != proto.Version || f.Op != proto.OpError || f.ID != 7 {
+			t.Fatalf("%s: reply version %d op %s id %d", name, f.Ver, proto.OpName(f.Op), f.ID)
+		}
+		if code, _, _ := proto.DecodeError(f.Payload); code != proto.ErrCodeVersion {
+			t.Fatalf("%s: code %s", name, proto.ErrCodeName(code))
+		}
+		if _, err := readFrame(nc); err != io.EOF {
+			t.Fatalf("%s: connection still open after the refusal: %v", name, err)
+		}
+		nc.Close()
 	}
-	proto.WriteFrame(nc, proto.Frame{Ver: 99, Op: proto.OpLen, ID: 7})
-	f, err := proto.ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatalf("no reply to bad version: %v", err)
-	}
-	if f.Op != proto.OpError {
-		t.Fatalf("reply op %s", proto.OpName(f.Op))
-	}
-	if code, _, _ := proto.DecodeError(f.Payload); code != proto.ErrCodeVersion {
-		t.Fatalf("code %s", proto.ErrCodeName(code))
-	}
-	nc.Close()
 
 	// Unknown opcode: error reply, but the connection survives.
 	c, err := net.Dial("tcp", addr)
@@ -270,13 +302,13 @@ func TestHostileFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	proto.WriteFrame(c, proto.Frame{Ver: proto.Version, Op: 0x6E, ID: 1})
-	proto.WriteFrame(c, proto.Frame{Ver: proto.Version, Op: proto.OpPing, ID: 2})
-	f1, err := proto.ReadFrame(c, 0)
+	writeFrame(c, proto.Frame{Ver: proto.Version, Op: 0x6E, ID: 1})
+	writeFrame(c, proto.Frame{Ver: proto.Version, Op: proto.OpPing, ID: 2})
+	f1, err := readFrame(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := proto.ReadFrame(c, 0)
+	f2, err := readFrame(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,8 +320,8 @@ func TestHostileFrames(t *testing.T) {
 	}
 
 	// A malformed payload gets an error reply; the stream continues.
-	proto.WriteFrame(c, proto.Frame{Ver: proto.Version, Op: proto.OpGet, ID: 3, Payload: []byte{1, 2}})
-	f3, err := proto.ReadFrame(c, 0)
+	writeFrame(c, proto.Frame{Ver: proto.Version, Op: proto.OpGet, ID: 3, Payload: []byte{1, 2}})
+	f3, err := readFrame(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +334,7 @@ func TestHostileFrames(t *testing.T) {
 	if _, err := c.Write(huge); err != nil {
 		t.Fatal(err)
 	}
-	f4, err := proto.ReadFrame(c, 0)
+	f4, err := readFrame(c)
 	if err == nil {
 		if f4.Op != proto.OpError {
 			t.Fatalf("oversized frame reply: %s", proto.OpName(f4.Op))
@@ -334,13 +366,13 @@ func TestReplySizeCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := proto.WriteFrame(nc, proto.Frame{
+	if err := writeFrame(nc, proto.Frame{
 		Ver: proto.Version, Op: proto.OpBatch, ID: 5,
 		Payload: proto.AppendBatchKeys(nil, proto.BatchGet, keys),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := proto.ReadFrame(nc, 0)
+	f, err := readFrame(nc)
 	if err != nil {
 		t.Fatal(err)
 	}

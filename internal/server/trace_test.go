@@ -183,39 +183,3 @@ func TestTraceStitchedSpanTree(t *testing.T) {
 			ccs.ID, croot.Parent, ccp.Parent, croot.ID)
 	}
 }
-
-// TestTraceV3ClientInterop pins backward compatibility: a v3 frame —
-// no extension byte — gets a v3 reply with no trace context, byte
-// layout unchanged, against the same server that speaks v4.
-func TestTraceV3ClientInterop(t *testing.T) {
-	db := newTestDB(t, 4)
-	defer db.Abandon()
-	tr := trace.NewStore(256, 1, nil)
-	srv := New(db, Config{SweepInterval: -1, Trace: tr})
-	defer srv.Close()
-
-	nc, sc := net.Pipe()
-	srv.ServeConn(sc)
-	defer nc.Close()
-
-	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	req := proto.AppendFrame(nil, proto.Frame{
-		Ver: proto.Version - 1, Op: proto.OpPing, ID: 42, Payload: []byte("v3"),
-	})
-	if _, err := nc.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	f, err := proto.ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Ver != proto.Version-1 {
-		t.Fatalf("v3 request answered with version %d", f.Ver)
-	}
-	if f.Trace.ID != 0 || f.Trace.Span != 0 || f.Trace.Sampled {
-		t.Fatalf("v3 reply carries trace context: %+v", f.Trace)
-	}
-	if f.Op != proto.OpPing|proto.FlagReply || f.ID != 42 || string(f.Payload) != "v3" {
-		t.Fatalf("v3 ping reply mangled: %+v", f)
-	}
-}

@@ -99,10 +99,10 @@ func rawCall(t *testing.T, addr string, op byte, payload []byte) (proto.Frame, e
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := proto.WriteFrame(nc, proto.Frame{Ver: proto.Version, Op: op, ID: 7, Payload: payload}); err != nil {
+	if err := writeFrame(nc, proto.Frame{Ver: proto.Version, Op: op, ID: 7, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := proto.ReadFrame(nc, 0)
+	f, err := readFrame(nc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"fmt"
-
-	"repro/internal/expiry"
-)
+import "fmt"
 
 // Op is one mutation in a mixed ApplyBatch: an upsert of (Key, Val)
 // with optional expiry, a delete of Key when Delete is set, or a
@@ -60,40 +56,23 @@ func (s *Store) ApplyBatch(ops []Op, changed []bool) (n int, err error) {
 		}
 		c := &s.cells[g]
 		c.mu.Lock()
-		shardChanged := false
 		for _, i := range p.order[lo:hi] {
 			op := &ops[i]
 			var ch bool
 			switch {
 			case op.Expire:
-				if e := c.expOf(op.Key); e != 0 && e <= op.Exp {
-					c.exps.Delete(op.Key)
-					ch = c.dict.Delete(op.Key)
-				}
+				ch = c.expire(op.Key, op.Exp)
 			case op.Delete:
-				exp := c.expOf(op.Key)
-				if c.dict.Delete(op.Key) {
-					c.setExp(op.Key, 0)
-					ch = expiry.Live(exp, epoch)
-					shardChanged = true
-				}
+				ch = c.remove(op.Key, epoch)
 			default:
-				prevExp := c.expOf(op.Key)
-				physIns := c.dict.Put(op.Key, op.Val)
-				ch = physIns || !expiry.Live(prevExp, epoch)
-				c.setExp(op.Key, op.Exp)
-				shardChanged = true // an upsert may rewrite the value either way
+				ch = c.upsert(op.Key, op.Val, op.Exp, epoch)
 			}
 			if ch {
 				n++
-				shardChanged = true
 			}
 			if changed != nil {
 				changed[i] = ch
 			}
-		}
-		if shardChanged {
-			c.version++
 		}
 		c.mu.Unlock()
 	}

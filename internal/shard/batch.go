@@ -7,8 +7,6 @@ package shard
 // batch order (the grouping below is a stable counting sort), so
 // duplicate keys within a batch apply left to right.
 
-import "repro/internal/expiry"
-
 // plan is a reusable shard-grouping of batch indices: order holds the
 // input indices stably sorted by shard; group g occupies
 // order[start[g]:start[g+1]].
@@ -60,14 +58,10 @@ func (s *Store) PutBatch(items []Item) (inserted int) {
 		c := &s.cells[g]
 		c.mu.Lock()
 		for _, i := range p.order[lo:hi] {
-			k := items[i].Key
-			prevExp := c.expOf(k)
-			if c.dict.Put(k, items[i].Val) || !expiry.Live(prevExp, epoch) {
+			if c.upsert(items[i].Key, items[i].Val, 0, epoch) {
 				inserted++
 			}
-			c.setExp(k, 0)
 		}
-		c.version++
 		c.mu.Unlock()
 	}
 	return inserted
@@ -120,19 +114,10 @@ func (s *Store) DeleteBatch(keys []int64) (deleted int) {
 		}
 		c := &s.cells[g]
 		c.mu.Lock()
-		removed := false
 		for _, i := range p.order[lo:hi] {
-			exp := c.expOf(keys[i])
-			if c.dict.Delete(keys[i]) {
-				c.setExp(keys[i], 0)
-				removed = true
-				if expiry.Live(exp, epoch) {
-					deleted++
-				}
+			if c.remove(keys[i], epoch) {
+				deleted++
 			}
-		}
-		if removed {
-			c.version++
 		}
 		c.mu.Unlock()
 	}

@@ -251,14 +251,9 @@ func (s *Store) Delete(key int64) bool {
 	epoch := s.epoch()
 	c := &s.cells[s.ShardOf(key)]
 	c.mu.Lock()
-	exp := c.expOf(key)
-	deleted := c.dict.Delete(key)
-	if deleted {
-		c.setExp(key, 0)
-		c.version++
-	}
+	deleted := c.remove(key, epoch)
 	c.mu.Unlock()
-	return deleted && expiry.Live(exp, epoch)
+	return deleted
 }
 
 // Len returns the number of live keys across all shards — entries whose

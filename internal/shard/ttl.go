@@ -71,6 +71,21 @@ func (c *cell) deadCount(epoch int64) int {
 	return dead
 }
 
+// appendDead appends the keys already expired at epoch (> 0) to out.
+// The caller holds the cell's lock.
+func (c *cell) appendDead(epoch int64, out []int64) []int64 {
+	if c.exps.Len() == 0 {
+		return out
+	}
+	c.exps.Ascend(func(it Item) bool {
+		if !expiry.Live(it.Val, epoch) {
+			out = append(out, it.Key)
+		}
+		return true
+	})
+	return out
+}
+
 // filterLive drops the items already expired at epoch, in place. The
 // caller holds the cell's lock; items must belong to this cell.
 func (c *cell) filterLive(items []Item, epoch int64) []Item {
@@ -86,6 +101,53 @@ func (c *cell) filterLive(items []Item, epoch int64) []Item {
 	return out
 }
 
+// upsert, remove and expire are the cell's mutation kernel: every
+// write entry point (Put, PutTTL, Delete, the batches, ApplyBatch, the
+// sweep) applies its operations through them, so the TTL rules — what
+// counts as a logical change, when an expiry is recorded or cleared,
+// when the version moves — are stated once. The caller holds the
+// cell's exclusive lock.
+
+// upsert sets key to val with absolute expiry exp (0: never expires,
+// clearing any recorded expiry) and reports whether the key is
+// logically new at epoch: physically inserted, or written over an entry
+// that had already expired. The version moves either way — an upsert
+// may rewrite the value.
+func (c *cell) upsert(key, val, exp, epoch int64) (inserted bool) {
+	prevExp := c.expOf(key)
+	physIns := c.dict.Put(key, val)
+	c.setExp(key, exp)
+	c.version++
+	return physIns || !expiry.Live(prevExp, epoch)
+}
+
+// remove deletes key and its expiry and reports whether the key was
+// LOGICALLY present at epoch: a physically present entry whose expiry
+// has passed is removed too (the bytes must go either way) but reported
+// absent. The version moves only if an entry was physically removed.
+func (c *cell) remove(key, epoch int64) (deleted bool) {
+	exp := c.expOf(key)
+	if !c.dict.Delete(key) {
+		return false
+	}
+	c.setExp(key, 0)
+	c.version++
+	return expiry.Live(exp, epoch)
+}
+
+// expire is the sweep's conditional removal: key goes only if its
+// recorded expiry is already dead at bound, so an entry that was
+// rewritten with a fresh value or expiry after the sweep was planned
+// stays. It reports whether an entry was physically removed.
+func (c *cell) expire(key, bound int64) (removed bool) {
+	if expiry.Live(c.expOf(key), bound) {
+		return false
+	}
+	c.exps.Delete(key)
+	c.version++
+	return c.dict.Delete(key)
+}
+
 // PutTTL inserts or updates the value for key with an absolute expiry
 // epoch (unix seconds; 0: never expires) and reports whether the key
 // was newly inserted — counting a key whose previous entry had already
@@ -95,11 +157,7 @@ func (s *Store) PutTTL(key, val, exp int64) (inserted bool) {
 	epoch := s.epoch()
 	c := &s.cells[s.ShardOf(key)]
 	c.mu.Lock()
-	prevExp := c.expOf(key)
-	physIns := c.dict.Put(key, val)
-	inserted = physIns || !expiry.Live(prevExp, epoch)
-	c.setExp(key, exp)
-	c.version++
+	inserted = c.upsert(key, val, exp, epoch)
 	c.mu.Unlock()
 	return inserted
 }
@@ -135,14 +193,7 @@ func (s *Store) ExpiredKeys(epoch int64, out []int64) []int64 {
 	for i := range s.cells {
 		c := &s.cells[i]
 		c.rlock()
-		if c.exps.Len() > 0 {
-			c.exps.Ascend(func(it Item) bool {
-				if !expiry.Live(it.Val, epoch) {
-					out = append(out, it.Key)
-				}
-				return true
-			})
-		}
+		out = c.appendDead(epoch, out)
 		c.runlock()
 	}
 	return out
@@ -164,23 +215,9 @@ func (s *Store) SweepExpired(epoch int64) (swept int) {
 	for i := range s.cells {
 		c := &s.cells[i]
 		c.mu.Lock()
-		if c.exps.Len() == 0 {
-			c.mu.Unlock()
-			continue
-		}
-		dead = dead[:0]
-		c.exps.Ascend(func(it Item) bool {
-			if !expiry.Live(it.Val, epoch) {
-				dead = append(dead, it.Key)
-			}
-			return true
-		})
+		dead = c.appendDead(epoch, dead[:0])
 		for _, k := range dead {
-			c.exps.Delete(k)
-			c.dict.Delete(k)
-		}
-		if len(dead) > 0 {
-			c.version++
+			c.expire(k, epoch)
 		}
 		c.mu.Unlock()
 		swept += len(dead)
