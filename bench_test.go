@@ -803,6 +803,47 @@ func BenchmarkStoreWriterLatencyDuringScan(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// S5 — the expiry scan cliff: a 100-item RangeN over a store where one
+// key in eight carries a far-future expiry (nothing ever dies; the
+// shape bench/gen.go preloads) against the same store with no expiry at
+// all. A scan filters liveness by merge-joining each shard's run with
+// one range read of that shard's expiry index, so ttl=1 should cost a
+// small constant factor over ttl=0, not one index descent per item.
+// ---------------------------------------------------------------------
+
+func BenchmarkStoreRangeN(b *testing.B) {
+	const keyspace = 1 << 17
+	const window = 100
+	for _, ttl := range []int{0, 1} {
+		b.Run(fmt.Sprintf("ttl=%d", ttl), func(b *testing.B) {
+			s, err := NewStore(8, 21)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.SetClock(SystemClock())
+			for k := int64(0); k < keyspace; k++ {
+				exp := int64(0)
+				if ttl == 1 && k%8 == 1 {
+					exp = 1 << 40
+				}
+				s.PutTTL(k, k, exp)
+			}
+			rng := xrand.New(22)
+			var buf []Item
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := int64(rng.Intn(keyspace - window))
+				buf, _ = s.RangeN(lo, lo+window-1, window, buf[:0])
+				if len(buf) != window {
+					b.Fatalf("window of %d items, want %d", len(buf), window)
+				}
+			}
+		})
+	}
+}
+
+// ---------------------------------------------------------------------
 // S4 — durable layer: cost of an incremental checkpoint commit with a
 // single dirty shard out of 64, through the full temp-file → fsync →
 // rename → manifest-swap sequence on an in-memory filesystem (isolating

@@ -11,7 +11,6 @@
 //	hidb len    -dir D                            key count and shard layout
 //	hidb load   -dir D -n N [-seed S]             bulk-load N synthetic keys
 //	hidb verify -dir D                            prove the directory is canonical
-//	hidb bench  -dir D [-ms D] [-writes PCT]      mixed workload with live checkpointing
 //
 // Every command opens the directory through full recovery (manifest
 // checksum, per-shard hashes, structural invariants) and closes it
@@ -23,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	antipersist "repro"
@@ -32,7 +29,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: hidb <init|put|get|del|len|load|verify|bench> -dir DIR [flags]")
+	fmt.Fprintln(os.Stderr, "usage: hidb <init|put|get|del|len|load|verify> -dir DIR [flags]")
 	os.Exit(2)
 }
 
@@ -48,8 +45,6 @@ func main() {
 	key := fs.Int64("key", 0, "key operand")
 	val := fs.Int64("val", 0, "value operand")
 	n := fs.Int("n", 1<<16, "number of synthetic keys to load")
-	ms := fs.Int("ms", 1000, "bench measurement window, milliseconds")
-	writes := fs.Int("writes", 20, "bench write percentage")
 	fs.Parse(args)
 	if *dir == "" {
 		usage()
@@ -60,19 +55,14 @@ func main() {
 	_, statErr := os.Stat(*dir + "/MANIFEST")
 	preexisting := statErr == nil
 
-	opts := &antipersist.DBOptions{Shards: *shards, Seed: *seed}
 	switch cmd {
 	case "init", "put", "get", "del", "len", "load", "verify":
-		// Interactive commands want deterministic on-disk state the
-		// moment they exit, so checkpointing stays explicit.
-		opts.NoBackground = true
-	case "bench":
-		// The bench exercises the background checkpointer on purpose.
-		opts.CheckpointInterval = 200 * time.Millisecond
 	default:
 		usage()
 	}
-	db, err := antipersist.Open(*dir, opts)
+	// Commands want deterministic on-disk state the moment they exit, so
+	// checkpointing stays explicit.
+	db, err := antipersist.Open(*dir, &antipersist.DBOptions{Shards: *shards, Seed: *seed, NoBackground: true})
 	if err != nil {
 		fatal(err)
 	}
@@ -127,54 +117,11 @@ func main() {
 		}
 		fmt.Printf("canonical: OK (%d keys, %d shards; every image byte is a pure function of contents+seed)\n",
 			db.Len(), db.Store().NumShards())
-	case "bench":
-		bench(db, *ms, *writes, *seed)
 	}
 
 	if err := db.Close(); err != nil {
 		fatal(err)
 	}
-}
-
-// bench runs a mixed workload against the open DB while its background
-// checkpointer commits underneath, then reports both throughput and
-// how many checkpoints landed.
-func bench(db *antipersist.DB, ms, writePct int, seed uint64) {
-	keyspace := db.Len() * 2
-	if keyspace < 1<<12 {
-		keyspace = 1 << 12
-	}
-	var stop atomic.Bool
-	var total atomic.Uint64
-	var wg sync.WaitGroup
-	workers := 4
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := xrand.New(uint64(g)*31 + seed)
-			ops := uint64(0)
-			for !stop.Load() {
-				for i := 0; i < 128; i++ {
-					k := int64(rng.Intn(keyspace))
-					if int(rng.Intn(100)) < writePct {
-						db.Put(k, k)
-					} else {
-						db.Get(k)
-					}
-				}
-				ops += 128
-			}
-			total.Add(ops)
-		}(g)
-	}
-	start := time.Now()
-	time.Sleep(time.Duration(ms) * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	fmt.Printf("%.0f ops/sec over %d workers, %d background checkpoints in %dms\n",
-		float64(total.Load())/elapsed, workers, db.Checkpoints(), ms)
 }
 
 func fatal(err error) {

@@ -74,12 +74,8 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	// sweeper's schedule.
 	if !db.noSweep.Load() {
 		if epoch := expiry.Epoch(db.opts.Clock); epoch > 0 {
-			swept := 0
-			for _, c := range cells {
-				swept += c.Store.SweepExpired(epoch)
-			}
+			swept := db.sweepCells(cells, epoch)
 			if swept > 0 {
-				db.sweptKeys.Add(uint64(swept))
 				db.m.sweptPerRun.Observe(int64(swept))
 			}
 			db.m.sweepSecs.ObserveSince(cpStart)
@@ -184,7 +180,9 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	}
 	manBytes := newMan.encode()
 	if cpShards == 0 && bytes.Equal(manBytes, db.manBytes) {
-		return nil // nothing changed; the manifest bytes would be identical
+		// Nothing changed: the committed checkpoint covers the ops so far.
+		db.dirtyOps.Add(-dirtyAtStart)
+		return nil
 	}
 	if err := db.commitManifest(newMan, manBytes); err != nil {
 		return err
@@ -301,39 +299,37 @@ func (db *DB) sweep() {
 // use it without allocating its own.
 var zeros = make([]byte, 32*1024)
 
-// wipeRemove overwrites name with zeros (unless NoWipe), fsyncs the
-// overwrite, and unlinks the file. Secure deletion on modern storage is
+// wipeRemove overwrites name with zeros, fsyncs the overwrite, and
+// unlinks the file. Secure deletion on modern storage is
 // inherently best-effort — journaling filesystems and SSD FTLs may keep
 // stale blocks — so errors are swallowed: the file's confidentiality
 // already rests on the history independence of its contents, and its
 // *existence* is removed either way.
 func (db *DB) wipeRemove(name string) {
 	p := db.path(name)
-	if !db.opts.NoWipe {
-		if size, err := db.fs.Size(p); err == nil && size > 0 {
-			if f, err := db.fs.OpenWrite(p); err == nil {
-				for left := size; left > 0; {
-					n := int64(len(zeros))
-					if n > left {
-						n = left
-					}
-					if _, err := f.Write(zeros[:n]); err != nil {
-						break
-					}
-					left -= n
+	if size, err := db.fs.Size(p); err == nil && size > 0 {
+		if f, err := db.fs.OpenWrite(p); err == nil {
+			for left := size; left > 0; {
+				n := min(int64(len(zeros)), left)
+				if _, err := f.Write(zeros[:n]); err != nil {
+					break
 				}
-				f.Sync()
-				f.Close()
+				left -= n
 			}
+			f.Sync()
+			f.Close()
 		}
 	}
 	db.fs.Remove(p)
 }
 
 // background is the checkpointer goroutine: it commits dirty state
-// every CheckpointInterval, or sooner when the dirty-op threshold
-// kicks. Errors are not fatal — the next tick retries, and Close
-// surfaces the final attempt's error.
+// every CheckpointInterval, or sooner when the dirty-op count crosses
+// the threshold (noteDirty's kick). At most one checkpoint is in
+// flight, and the loop re-checks the count after each: a threshold's
+// worth of writes landing during a checkpoint gets one follow-up, less
+// waits for its own crossing or the next tick. Errors are not fatal —
+// the next tick retries, and Close surfaces the final attempt's error.
 func (db *DB) background() {
 	defer db.wg.Done()
 	t := time.NewTicker(db.opts.CheckpointInterval)
@@ -345,6 +341,19 @@ func (db *DB) background() {
 		case <-t.C:
 		case <-db.kick:
 		}
-		db.checkpoint(0, 0) //nolint:errcheck // retried next tick; Close reports
+		err := db.checkpoint(0, 0)
+		// A kick sent while that checkpoint ran is answered here: drain it,
+		// then — in that order, so a crossing in between keeps its own —
+		// re-arm if a threshold's worth is pending.
+		select {
+		case <-db.kick:
+		default:
+		}
+		if err == nil && db.dirtyOps.Load() >= uint64(db.opts.CheckpointThreshold) {
+			select {
+			case db.kick <- struct{}{}:
+			default:
+			}
+		}
 	}
 }

@@ -52,16 +52,20 @@
 // outlive the checkpoint after its deadline — the superseded images
 // that held them are zero-wiped as always. Two databases with
 // different TTL operation histories but the same live set at epoch E
-// commit byte-identical directories. Read replicas open with NoSweep:
-// their dead entries leave when the primary's swept checkpoint ships.
+// commit byte-identical directories. SweepExpired is that same sweep at
+// an explicit epoch; the network server calls it on epoch transitions.
+// Read replicas open with NoSweep: their dead entries leave when the
+// primary's swept checkpoint ships.
 //
 // DB is safe for concurrent use and is the storage engine behind the
 // network server (repro/internal/server): point and batch operations
 // (including the server's mixed-write ApplyBatch) count toward a
 // dirty-op threshold that, with a poll interval, drives the background
-// checkpointer; Checkpoint is an explicit durability barrier; Close
-// commits a final checkpoint while Abandon deliberately does not —
-// the kill -9 path whose recovery the crash suite proves.
+// checkpointer — one checkpoint per crossing of the threshold, at most
+// one in flight, re-checked after each commit; Checkpoint is an
+// explicit durability barrier; Close commits a final checkpoint while
+// Abandon deliberately does not — the kill -9 path whose recovery the
+// crash suite proves.
 //
 // All filesystem access goes through the FS interface so the
 // crash-injection suite (MemFS) can fail or halt the commit sequence

@@ -50,9 +50,6 @@ type Options struct {
 	// NoBackground disables the checkpointer goroutine; persistence
 	// then happens only on explicit Checkpoint or Close.
 	NoBackground bool
-	// NoWipe disables the best-effort zero-overwrite of superseded
-	// image files before unlink.
-	NoWipe bool
 	// Clock supplies the TTL epoch (nil: the system clock, unix
 	// seconds). Tests inject an expiry.Manual to make expiry — and
 	// therefore the checkpoint bytes of TTL workloads — deterministic.
@@ -351,12 +348,17 @@ func (db *DB) Dir() string { return db.dir }
 func (db *DB) Checkpoints() uint64 { return db.checkpoints.Load() }
 
 // noteDirty accumulates mutating operations toward the threshold
-// trigger.
+// trigger and kicks the background loop when the count CROSSES the
+// threshold. A kick on every write at or above it would refill the
+// one-slot channel during the kicked checkpoint and buy a second,
+// nearly empty one the moment it returns; what accumulates during a
+// checkpoint is the loop's to re-check (see background).
 func (db *DB) noteDirty(n int) {
 	if n <= 0 {
 		return
 	}
-	if db.dirtyOps.Add(uint64(n)) >= uint64(db.opts.CheckpointThreshold) {
+	t := uint64(db.opts.CheckpointThreshold)
+	if now := db.dirtyOps.Add(uint64(n)); now >= t && now-uint64(n) < t {
 		select {
 		case db.kick <- struct{}{}:
 		default:
@@ -394,35 +396,27 @@ func (db *DB) Epoch() int64 { return expiry.Epoch(db.opts.Clock) }
 
 // SweepExpired physically removes every entry already expired at
 // epoch, in every keyspace, and returns how many it removed. Checkpoint
-// runs it automatically at the current epoch (unless Options.NoSweep),
-// so committed directories always hold exactly the live-set-at-E; call
-// it directly only to sweep at an explicit epoch.
+// runs the same sweep at the current epoch (unless Options.NoSweep), so
+// committed directories always hold exactly the live-set-at-E; the
+// network server calls this on each epoch transition.
 func (db *DB) SweepExpired(epoch int64) int {
-	n := 0
-	for _, c := range db.cells() {
-		n += c.Store.SweepExpired(epoch)
-	}
-	if n > 0 {
-		db.sweptKeys.Add(uint64(n))
-		db.noteDirty(n)
-	}
+	n := db.sweepCells(db.cells(), epoch)
+	db.noteDirty(n)
 	return n
 }
 
-// ExpiredKeys calls fn for every entry already dead at epoch but still
-// physically resident, keyspace by keyspace — the worklist a sweeper
-// feeds back through NSApplyBatch as Expire ops.
-func (db *DB) ExpiredKeys(epoch int64, fn func(ns string, key int64)) {
-	for _, c := range db.cells() {
-		for _, k := range c.Store.ExpiredKeys(epoch, nil) {
-			fn(c.Name, k)
-		}
+// sweepCells is the one expiry sweep: cells' entries dead at epoch go.
+func (db *DB) sweepCells(cells []*namespace.Cell, epoch int64) int {
+	n := 0
+	for _, c := range cells {
+		n += c.Store.SweepExpired(epoch)
 	}
+	db.sweptKeys.Add(uint64(n))
+	return n
 }
 
 // SweptKeys returns the number of expired entries physically removed
-// since Open — by explicit sweeps, checkpoint-time sweeps, and Expire
-// ops applied through ApplyBatch.
+// since Open, by explicit and checkpoint-time sweeps alike.
 func (db *DB) SweptKeys() uint64 { return db.sweptKeys.Load() }
 
 // Get returns the value stored for key and whether it exists.
@@ -472,13 +466,11 @@ func (db *DB) ApplyBatch(ops []shard.Op, changed []bool) (int, error) {
 // many connections' pipelined writes to keyspace ns ("": the default
 // one) become one batch, one lock take per shard, one dirty-op note
 // per operation. A tenant's cell is created by its first upsert;
-// deletes and expiries aimed at an absent tenant change nothing and
-// leave it absent.
+// deletes aimed at an absent tenant change nothing and leave it absent.
 func (db *DB) NSApplyBatch(ns string, ops []shard.Op, changed []bool) (int, error) {
-	puts, hasExpire := false, false
+	puts := false
 	for i := range ops {
-		puts = puts || !(ops[i].Delete || ops[i].Expire)
-		hasExpire = hasExpire || ops[i].Expire
+		puts = puts || !ops[i].Delete
 	}
 	if !puts && db.cell(ns) == nil {
 		clear(changed)
@@ -488,19 +480,7 @@ func (db *DB) NSApplyBatch(ns string, ops []shard.Op, changed []bool) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	if hasExpire && changed == nil {
-		changed = make([]bool, len(ops)) // needed below to count removals
-	}
 	n, err := c.Store.ApplyBatch(ops, changed)
-	if err == nil && hasExpire {
-		swept := uint64(0)
-		for i := range ops {
-			if ops[i].Expire && changed[i] {
-				swept++
-			}
-		}
-		db.sweptKeys.Add(swept)
-	}
 	db.noteDirty(len(ops))
 	return n, err
 }

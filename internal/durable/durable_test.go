@@ -268,6 +268,11 @@ func TestUnchangedContentSkipsRewrite(t *testing.T) {
 		t.Errorf("undone mutation caused a rewrite: creates %d->%d renames %d->%d",
 			before["create"], after["create"], before["rename"], after["rename"])
 	}
+	// The committed image already covers both ops: none is pending, or
+	// the threshold trigger would count them against every later write.
+	if got := db.PendingOps(); got != 0 {
+		t.Errorf("%d ops pending after a checkpoint that found nothing to write, want 0", got)
+	}
 
 	// And a checkpoint with no version movement at all is a no-op too.
 	if err := db.Checkpoint(); err != nil {
@@ -299,6 +304,90 @@ func TestBackgroundCheckpointThreshold(t *testing.T) {
 			t.Fatal("threshold-triggered background checkpoint never ran")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// parkFS parks the next SyncDir after a token is put in armed: the
+// parked call announces itself on entered and waits for release, so a
+// test can hold a checkpoint open mid-commit.
+type parkFS struct {
+	FS
+	armed, entered, release chan struct{}
+}
+
+func (p *parkFS) SyncDir(dir string) error {
+	select {
+	case <-p.armed:
+		p.entered <- struct{}{}
+		<-p.release
+	default:
+	}
+	return p.FS.SyncDir(dir)
+}
+
+// TestCheckpointThresholdKicksOncePerCrossing: writes that land while a
+// threshold-kicked checkpoint is still running must not re-arm the
+// trigger by themselves. A quarter threshold of them used to buy a
+// second checkpoint the moment the first returned (the kick fired on
+// every write at or above the threshold, not on the crossing); they
+// must instead wait for their own crossing. A full threshold's worth
+// landing during a checkpoint gets exactly one follow-up.
+func TestCheckpointThresholdKicksOncePerCrossing(t *testing.T) {
+	const T = 64
+	pfs := &parkFS{FS: NewMemFS(), armed: make(chan struct{}, 1),
+		entered: make(chan struct{}), release: make(chan struct{})}
+	db, err := Open("db", &Options{
+		Shards: 4, Seed: 3, FS: pfs,
+		CheckpointInterval:  time.Hour, // only the threshold can fire
+		CheckpointThreshold: T,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	base := db.Checkpoints()
+	key := int64(0)
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			db.Put(key, key)
+			key++
+		}
+	}
+	waitCheckpoints := func(want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for db.Checkpoints() < want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if got := db.Checkpoints(); got != want {
+			t.Fatalf("checkpoints = %d, want %d", got, want)
+		}
+	}
+
+	pfs.armed <- struct{}{}
+	put(T) // crosses: the checkpoint starts and parks mid-commit
+	<-pfs.entered
+	put(T / 4)
+	pfs.release <- struct{}{}
+	waitCheckpoints(base + 1)
+	put(3*T/4 - 1) // T-1 uncheckpointed ops: still below the threshold
+	if got := db.Checkpoints(); got != base+1 {
+		t.Fatalf("%d checkpoints committed for one threshold crossing, want 1", got-base)
+	}
+	put(1) // the second crossing
+	waitCheckpoints(base + 2)
+	if got := db.PendingOps(); got != 0 {
+		t.Fatalf("%d ops pending after the second crossing's checkpoint, want 0", got)
+	}
+
+	pfs.armed <- struct{}{}
+	put(T)
+	<-pfs.entered
+	put(2 * T) // two thresholds' worth during one checkpoint: one follow-up
+	pfs.release <- struct{}{}
+	waitCheckpoints(base + 4)
+	if got := db.PendingOps(); got != 0 {
+		t.Fatalf("%d ops pending after the follow-up checkpoint, want 0", got)
 	}
 }
 

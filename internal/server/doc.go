@@ -17,12 +17,22 @@
 // answered with ErrCodeVersion and the connection closed; there is one
 // frame layout and no compatibility mode.
 //
+// # Dispatch
+//
+// Everything the server knows about an opcode is one row of opTable
+// (ops.go). A parsed frame becomes one request record, and dispatch is
+// the same steps for every opcode: look up the row (none:
+// ErrCodeUnknownOp), refuse a mutation on a replica, count, decode,
+// then submit the record to the write coalescer or wait out the
+// barrier and serve it inline. Every path ends in finish (metrics.go),
+// the one place a request becomes a reply, histogram observations, a
+// span tree and a slow-op line.
+//
 // # Write coalescing
 //
-// Reads (GET, GETTTL, NSGET, BATCH-get, RANGE, LEN) execute inline on
-// the reader goroutine — they take one shard read-lock and return.
-// Point writes (PUT, PUTTTL, DEL, NSPUT, NSDEL) are handed to a
-// server-wide batcher: a single goroutine that drains every
+// Inline ops execute on the reader goroutine — a read takes one shard
+// read-lock and returns. The rows marked coalesced (the point writes)
+// go to a server-wide batcher: a single goroutine that drains every
 // connection's pending writes, groups them by keyspace (the default
 // keyspace is the one named ""), and applies each group with one
 // DB.NSApplyBatch, taking each shard's write lock once per drain
@@ -35,26 +45,24 @@
 //
 // # Ordering
 //
-// Effects on one connection follow program order: before executing a
-// read or a checkpoint, the reader waits for that connection's in-flight
-// writes to be applied, so a pipelined PUT→GET of the same key on one
-// connection always reads its own write. No ordering holds across
+// Effects on one connection follow program order: the rows marked
+// barrier (reads, CHECKPOINT) wait for that connection's in-flight
+// writes to be applied first, so a pipelined PUT→GET of the same key on
+// one connection always reads its own write. No ordering holds across
 // connections beyond the linearizability of the store itself.
 //
 // # Expiry sweeping
 //
-// The server runs an epoch-triggered sweeper (Config.SweepInterval
-// bounds only its reaction latency): when the database clock's epoch
-// advances, it lists the entries already dead at the new epoch, in
-// every keyspace, and submits conditional Expire ops through the
-// write coalescer, so physical removals serialize with the pipelined
-// client writes they race — each Expire op re-checks the entry's
-// recorded expiry under the shard lock, so a key a client resurrects
-// mid-sweep survives. What gets removed is a pure function of
-// (contents, epoch), never of the sweeper's schedule; a server whose
-// sweeper never fires converges to the same bytes at its next
-// checkpoint, which sweeps at its own epoch before rendering.
-// Read-only replicas run no sweeper at all.
+// Between drains the coalescer goroutine runs an epoch-triggered sweep
+// (Config.SweepInterval bounds only its reaction latency): when the
+// database clock's epoch advances, DB.SweepExpired — the same sweep a
+// checkpoint runs before rendering — removes the entries already dead
+// at the new epoch, in every keyspace, each shard listed and swept
+// under one hold of its lock, so a key a client resurrects around the
+// sweep survives. What gets removed is a pure function of (contents,
+// epoch), never of the sweeper's schedule; a server that never sweeps
+// converges to the same bytes at its next checkpoint. Read-only
+// replicas sweep nothing.
 //
 // # Replication
 //

@@ -9,31 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// opLabels maps each request opcode to its metric label — the fixed
-// vocabulary the per-opcode latency histograms and the slow-op log
-// use. Only names from this table ever reach telemetry output.
-var opLabels = map[byte]string{
-	proto.OpGet:        "get",
-	proto.OpPut:        "put",
-	proto.OpDel:        "del",
-	proto.OpBatch:      "batch",
-	proto.OpRange:      "range",
-	proto.OpLen:        "len",
-	proto.OpCheckpoint: "checkpoint",
-	proto.OpPing:       "ping",
-	proto.OpShardHash:  "shard_hash",
-	proto.OpSync:       "sync",
-	proto.OpPutTTL:     "put_ttl",
-	proto.OpGetTTL:     "get_ttl",
-	proto.OpHealth:     "health",
-	proto.OpPromote:    "promote",
-	proto.OpNSPut:      "ns_put",
-	proto.OpNSGet:      "ns_get",
-	proto.OpNSDel:      "ns_del",
-	proto.OpDropNS:     "drop_ns",
-	proto.OpListNS:     "list_ns",
-}
-
 // serverMetrics is the server's hot-path metric set: one latency
 // histogram per opcode, one histogram per request phase, and size
 // histograms for flush bursts and coalesced batches. Every field is
@@ -41,8 +16,9 @@ var opLabels = map[byte]string{
 // recording sites never branch. Recording is a few atomic adds —
 // the instrumented paths keep their 0-alloc budgets.
 type serverMetrics struct {
-	// ops is indexed directly by opcode byte; unknown opcodes map to
-	// nil and are simply not timed.
+	// ops is indexed directly by opcode byte, one histogram per opTable
+	// row; unknown opcodes map to nil and are never timed (they only
+	// ever finish with an error).
 	ops [256]*obs.Histogram
 
 	phaseDecode *obs.Histogram // payload decode
@@ -57,8 +33,11 @@ type serverMetrics struct {
 func newServerMetrics(r *obs.Registry) *serverMetrics {
 	m := &serverMetrics{}
 	const opHelp = "request latency by opcode, receipt to reply enqueued"
-	for op, label := range opLabels {
-		m.ops[op] = r.HistogramL("hidb_server_op_seconds", "op", label, opHelp, obs.UnitSeconds)
+	for op, spec := range opTable {
+		if spec == nil {
+			continue
+		}
+		m.ops[op] = r.HistogramL("hidb_server_op_seconds", "op", spec.label, opHelp, obs.UnitSeconds)
 		// Exemplars link each latency bucket to the last kept trace
 		// that landed in it. Arming is unconditional — an exemplar slab
 		// is only ever fed from kept traces, and Observe itself never
@@ -92,7 +71,7 @@ func registerServerFuncs(r *obs.Registry, s *Server) {
 	r.CounterFunc("hidb_server_write_batched_ops_total", "write ops through the coalescer", func() uint64 { return st.wBatchedOps.Load() })
 	r.CounterFunc("hidb_server_read_only_rejected_total", "writes refused because this node is a replica", func() uint64 { return st.readOnlyRejected.Load() })
 	r.CounterFunc("hidb_server_promotions_total", "replica-to-primary promotions of this process", func() uint64 { return s.promotions.Load() })
-	r.CounterFunc("hidb_server_sweeps_total", "epoch sweeps that submitted expire ops", func() uint64 { return st.sweeps.Load() })
+	r.CounterFunc("hidb_server_sweeps_total", "epoch sweeps that removed at least one expired entry", func() uint64 { return st.sweeps.Load() })
 	r.CounterFunc("hidb_server_swept_keys_total", "expired entries physically removed", func() uint64 { return db.SweptKeys() })
 	r.CounterFunc("hidb_server_checkpoints_total", "checkpoints committed", func() uint64 { return db.Checkpoints() })
 	r.GaugeFunc("hidb_server_pending_ops", "mutations not yet covered by a checkpoint", func() float64 { return float64(db.PendingOps()) })
@@ -124,78 +103,89 @@ func physicalLen(db *durable.DB) int {
 	return n
 }
 
-// replyInline answers one inline-dispatched (non-coalesced) request f
-// with payload, then records its phases and total latency, and feeds
-// the slow-op log when the total crosses its threshold. Timestamps: t0
-// receipt, td decode done, tw barrier wait done, ta apply done; encode
-// runs from ta to now. For key-addressed ops hasKey routes the slow-op
-// record's shard index; the key itself never reaches telemetry.
+// finish is the one exit of every parsed request, on whichever
+// goroutine served it — the reader (inline ops, and anything refused
+// before it was served) or the coalescer (writes): it queues the reply
+// (an error frame carrying payload when errCode is nonzero), then
+// records the request's latency, span tree and slow-op line. tw and ta
+// bound the apply phase (t0 ≤ td ≤ tw ≤ ta; encode runs from ta to
+// now); batch is the size of the ApplyBatch that carried a coalesced
+// write (0: none did).
 //
-// When tracing is on and the request is kept, replyInline records the
-// server span plus its four phase children and feeds the opcode
-// histogram's exemplar slot; the slow-op record then carries the trace
-// id. A keep known before the reply is sent — preminted ids
-// (CHECKPOINT) or a head sample — mints the span identity first and
-// hands it to sendFrame, which arms the flush attribution together
-// with the reply; a keep decided only by slowness arms it afterwards
-// (see noteFlushTrace). Runs on the reader goroutine only
-// (reqT/preTID/preSID are safe to read).
-func (c *conn) replyInline(f proto.Frame, payload []byte, key int64, hasKey bool, t0, td, tw, ta time.Time) {
-	tr := c.srv.tr
-	var tid, sid uint64
-	if tr != nil {
-		if sid = c.preSID; sid != 0 {
-			tid = c.preTID
-			c.preTID, c.preSID = 0, 0
-		} else if headKeep(tr, c.reqT) {
-			tid, sid = mintSpan(tr, c.reqT)
-		}
+// Error replies are counted and traced but never timed: they stay out
+// of the histograms and the slow-op log. A coalesced write's apply and
+// encode phases are per-group costs its group observes once.
+//
+// The one keep rule: the span tree is recorded when the span ids were
+// preminted, the request is head-sampled, it ends in an error, or it
+// turns out slow. The first three are known before the send, so the
+// identity is minted first and sendFrame arms the flush attribution in
+// the critical section that queues the reply; slowness is known only
+// afterwards. Telemetry never carries a key or tenant name, and a shard
+// index only for a successful keyed op in the default keyspace.
+func (c *conn) finish(rq *request, payload []byte, errCode byte, batch int, tw, ta time.Time) {
+	s := c.srv
+	spec := opTable[rq.op] // nil only on an error path (unknown opcode)
+	tr := s.cfg.Trace
+	op := rq.op | proto.FlagReply
+	if errCode != 0 {
+		op = proto.OpError
+		s.st.errors.Add(1)
 	}
-	c.sendFrame(f.Op|proto.FlagReply, f.ID, payload, c.reqT, tid, sid)
-	sm := c.srv.sm
+	if tr != nil && rq.sid == 0 && (errCode != 0 || headKeep(tr, rq.tc)) {
+		rq.tid, rq.sid = mintSpan(tr, rq.tc)
+	}
+	c.sendFrame(op, rq, payload)
+	if rq.c != nil {
+		c.pending.Done()
+	}
+
 	te := time.Now()
-	sm.phaseDecode.Observe(int64(td.Sub(t0)))
-	sm.phaseWait.Observe(int64(tw.Sub(td)))
-	sm.phaseApply.Observe(int64(ta.Sub(tw)))
-	sm.phaseEncode.Observe(int64(te.Sub(ta)))
-	total := te.Sub(t0)
-	if h := sm.ops[f.Op]; h != nil {
-		h.Observe(int64(total))
-	}
-	slow := c.srv.slow.Slow(total)
-	shard := -1
-	if hasKey && (slow || tr != nil) {
-		shard = c.srv.db.Store().ShardOf(key)
-	}
-	if tr != nil {
-		if sid == 0 && slow {
-			tid, sid = mintSpan(tr, c.reqT)
-			c.noteFlushTrace(tid, sid)
+	total := te.Sub(rq.t0)
+	slow, shard := false, -1
+	if errCode == 0 {
+		s.sm.phaseDecode.Observe(int64(rq.td.Sub(rq.t0)))
+		s.sm.phaseWait.Observe(int64(tw.Sub(rq.td)))
+		if !spec.coalesced {
+			s.sm.phaseApply.Observe(int64(ta.Sub(tw)))
+			s.sm.phaseEncode.Observe(int64(te.Sub(ta)))
 		}
-		if sid != 0 {
-			c.recordTree(trace.Span{
-				Trace: tid, ID: sid, Parent: c.reqT.Span,
-				Start: t0.UnixNano(), Dur: int64(total),
-				Kind: trace.KindServer, Op: f.Op, Shard: int32(shard),
-				In: int32(len(f.Payload)), Out: int32(len(payload)),
-			}, 0, t0, td, tw, ta, te)
-		}
+		s.sm.ops[rq.op].Observe(int64(total))
+		slow = s.slow.Slow(total)
+	}
+	if tr != nil && rq.sid == 0 && slow {
+		// The writer may already have flushed the reply: the attribution
+		// then lands on the connection's next flush or none.
+		rq.tid, rq.sid = mintSpan(tr, rq.tc)
+		c.qmu.Lock()
+		c.flushTID, c.flushSID = rq.tid, rq.sid
+		c.qmu.Unlock()
+	}
+	if errCode == 0 && spec.keyed && rq.ns == "" && (slow || rq.sid != 0) {
+		shard = s.db.Store().ShardOf(rq.key)
+	}
+	if rq.sid != 0 {
+		c.recordTree(trace.Span{
+			Trace: rq.tid, ID: rq.sid, Parent: rq.tc.Span,
+			Start: rq.t0.UnixNano(), Dur: int64(total),
+			Kind: trace.KindServer, Op: rq.op, Err: errCode, Shard: int32(shard),
+			In: int32(rq.in), Out: int32(len(payload)),
+		}, batch, rq.t0, rq.td, tw, ta, te)
 	}
 	if slow {
-		c.srv.slow.Record(obs.SlowOp{
-			Op: opLabels[f.Op], ReqID: f.ID, Shard: shard,
-			BytesIn: len(f.Payload), BytesOut: len(payload),
-			Total: total, Decode: td.Sub(t0), Wait: tw.Sub(td),
+		s.slow.Record(obs.SlowOp{
+			Op: spec.label, ReqID: rq.id, Shard: shard,
+			BytesIn: rq.in, BytesOut: len(payload), Batch: batch,
+			Total: total, Decode: rq.td.Sub(rq.t0), Wait: tw.Sub(rq.td),
 			Apply: ta.Sub(tw), Encode: te.Sub(ta),
-			Trace: tid,
+			Trace: rq.tid,
 		})
 	}
 }
 
-// headKeep reports whether a request's trace is kept by head sampling,
-// the one keep rule both reply paths can evaluate before the reply is
-// sent: a request that arrived with a trace context defers to the
-// client's decision, one with none is the server's own to sample.
+// headKeep reports whether a request's trace is kept by head sampling:
+// a request that arrived with a trace context defers to the client's
+// decision, one with none is the server's own to sample.
 func headKeep(tr *trace.Store, tc proto.TraceCtx) bool {
 	return tc.Sampled || (tc.ID == 0 && tr.Sample())
 }
@@ -216,10 +206,9 @@ func mintSpan(tr *trace.Store, tc proto.TraceCtx) (tid, sid uint64) {
 // boundaries t0 ≤ td ≤ tw ≤ ta ≤ te, and the opcode histogram's
 // exemplar. The flush span is the writer's, armed by the caller. batch
 // is the size of the ApplyBatch that carried the request; 0 suppresses
-// the batch span. Called from the reader goroutine (inline ops) and
-// from the coalescer (writes), so it reads no per-request conn state.
+// the batch span.
 func (c *conn) recordTree(root trace.Span, batch int, t0, td, tw, ta, te time.Time) {
-	tr := c.srv.tr
+	tr := c.srv.cfg.Trace
 	tr.Record(root)
 	child := func(kind trace.Kind, from, to time.Time, in int) {
 		tr.Record(trace.Span{Trace: root.Trace, ID: tr.NewID(), Parent: root.ID,

@@ -93,7 +93,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 	// After quiesce, the per-op histograms' totals must equal the
 	// dispatched request count exactly — nothing double counted or lost.
 	var histTotal uint64
-	for op := range opLabels {
+	for op := range opTable {
 		if h := srv.sm.ops[op]; h != nil {
 			histTotal += h.Snapshot().Count
 		}

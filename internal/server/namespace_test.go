@@ -337,27 +337,63 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 	_ = durable.ErrNoNamespace // the server maps this to ErrCodeBadFrame on the wire
 }
 
+// TestNamespaceWireReadOnlyRefusal walks the opcode table on a replica:
+// every row that mutates — and each mutating BATCH kind — is refused
+// with ErrCodeReadOnly before its payload is looked at (the refused
+// requests here carry none), and every other row is served.
 func TestNamespaceWireReadOnlyRefusal(t *testing.T) {
 	db := newTestDB(t, 4)
 	defer db.Abandon()
-	srv, addr := startTCP(t, db, Config{SweepInterval: -1, ReadOnly: true})
-	defer srv.Close()
-	c := dialNS(t, addr)
-
-	if _, err := c.NSPut("acme", 1, 1); !errors.Is(err, client.ErrReadOnly) {
-		t.Fatalf("ns put on replica: %v, want ErrReadOnly", err)
+	_, hashes, err := db.ShardHashes("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.NSDelete("acme", 1); !errors.Is(err, client.ErrReadOnly) {
-		t.Fatalf("ns del on replica: %v, want ErrReadOnly", err)
+	// A well-formed request for each row a replica serves.
+	valid := map[byte][]byte{
+		proto.OpGet:       proto.AppendKey(nil, 1),
+		proto.OpGetTTL:    proto.AppendKey(nil, 1),
+		proto.OpNSGet:     proto.AppendNSKey(nil, "acme", 1),
+		proto.OpRange:     proto.AppendRangeReq(nil, 0, 10, 0),
+		proto.OpLen:       {},
+		proto.OpPing:      []byte("still here"),
+		proto.OpHealth:    {},
+		proto.OpPromote:   {},
+		proto.OpListNS:    {},
+		proto.OpShardHash: {},
+		proto.OpSync:      proto.AppendSyncReq(nil, 0, hashes[0].Hash, 0, 0, ""),
 	}
-	if _, err := c.DropNS("acme"); !errors.Is(err, client.ErrReadOnly) {
-		t.Fatalf("drop on replica: %v, want ErrReadOnly", err)
+	type request struct {
+		name    string
+		op      byte
+		payload []byte
+		refused bool
 	}
-	// Reads stay open.
-	if _, ok, err := c.NSGet("acme", 1); err != nil || ok {
-		t.Fatalf("ns read on replica: ok=%v err=%v", ok, err)
+	cases := []request{
+		{"batch put", proto.OpBatch, proto.AppendBatchPut(nil, []proto.Item{{Key: 1, Val: 1}}), true},
+		{"batch del", proto.OpBatch, proto.AppendBatchKeys(nil, proto.BatchDel, []int64{1}), true},
+		{"batch get", proto.OpBatch, proto.AppendBatchKeys(nil, proto.BatchGet, []int64{1}), false},
 	}
-	if _, _, err := c.ListNS(); err != nil {
-		t.Fatalf("list on replica: %v", err)
+	for op, spec := range opTable {
+		if spec == nil || byte(op) == proto.OpBatch {
+			continue
+		}
+		payload, ok := valid[byte(op)]
+		if !ok && !spec.mutates {
+			t.Fatalf("%s: the test has no well-formed request for this row", spec.label)
+		}
+		cases = append(cases, request{spec.label, byte(op), payload, spec.mutates})
+	}
+	for _, tc := range cases {
+		// A fresh replica per request: PROMOTE, served, ends the role.
+		srv, addr := startTCP(t, db, Config{SweepInterval: -1, ReadOnly: true})
+		f, err := rawCall(t, addr, tc.op, tc.payload)
+		srv.Close()
+		var re *proto.RemoteError
+		switch {
+		case tc.refused && (!errors.As(err, &re) || re.Code != proto.ErrCodeReadOnly):
+			t.Errorf("%s on a replica: %v, want ErrCodeReadOnly", tc.name, err)
+		case !tc.refused && (err != nil || f.Op != tc.op|proto.FlagReply):
+			t.Errorf("%s on a replica: reply %s, err %v; want it served", tc.name, proto.OpName(f.Op), err)
+		}
 	}
 }

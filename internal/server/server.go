@@ -35,18 +35,11 @@ type Config struct {
 	// none). A peer that stops reading is disconnected rather than
 	// allowed to pin server memory.
 	WriteTimeout time.Duration
-	// MaxPayload caps accepted frame payloads (0: proto.MaxPayload).
-	MaxPayload int
 	// MaxRangeItems caps the items in one RANGE reply (0: 4096; always
 	// clamped to proto.MaxRangeItems so the reply fits a frame). Longer
 	// scans paginate: the reply's more flag tells the client to reissue
 	// from its last key + 1.
 	MaxRangeItems int
-	// WriteQueue is the coalescer's queue depth in operations
-	// (0: 4096); submitters block when it is full.
-	WriteQueue int
-	// MaxWriteBatch caps one coalesced ApplyBatch (0: 4096).
-	MaxWriteBatch int
 	// ReadOnly makes this a read replica: PUT, DEL, mutating BATCH
 	// kinds, and CHECKPOINT are answered with ErrCodeReadOnly (the
 	// connection stays open — reads continue). SHARDHASH/SYNC still
@@ -63,16 +56,12 @@ type Config struct {
 	// not local checkpoints, keep the directory current — so a promoted
 	// primary needs the checkpointer brought up).
 	PromoteBackground bool
-	// MaxSyncChunk caps the image bytes in one SYNC reply (0: 256 KiB;
-	// always clamped to proto.MaxSyncChunk so the reply fits a frame).
-	MaxSyncChunk int
 	// SweepInterval is the expiry sweeper's poll period (0: 1 second;
 	// negative: no sweeper). The interval only bounds how soon after an
 	// epoch transition the sweeper NOTICES it — sweeps themselves are
 	// epoch-triggered (at most one per epoch, of exactly the entries
 	// already dead at it), so poll frequency never reaches the disk
-	// state. Read-only replicas never run a sweeper: their dead entries
-	// leave when the primary's swept checkpoint ships.
+	// state. Read-only replicas sweep nothing (see sweepOnceNow).
 	SweepInterval time.Duration
 	// Metrics registers the server's metric set — per-opcode latency
 	// histograms, phase timings (decode → coalesce-wait → apply →
@@ -97,16 +86,10 @@ type Config struct {
 	// other namespaced write.
 	NSQuota int
 	// Trace is the span store request traces are recorded into (nil:
-	// tracing off, and every trace branch below reduces to one nil
-	// check). A request is KEPT — its span tree recorded — when the
-	// client head-sampled it (trace-context sampled flag), when the
-	// server head-samples it (the store's rate; only requests arriving
-	// with no trace context, so a tracing client's sampling decision is
-	// never second-guessed), when it crosses the slow-op threshold, or
-	// when it ends in a protocol error; everything else records
-	// nothing. Kept server spans carry the client's trace id so
-	// /debug/traces stitches the cross-node tree. See internal/trace
-	// and docs/OBSERVABILITY.md.
+	// tracing off). Which requests are kept is one rule, stated at
+	// conn.finish and in docs/OBSERVABILITY.md; kept server spans carry
+	// the client's trace id so /debug/traces stitches the cross-node
+	// tree.
 	Trace *trace.Store
 }
 
@@ -123,30 +106,12 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = 30 * time.Second
 	}
-	if c.MaxPayload <= 0 || c.MaxPayload > proto.MaxPayload {
-		c.MaxPayload = proto.MaxPayload
+	if c.MaxRangeItems <= 0 {
+		c.MaxRangeItems = 4096
 	}
-	if c.MaxRangeItems <= 0 || c.MaxRangeItems > proto.MaxRangeItems {
-		// The protocol bound keeps every RANGE reply under the frame
-		// payload cap; a larger configured value could emit frames no
-		// client can read.
-		if c.MaxRangeItems > proto.MaxRangeItems {
-			c.MaxRangeItems = proto.MaxRangeItems
-		} else {
-			c.MaxRangeItems = 4096
-		}
-	}
-	if c.WriteQueue <= 0 {
-		c.WriteQueue = 4096
-	}
-	if c.MaxWriteBatch <= 0 {
-		c.MaxWriteBatch = 4096
-	}
-	if c.MaxSyncChunk <= 0 {
-		c.MaxSyncChunk = 256 << 10
-	} else if c.MaxSyncChunk > proto.MaxSyncChunk {
-		c.MaxSyncChunk = proto.MaxSyncChunk
-	}
+	// The protocol bound keeps every RANGE reply under the frame payload
+	// cap; a larger configured value could emit frames no client can read.
+	c.MaxRangeItems = min(c.MaxRangeItems, proto.MaxRangeItems)
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second
 	}
@@ -166,7 +131,6 @@ type Server struct {
 	sm   *serverMetrics
 	slow *obs.SlowLog
 	bat  *batcher
-	tr   *trace.Store // nil: tracing off
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -174,7 +138,7 @@ type Server struct {
 	sem       chan struct{}
 
 	closing atomic.Bool    // draining: reject new work (set under mu)
-	batOnce sync.Once      // starts the coalescer (and sweeper) on first use
+	batOnce sync.Once      // starts the coalescer on first use
 	wg      sync.WaitGroup // live connection handlers (Add under mu)
 
 	// readOnly is Config.ReadOnly made switchable at runtime; Promote
@@ -186,13 +150,9 @@ type Server struct {
 
 	start time.Time // for the uptime stat
 
-	// Expiry sweeper: an epoch-triggered loop that feeds conditional
-	// expire-deletes through the write coalescer. sweepDone is non-nil
-	// exactly when the goroutine was started (under batOnce).
-	sweep     *expiry.Schedule
-	sweepStop chan struct{}
-	sweepOnce sync.Once
-	sweepDone chan struct{}
+	// sweep schedules the epoch-triggered expiry sweeps the coalescer
+	// goroutine runs between drains (see sweepOnceNow).
+	sweep *expiry.Schedule
 
 	// One-entry cache of the last shard image served to a SYNC fetch,
 	// so a replica pulling an image chunk by chunk costs one disk read,
@@ -217,93 +177,48 @@ func New(db *durable.DB, cfg Config) *Server {
 		sem:       make(chan struct{}, c.MaxConns),
 		start:     time.Now(),
 		sweep:     expiry.NewSchedule(db.Clock()),
-		sweepStop: make(chan struct{}),
 	}
 	s.readOnly.Store(c.ReadOnly)
-	s.tr = c.Trace
 	s.sm = newServerMetrics(c.Metrics)
 	s.slow = obs.NewSlowLog(c.SlowOpLog, c.SlowOpThreshold, c.Metrics)
 	if c.Metrics != nil {
 		registerServerFuncs(c.Metrics, s)
 	}
-	s.bat = newBatcher(db, &s.st, s.sm, s.slow, c.WriteQueue, c.MaxWriteBatch, c.NSQuota)
-	s.bat.tr = c.Trace
-	if c.Trace != nil {
-		// Synchronous barriers (CHECKPOINT, DROPNS) thread their trace
-		// into the durable layer so checkpoint/sweep spans join the
-		// requesting trace; background checkpoints mint their own.
-		db.SetTrace(c.Trace)
-	}
+	s.bat = newBatcher(s)
+	// Synchronous barriers (CHECKPOINT, DROPNS) thread their trace into
+	// the durable layer so checkpoint/sweep spans join the requesting
+	// trace; background checkpoints mint their own.
+	db.SetTrace(c.Trace)
 	return s
 }
 
-// startBatcher launches the coalescer — and the expiry sweeper that
-// submits through it — exactly once. The sweeper runs on replicas too
-// (so a later Promote needs no new goroutine, which would race
-// shutdown) but sweepOnceNow is a no-op while the node is read-only.
+// startBatcher launches the coalescer goroutine exactly once.
 func (s *Server) startBatcher() {
-	s.batOnce.Do(func() {
-		go s.bat.run()
-		if s.cfg.SweepInterval > 0 {
-			s.sweepDone = make(chan struct{})
-			go s.sweepLoop()
-		}
-	})
+	s.batOnce.Do(func() { go s.bat.run() })
 }
 
-// sweepLoop polls the sweep schedule. The ticker only bounds reaction
-// latency; what gets removed is a pure function of (contents, epoch).
-func (s *Server) sweepLoop() {
-	defer close(s.sweepDone)
-	t := time.NewTicker(s.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.sweepStop:
-			return
-		case <-t.C:
-		}
-		s.sweepOnceNow()
-	}
-}
-
-// sweepOnceNow runs one epoch-triggered sweep if one is due: list the
-// keys already dead at the current epoch, in every keyspace, and push
-// conditional expire-deletes through the write coalescer, so the
-// physical removals serialize with the pipelined client writes they
-// race — an expire op re-checks the entry's recorded expiry under the
-// shard lock, so a key a client resurrects mid-sweep survives.
+// sweepOnceNow runs one epoch-triggered sweep if one is due: every
+// entry already dead at the current epoch, in every keyspace, is
+// removed by DB.SweepExpired — the same sweep a checkpoint runs before
+// rendering. The coalescer calls it on a Config.SweepInterval tick,
+// which only bounds reaction latency: what gets removed is a pure
+// function of (contents, epoch). The tick runs on replicas too (so a
+// Promote arms nothing), but a replica's dead entries leave when the
+// primary's swept checkpoint ships.
 func (s *Server) sweepOnceNow() {
 	if s.readOnly.Load() {
-		// A replica's dead entries leave when the primary's swept
-		// checkpoint ships. The role check comes BEFORE Due() so epochs
-		// that pass while read-only stay pending: the first sweep after
-		// a promotion covers everything dead at that moment.
+		// BEFORE Due(), so epochs that pass while read-only stay pending:
+		// the first sweep after a promotion covers everything dead then.
 		return
 	}
 	epoch, due := s.sweep.Due()
 	if !due {
 		return
 	}
-	n := 0
-	s.db.ExpiredKeys(epoch, func(ns string, k int64) {
-		s.bat.submit(writeReq{ns: ns, key: k, exp: epoch})
-		n++
-	})
-	s.sweep.MarkDone(epoch)
-	if n > 0 {
+	if s.db.SweepExpired(epoch) > 0 {
 		s.st.sweeps.Add(1)
 	}
-}
-
-// stopSweeper stops the sweep loop and waits for it to exit. It must
-// run before the batcher closes — the loop submits into the batcher's
-// queue.
-func (s *Server) stopSweeper() {
-	s.sweepOnce.Do(func() { close(s.sweepStop) })
-	if s.sweepDone != nil {
-		<-s.sweepDone
-	}
+	s.sweep.MarkDone(epoch)
 }
 
 // ErrNotReplica is returned by Promote on a node that is already
@@ -458,7 +373,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.severConns()
 		<-done
 	}
-	s.stopSweeper()
 	s.bat.close()
 	return s.db.Checkpoint()
 }
@@ -469,13 +383,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() {
 	s.stop(true)
 	s.wg.Wait()
-	s.stopSweeper()
 	s.bat.close()
 }
 
 // stop closes listeners and either wakes (graceful) or severs (force)
-// the live connections. Idempotent via stopOnce for the listener part;
-// conn poking is safe to repeat.
+// the live connections. Safe to repeat.
 func (s *Server) stop(force bool) {
 	// closing is set under mu so it cannot interleave with admit():
 	// after this critical section, no new handler can join the
@@ -540,8 +452,6 @@ type conn struct {
 	qdone bool
 	qsig  chan struct{} // capacity 1: wake the writer
 
-	// done closes when the connection is dead.
-	done      chan struct{}
 	closeOnce sync.Once
 	// pending counts writes handed to the coalescer and not yet
 	// replied. Only the reader goroutine Adds, so Wait in the reader is
@@ -555,38 +465,17 @@ type conn struct {
 	pscratch []byte
 	rangeBuf []proto.Item
 
-	// Per-request wire state, written by readLoop before dispatch and
-	// read only on the reader goroutine: the frame's trace context.
-	// Coalesced writes carry a copy in their writeReq instead — the
-	// batcher goroutine must never read these fields. reqOp/reqT0 let
-	// sendError record an error span for a traced request without
-	// threading more parameters through every decode-failure path.
-	reqT  proto.TraceCtx
-	reqOp byte
-	reqT0 time.Time
-
-	// A span identity preminted before an inline apply, for ops that
-	// must hand their trace to a lower layer mid-flight (CHECKPOINT
-	// threads it into durable so the checkpoint span can parent here).
-	// replyInline consumes it: nonzero preSID means "this request is
-	// kept, under exactly these ids". Reader-goroutine only.
-	preTID uint64
-	preSID uint64
-
 	// The trace identity awaiting the next flush, set under qmu by
-	// whichever goroutine keeps a span tree (reader or batcher) — by
-	// sendFrame together with the reply when the keep was decided before
-	// the send, by noteFlushTrace otherwise — and consumed by the writer
-	// after its Write returns. A flush carries many replies; attribution
-	// goes to the last kept request — approximate by design, like the
-	// flush phase histogram itself.
+	// whichever goroutine finishes a kept request and consumed by the
+	// writer after its Write returns. A flush carries many replies;
+	// attribution goes to the last kept request — approximate by design,
+	// like the flush phase histogram itself.
 	flushTID uint64
 	flushSID uint64
 }
 
 func (c *conn) close() {
 	c.closeOnce.Do(func() {
-		close(c.done)
 		c.nc.Close()
 		c.markDone()
 	})
@@ -603,23 +492,15 @@ func (c *conn) markDone() {
 	}
 }
 
-// sendFrame encodes a reply straight into the outbound buffer without
+// sendFrame encodes rq's reply straight into the outbound buffer without
 // ever blocking the caller. The payload is copied before sendFrame
 // returns, so callers may reuse their payload scratch immediately.
 // Replies after end-of-stream are dropped; a peer whose queue is full
-// (it stopped reading) is disconnected.
-//
-// tc is the request's trace context, passed explicitly because
-// sendFrame runs on both the reader goroutine (inline ops) and the
-// coalescer goroutine (batched writes) — per-conn "current request"
-// fields would race. The reply echoes it so the client can confirm the
-// server saw its ids.
-//
-// ftid/fsid nonzero are the span identity of a request whose trace is
-// already known to be kept: they arm the flush attribution in the same
-// critical section that queues the reply, so the flush that carries
-// this frame cannot run before it is armed.
-func (c *conn) sendFrame(op byte, id uint64, payload []byte, tc proto.TraceCtx, ftid, fsid uint64) {
+// (it stopped reading) is disconnected. The reply echoes the request's
+// trace context, and a record whose span ids are already minted arms the
+// flush attribution in the same critical section that queues the reply,
+// so the flush that carries this frame cannot run before it is armed.
+func (c *conn) sendFrame(op byte, rq *request, payload []byte) {
 	c.qmu.Lock()
 	if c.qdone {
 		c.qmu.Unlock()
@@ -630,28 +511,16 @@ func (c *conn) sendFrame(op byte, id uint64, payload []byte, tc proto.TraceCtx, 
 		c.close()
 		return
 	}
-	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: proto.Version, Op: op, ID: id, Payload: payload, Trace: tc})
+	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: proto.Version, Op: op, ID: rq.id, Payload: payload, Trace: rq.tc})
 	c.nq++
-	if fsid != 0 {
-		c.flushTID, c.flushSID = ftid, fsid
+	if rq.sid != 0 {
+		c.flushTID, c.flushSID = rq.tid, rq.sid
 	}
 	c.qmu.Unlock()
 	select {
 	case c.qsig <- struct{}{}:
 	default:
 	}
-}
-
-// noteFlushTrace arms the flush attribution after the reply was queued:
-// the path of a request kept only because it turned out slow, which is
-// known only once the reply is on its way. The writer may already have
-// flushed that reply, in which case the attribution lands on the
-// connection's next flush or none — a slow-kept trace may lack its
-// flush span.
-func (c *conn) noteFlushTrace(tid, sid uint64) {
-	c.qmu.Lock()
-	c.flushTID, c.flushSID = tid, sid
-	c.qmu.Unlock()
 }
 
 // handle runs one connection to completion: a writer goroutine plus the
@@ -662,7 +531,6 @@ func (s *Server) handle(nc net.Conn) {
 		srv:  s,
 		nc:   nc,
 		qsig: make(chan struct{}, 1),
-		done: make(chan struct{}),
 	}
 	s.mu.Lock()
 	s.conns[c] = struct{}{}
@@ -730,7 +598,7 @@ func (c *conn) writeLoop() {
 			}
 			c.srv.sm.phaseFlush.ObserveSince(t0)
 			c.srv.sm.flushBytes.Observe(int64(len(batch)))
-			if tr := c.srv.tr; tr != nil {
+			if tr := c.srv.cfg.Trace; tr != nil {
 				c.qmu.Lock()
 				tid, sid := c.flushTID, c.flushSID
 				c.flushTID, c.flushSID = 0, 0
@@ -766,7 +634,7 @@ func (c *conn) readLoop() {
 	// FrameReader reuses one payload buffer across frames; dispatch
 	// honors its aliasing contract by fully consuming (decoding or
 	// copying) each payload before returning.
-	fr := proto.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10), s.cfg.MaxPayload)
+	fr := proto.NewFrameReader(bufio.NewReaderSize(c.nc, 64<<10), proto.MaxPayload)
 	for {
 		if s.closing.Load() {
 			// Draining: stop accepting new frames. Without this check a
@@ -783,22 +651,21 @@ func (c *conn) readLoop() {
 		if err != nil {
 			// Framing violations get a parting error frame; EOF and
 			// deadline expiry are normal ends. Either way the stream
-			// cannot be resynchronized, so the connection ends. The
-			// stale per-request trace context is cleared first so the
-			// parting error is not misattributed to the previous
-			// request's trace.
-			c.reqT = proto.TraceCtx{}
+			// cannot be resynchronized, so the connection ends. No
+			// request was parsed, so nothing is timed or traced.
 			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) &&
 				!isTimeout(err) && !errors.Is(err, net.ErrClosed) {
 				code := byte(proto.ErrCodeBadFrame)
 				if errors.Is(err, proto.ErrFrameTooLarge) {
 					code = proto.ErrCodeTooLarge
 				}
-				c.sendError(0, code, err.Error())
+				s.st.errors.Add(1)
+				c.sendFrame(proto.OpError, &request{}, proto.AppendError(nil, code, err.Error()))
 			}
 			return
 		}
-		t0 := time.Now() // receipt: phase timing starts here
+		// Receipt: phase timing starts here.
+		rq := request{op: f.Op, id: f.ID, tc: f.Trace, in: len(f.Payload), t0: time.Now()}
 		// Bytes on the wire: header, the extlen byte, extension, payload.
 		wire := proto.HeaderSize + 1 + len(f.Payload)
 		if f.Trace.ID != 0 {
@@ -806,16 +673,12 @@ func (c *conn) readLoop() {
 		}
 		s.st.bytesIn.Add(uint64(wire))
 		s.st.requests.Add(1)
-		c.reqT, c.reqOp, c.reqT0 = f.Trace, f.Op, t0
 		if f.Ver != proto.Version {
-			c.sendError(f.ID, proto.ErrCodeVersion,
+			c.fail(&rq, proto.ErrCodeVersion,
 				fmt.Sprintf("protocol version %d, server speaks %d", f.Ver, proto.Version))
 			return
 		}
-		c.pscratch = c.pscratch[:0]
-		if !c.dispatch(f, t0) {
-			return
-		}
+		c.dispatch(rq, f.Payload)
 		if cap(c.pscratch) > 64<<10 && len(c.pscratch) <= 64<<10 {
 			// A jumbo batch, range or sync reply grew the scratch. It
 			// stays while replies keep needing it — a SYNC stream reuses
@@ -831,375 +694,65 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-func (c *conn) sendError(id uint64, code byte, msg string) {
-	c.srv.st.errors.Add(1)
-	// Errors are cold; building the payload fresh keeps pscratch free
-	// for whatever reply construction the caller was in the middle of.
-	c.sendFrame(proto.OpError, id, proto.AppendError(nil, code, msg), c.reqT, 0, 0)
-	// Tail-keep on error: a request that arrived with a trace context
-	// and failed keeps a server span carrying the error code, whatever
-	// the sampling decision was. Only the reader goroutine calls
-	// sendError, so reqOp/reqT0/reqT are safe to read. Framing errors
-	// (no parsed request) cleared reqT and record nothing.
-	if tr := c.srv.tr; tr != nil && c.reqT.ID != 0 {
-		tr.Record(trace.Span{
-			Trace: c.reqT.ID, ID: tr.NewID(), Parent: c.reqT.Span,
-			Start: c.reqT0.UnixNano(), Dur: int64(time.Since(c.reqT0)),
-			Kind: trace.KindServer, Op: c.reqOp, Err: code, Shard: -1,
-		})
-	}
-}
-
-// dispatch executes one request. It returns false when the connection
-// must close (protocol violation so severe the stream is untrustworthy
-// — currently nothing below qualifies; malformed payloads get an error
-// reply and the stream continues, since framing is still intact).
-//
-// t0 is the frame's receipt time. Each inline-served case captures the
-// phase boundaries (decode done / barrier-wait done / apply done) and
-// hands them to replyInline; coalesced writes record their decode phase
-// here and carry t0 into the batcher, which owns their wait/apply/
-// encode phases and total latency. Error paths are not timed — the
-// errors counter covers them.
-func (c *conn) dispatch(f proto.Frame, t0 time.Time) bool {
+// dispatch executes one request: look up the opcode's row, refuse a
+// mutation on a replica, count, decode, then either hand the record to
+// the write coalescer — which owns its wait/apply/encode phases and its
+// reply — or wait out the connection's in-flight writes (barrier ops)
+// and serve it here. Every path ends in finish. Malformed payloads get
+// an error reply and the stream continues, since framing is still
+// intact. p may alias the FrameReader's buffer and is dead once dispatch
+// returns.
+func (c *conn) dispatch(rq request, p []byte) {
 	s := c.srv
-	if s.readOnly.Load() && mutates(f) {
-		s.st.readOnlyRejected.Add(1)
-		c.sendError(f.ID, proto.ErrCodeReadOnly,
-			fmt.Sprintf("%s: this node is a read replica; send writes to the primary", proto.OpName(f.Op)))
-		return true
-	}
-	switch f.Op {
-	case proto.OpPut, proto.OpPutTTL, proto.OpDel, proto.OpNSPut, proto.OpNSDel, proto.OpDropNS:
-		c.submitWrite(f, t0)
-
-	case proto.OpGet, proto.OpGetTTL, proto.OpNSGet:
-		ns, key, _, _, err := decodePoint(f)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		if f.Op == proto.OpNSGet {
-			s.st.nsOps.Add(1)
-		}
-		td := time.Now()
-		c.pending.Wait() // program order: reads see this conn's writes
-		tw := time.Now()
-		val, exp, ok := s.db.NSGetTTL(ns, key)
-		ta := time.Now()
-		if f.Op == proto.OpGet {
-			c.pscratch = proto.AppendFound(c.pscratch[:0], ok, val, s.db.Checkpoints())
-		} else {
-			c.pscratch = proto.AppendFoundTTL(c.pscratch[:0], ok, val, exp, s.db.Checkpoints())
-		}
-		c.replyInline(f, c.pscratch, key, ns == "", t0, td, tw, ta)
-
-	case proto.OpBatch:
-		kind, items, keys, err := proto.DecodeBatch(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		switch kind {
-		case proto.BatchPut:
-			s.st.writes.Add(uint64(len(items)))
-			n := s.db.PutBatch(items)
-			ta := time.Now()
-			c.pscratch = proto.AppendU32(c.pscratch[:0], uint32(n))
-			c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
-		case proto.BatchGet:
-			if len(keys) > proto.MaxBatchGet {
-				// The reply (9 bytes per key) would exceed the frame
-				// payload cap even though the request fit under it.
-				c.sendError(f.ID, proto.ErrCodeTooLarge,
-					fmt.Sprintf("batch-get of %d keys exceeds the %d-key reply cap", len(keys), proto.MaxBatchGet))
-				return true
-			}
-			s.st.reads.Add(uint64(len(keys)))
-			vals, ok := s.db.GetBatch(keys)
-			ta := time.Now()
-			c.pscratch = proto.AppendBatchGetReply(c.pscratch[:0], vals, ok, s.db.Checkpoints())
-			c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
-		case proto.BatchDel:
-			s.st.writes.Add(uint64(len(keys)))
-			n := s.db.DeleteBatch(keys)
-			ta := time.Now()
-			c.pscratch = proto.AppendU32(c.pscratch[:0], uint32(n))
-			c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
-		}
-
-	case proto.OpRange:
-		lo, hi, max, err := proto.DecodeRangeReq(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		limit := s.cfg.MaxRangeItems
-		if max > 0 && int(max) < limit {
-			limit = int(max)
-		}
-		// RangeN bounds work and memory by the limit, not the window
-		// size, so a whole-keyspace RANGE costs O(shards·limit).
-		items, more := s.db.RangeN(lo, hi, limit, c.rangeBuf[:0])
-		ta := time.Now()
-		c.rangeBuf = items
-		c.pscratch = proto.AppendRangeReply(c.pscratch[:0], items, more, s.db.Checkpoints())
-		c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
-
-	case proto.OpLen:
-		s.st.reads.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		n := uint64(s.db.Len())
-		ta := time.Now()
-		c.pscratch = proto.AppendLenReply(c.pscratch[:0], n, s.db.Checkpoints())
-		c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
-
-	case proto.OpCheckpoint:
-		// A durability barrier: everything this connection has been
-		// acknowledged for is on disk when the reply arrives. When
-		// tracing, the span identity is minted up front (the barrier is
-		// inherently slow — always kept) so the durable layer's
-		// checkpoint/sweep spans can parent under this request's server
-		// span; replyInline consumes the premint instead of re-deciding.
-		var ptid, psid uint64
-		if s.tr != nil {
-			ptid, psid = mintSpan(s.tr, f.Trace)
-			c.preTID, c.preSID = ptid, psid
-		}
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		if err := s.db.CheckpointTraced(ptid, psid); err != nil {
-			c.preTID, c.preSID = 0, 0
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
-		}
-		ta := time.Now() // apply phase = the checkpoint commit itself
-		c.pscratch = proto.AppendU64(c.pscratch[:0], s.db.Checkpoints())
-		c.replyInline(f, c.pscratch, 0, false, t0, td, tw, ta)
-
-	case proto.OpPing:
-		// f.Payload may alias the FrameReader's reused buffer; sendFrame
-		// copies it into the outbound queue before returning, so the
-		// echo is captured before the next frame overwrites it.
-		tn := time.Now()
-		c.replyInline(f, f.Payload, 0, false, t0, tn, tn, tn)
-
-	case proto.OpHealth:
-		// A liveness probe with a staleness report. Deliberately NO
-		// pending.Wait: a health check must answer even when the write
-		// path is backed up — failover decisions hinge on it.
-		if len(f.Payload) != 0 {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, "health request carries a payload")
-			return true
-		}
-		epoch, hash := s.db.CheckpointStamp()
-		tn := time.Now()
-		c.pscratch = proto.AppendHealth(c.pscratch[:0], proto.Health{
-			ReadOnly:   s.readOnly.Load(),
-			Promotions: s.promotions.Load(),
-			Epoch:      epoch,
-			Hash:       hash,
-		})
-		c.replyInline(f, c.pscratch, 0, false, t0, tn, tn, tn)
-
-	case proto.OpPromote:
-		if len(f.Payload) != 0 {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, "promote request carries a payload")
-			return true
-		}
-		td := time.Now()
-		n, err := s.Promote()
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeNotReplica, err.Error())
-			return true
-		}
-		ta := time.Now()
-		c.pscratch = proto.AppendU64(c.pscratch[:0], n)
-		c.replyInline(f, c.pscratch, 0, false, t0, td, td, ta)
-
-	case proto.OpListNS:
-		if len(f.Payload) != 0 {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, "list-namespaces request carries a payload")
-			return true
-		}
-		s.st.reads.Add(1)
-		s.st.nsOps.Add(1)
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		nss := s.db.Namespaces()
-		ta := time.Now()
-		if len(nss) > proto.MaxListNS {
-			c.sendError(f.ID, proto.ErrCodeTooLarge,
-				fmt.Sprintf("%d namespaces exceed the %d-entry reply cap", len(nss), proto.MaxListNS))
-			return true
-		}
-		out := make([]proto.NSStat, len(nss))
-		for i, e := range nss {
-			out[i] = proto.NSStat{Name: e.Name, Keys: uint64(e.Keys)}
-		}
-		payload := proto.AppendNSList(nil, uint64(s.cfg.NSQuota), out)
-		if len(payload) > proto.MaxPayload {
-			c.sendError(f.ID, proto.ErrCodeTooLarge, "namespace listing exceeds the frame payload cap")
-			return true
-		}
-		c.replyInline(f, payload, 0, false, t0, td, tw, ta)
-
-	case proto.OpShardHash:
-		// Replication: advertise the last committed checkpoint's
-		// canonical per-shard hashes. A barrier over this connection's
-		// writes makes SHARDHASH-after-CHECKPOINT see that checkpoint.
-		// An empty request addresses the default keyspace (the reply
-		// appends the committed namespace-name table); a request carrying
-		// nslen(2) ns addresses that tenant's cell.
-		s.st.syncHashes.Add(1)
-		var ns string
-		if len(f.Payload) != 0 {
-			var err error
-			if ns, err = proto.DecodeNSName(f.Payload); err != nil {
-				c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-				return true
-			}
-		}
-		td := time.Now()
-		c.pending.Wait()
-		tw := time.Now()
-		hseed, entries, err := s.db.ShardHashes(ns)
-		var names []string
-		if err == nil && ns == "" {
-			names, err = s.db.NSNames()
-		}
-		if err != nil {
-			code := byte(proto.ErrCodeInternal)
-			if errors.Is(err, durable.ErrNoNamespace) {
-				code = proto.ErrCodeBadFrame
-			}
-			c.sendError(f.ID, code, err.Error())
-			return true
-		}
-		ta := time.Now()
-		if len(entries) > proto.MaxSyncShards {
-			c.sendError(f.ID, proto.ErrCodeTooLarge,
-				fmt.Sprintf("%d shards exceed the %d-shard reply cap", len(entries), proto.MaxSyncShards))
-			return true
-		}
-		out := make([]proto.ShardHash, len(entries))
-		for i, e := range entries {
-			out[i] = proto.ShardHash{Size: e.Size, Hash: e.Hash}
-		}
-		payload := proto.AppendShardHashes(nil, hseed, out, names)
-		if len(payload) > proto.MaxPayload {
-			c.sendError(f.ID, proto.ErrCodeTooLarge, "shard-hash reply exceeds the frame payload cap")
-			return true
-		}
-		c.replyInline(f, payload, 0, false, t0, td, tw, ta)
-
-	case proto.OpSync:
-		shardIdx, hash, off, maxLen, ns, err := proto.DecodeSyncReq(f.Payload)
-		if err != nil {
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		}
-		s.st.syncChunks.Add(1)
-		td := time.Now()
-		img, err := s.shardImage(ns, int(shardIdx), hash)
-		switch {
-		case errors.Is(err, durable.ErrStaleShard):
-			c.sendError(f.ID, proto.ErrCodeStale, err.Error())
-			return true
-		case errors.Is(err, durable.ErrNoNamespace):
-			c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
-			return true
-		case err != nil:
-			c.sendError(f.ID, proto.ErrCodeInternal, err.Error())
-			return true
-		}
-		if off > uint64(len(img)) {
-			c.sendError(f.ID, proto.ErrCodeBadFrame,
-				fmt.Sprintf("offset %d past the %d-byte image", off, len(img)))
-			return true
-		}
-		limit := s.cfg.MaxSyncChunk
-		if maxLen > 0 && int(maxLen) < limit {
-			limit = int(maxLen)
-		}
-		end := int(off) + limit
-		if end > len(img) {
-			end = len(img)
-		}
-		chunk := img[off:end]
-		more := end < len(img)
-		if !more {
-			// The fetcher just took the image's last chunk; release the
-			// cache rather than pin a whole shard image between syncs.
-			s.syncMu.Lock()
-			if s.syncNS == ns && s.syncIdx == int(shardIdx) && s.syncHash == hash {
-				s.syncImage = nil
-			}
-			s.syncMu.Unlock()
-		}
-		s.st.syncBytesOut.Add(uint64(len(chunk)))
-		ta := time.Now()
-		c.pscratch = proto.AppendSyncChunk(c.pscratch[:0], more, chunk)
-		c.replyInline(f, c.pscratch, 0, false, t0, td, td, ta)
-
-	default:
-		c.sendError(f.ID, proto.ErrCodeUnknownOp, proto.OpName(f.Op))
-	}
-	return true
-}
-
-// decodePoint decodes any point op's payload into the one shape they
-// all share: a keyspace ("": the default one), a key, and — for the
-// puts — a value and an absolute expiry (0: none). DROPNS carries only
-// the keyspace.
-func decodePoint(f proto.Frame) (ns string, key, val, exp int64, err error) {
-	switch f.Op {
-	case proto.OpPut:
-		key, val, err = proto.DecodeKeyVal(f.Payload)
-	case proto.OpPutTTL:
-		key, val, exp, err = proto.DecodeKeyValExp(f.Payload)
-	case proto.OpNSPut:
-		ns, key, val, exp, err = proto.DecodeNSKeyValExp(f.Payload)
-	case proto.OpNSGet, proto.OpNSDel:
-		ns, key, err = proto.DecodeNSKey(f.Payload)
-	case proto.OpDropNS:
-		ns, err = proto.DecodeNSName(f.Payload)
-	default: // GET, GETTTL, DEL
-		key, err = proto.DecodeKey(f.Payload)
-	}
-	return ns, key, val, exp, err
-}
-
-// submitWrite decodes a point write or DROPNS and hands it to the
-// coalescer, which owns its wait/apply/encode phases and its reply.
-func (c *conn) submitWrite(f proto.Frame, t0 time.Time) {
-	s := c.srv
-	ns, key, val, exp, err := decodePoint(f)
-	if err != nil {
-		c.sendError(f.ID, proto.ErrCodeBadFrame, err.Error())
+	spec := opTable[rq.op]
+	if spec == nil {
+		c.fail(&rq, proto.ErrCodeUnknownOp, proto.OpName(rq.op))
 		return
 	}
-	s.st.writes.Add(1)
-	if ns != "" {
+	if s.readOnly.Load() && mutates(rq.op, p) {
+		s.st.readOnlyRejected.Add(1)
+		c.fail(&rq, proto.ErrCodeReadOnly,
+			fmt.Sprintf("%s: this node is a read replica; send writes to the primary", proto.OpName(rq.op)))
+		return
+	}
+	s.st.byClass[spec.class].Add(1)
+	if spec.tenant {
 		s.st.nsOps.Add(1)
 	}
-	td := time.Now()
-	s.sm.phaseDecode.Observe(int64(td.Sub(t0)))
-	c.pending.Add(1)
-	s.bat.submit(writeReq{op: f.Op, ns: ns, key: key, val: val, exp: exp,
-		id: f.ID, c: c, t0: t0, td: td, tc: f.Trace, in: len(f.Payload)})
+	if spec.decode != nil {
+		var err error
+		if rq.ns, rq.key, rq.val, rq.exp, err = spec.decode(p); err != nil {
+			c.fail(&rq, proto.ErrCodeBadFrame, err.Error())
+			return
+		}
+	}
+	rq.td = time.Now()
+	if spec.premint && s.cfg.Trace != nil {
+		rq.tid, rq.sid = mintSpan(s.cfg.Trace, rq.tc)
+	}
+	if spec.coalesced {
+		c.pending.Add(1)
+		rq.c = c
+		s.bat.ch <- rq // blocks when the queue is full: backpressure, not unbounded buffering
+		return
+	}
+	if spec.barrier {
+		c.pending.Wait()
+	}
+	tw := time.Now()
+	payload, ta, errCode := spec.serve(c, rq, p, c.pscratch[:0])
+	if errCode == 0 {
+		c.pscratch = payload
+	}
+	c.finish(&rq, payload, errCode, 0, tw, ta)
+}
+
+// fail finishes a request refused before it was served; its remaining
+// phase boundaries collapse to now.
+func (c *conn) fail(rq *request, code byte, msg string) {
+	payload, now, _ := refuse(code, msg)
+	rq.td = now
+	c.finish(rq, payload, code, 0, now, now)
 }
 
 // shardImage returns the committed image for (ns, idx, hash) through
@@ -1220,19 +773,4 @@ func (s *Server) shardImage(ns string, idx int, hash [32]byte) ([]byte, error) {
 	s.syncNS, s.syncIdx, s.syncHash, s.syncImage = ns, idx, hash, img
 	s.syncMu.Unlock()
 	return img, nil
-}
-
-// mutates reports whether a request would change the database: the ops
-// a read replica must refuse. Malformed mutating payloads are also
-// refused (rejection is decided before decoding), which is fine — the
-// error the client gets is the one that tells it where writes go.
-func mutates(f proto.Frame) bool {
-	switch f.Op {
-	case proto.OpPut, proto.OpPutTTL, proto.OpDel, proto.OpCheckpoint,
-		proto.OpNSPut, proto.OpNSDel, proto.OpDropNS:
-		return true
-	case proto.OpBatch:
-		return len(f.Payload) < 1 || f.Payload[0] != proto.BatchGet
-	}
-	return false
 }

@@ -12,6 +12,7 @@ import (
 	"repro/client"
 	"repro/internal/durable"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // newTestDB returns an in-memory durable DB with no background
@@ -329,6 +330,32 @@ func TestHostileFrames(t *testing.T) {
 		t.Fatalf("bad payload reply: %s id %d", proto.OpName(f3.Op), f3.ID)
 	}
 
+	// Traced, the same malformed GET (refused inline, on the reader) and
+	// a quota-refused NSPUT (refused on the coalescer) leave the same
+	// trace: both go through the one completion path. Neither is sampled;
+	// the error alone keeps them.
+	tr := trace.NewStore(1024, 0, nil)
+	tsrv, taddr := startTCP(t, db, Config{SweepInterval: -1, Trace: tr, NSQuota: 1})
+	defer tsrv.Close()
+	tc, err := net.Dial("tcp", taddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	for i, f := range []proto.Frame{
+		{Op: proto.OpGet, Payload: []byte{1, 2}},
+		{Op: proto.OpNSPut, Payload: proto.AppendNSKeyValExp(nil, "acme", 1, 1, 0)}, // fills the quota
+		{Op: proto.OpNSPut, Payload: proto.AppendNSKeyValExp(nil, "acme", 2, 2, 0)},
+	} {
+		f.Ver, f.ID, f.Trace = proto.Version, uint64(10+i), proto.TraceCtx{ID: uint64(0xA0 + i), Span: 0xB0}
+		writeFrame(tc, f)
+		if _, err := readFrame(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertErrorSpanTree(t, tsrv, tr, 0xA0, proto.OpGet, proto.ErrCodeBadFrame, 0)
+	assertErrorSpanTree(t, tsrv, tr, 0xA2, proto.OpNSPut, proto.ErrCodeQuota, 1)
+
 	// An oversized frame kills the connection with ErrCodeTooLarge.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := c.Write(huge); err != nil {
@@ -342,6 +369,32 @@ func TestHostileFrames(t *testing.T) {
 		if code, _, _ := proto.DecodeError(f4.Payload); code != proto.ErrCodeTooLarge {
 			t.Fatalf("code %s", proto.ErrCodeName(code))
 		}
+	}
+}
+
+// assertErrorSpanTree checks what a request that ended in an error
+// reply must leave behind, whichever goroutine refused it: trace tid
+// holds one server span for op carrying the error code, parented under
+// the client's span, with its decode / coalesce-wait / apply / encode
+// children — and the opcode's latency histogram holds only the
+// succeeded requests, because errors are never timed.
+func assertErrorSpanTree(t *testing.T, srv *Server, tr *trace.Store, tid uint64, op, code byte, succeeded uint64) {
+	t.Helper()
+	// The encode child is the last span of the tree to be recorded.
+	sps := spansOf(t, tr, tid, func(sps []trace.Span) bool { return hasKind(sps, trace.KindEncode) })
+	root := one(t, sps, trace.KindServer)
+	if root.Op != op || root.Err != code || root.Parent != 0xB0 || root.Shard != -1 {
+		t.Fatalf("%s error span = %+v, want err %s under parent b0 with shard -1",
+			proto.OpName(op), root, proto.ErrCodeName(code))
+	}
+	for _, k := range []trace.Kind{trace.KindDecode, trace.KindWait, trace.KindApply, trace.KindEncode} {
+		if sp := one(t, sps, k); sp.Parent != root.ID || sp.Dur < 0 {
+			t.Fatalf("%s error trace: %v span %+v, want a child of the server span %x", proto.OpName(op), k, sp, root.ID)
+		}
+	}
+	if n := srv.sm.ops[op].Snapshot().Count; n != succeeded {
+		t.Fatalf("hidb_server_op_seconds{op=%s} holds %d observations, want %d: an error reply was timed",
+			opTable[op].label, n, succeeded)
 	}
 }
 

@@ -12,22 +12,22 @@ type stats struct {
 	connsRejected atomic.Uint64
 	connsActive   atomic.Int64
 	requests      atomic.Uint64
-	reads         atomic.Uint64 // GET, batch-get, RANGE, LEN
-	writes        atomic.Uint64 // PUT, DEL, batch-put/del entries
-	errors        atomic.Uint64 // error frames sent
-	wBatches      atomic.Uint64 // coalescer drains applied
-	wBatchedOps   atomic.Uint64 // write ops that went through the coalescer
-	wMaxBatch     atomic.Uint64 // largest single coalesced batch
-	wExtends      atomic.Uint64 // adaptive-window drain extensions that found more work
-	bytesIn       atomic.Uint64
-	bytesOut      atomic.Uint64
+	// byClass counts requests by their opTable row's class — reads,
+	// writes (BATCH adds one per entry), SHARDHASH and SYNC requests;
+	// the classOther slot is never reported.
+	byClass     [numClasses]atomic.Uint64
+	errors      atomic.Uint64 // error frames sent
+	wBatches    atomic.Uint64 // coalescer drains applied
+	wBatchedOps atomic.Uint64 // write ops that went through the coalescer
+	wMaxBatch   atomic.Uint64 // largest single coalesced batch
+	wExtends    atomic.Uint64 // adaptive-window drain extensions that found more work
+	bytesIn     atomic.Uint64
+	bytesOut    atomic.Uint64
 
 	readOnlyRejected atomic.Uint64 // writes refused because this node is a replica
-	syncHashes       atomic.Uint64 // SHARDHASH requests served
-	syncChunks       atomic.Uint64 // SYNC chunk requests served
 	syncBytesOut     atomic.Uint64 // image bytes shipped to replicas
 
-	sweeps atomic.Uint64 // epoch sweeps that found candidates and submitted expire ops
+	sweeps atomic.Uint64 // epoch sweeps that removed at least one expired entry
 
 	// Namespace traffic, deliberately aggregate-only: counts, never
 	// tenant names — telemetry must not become a tenant roster.
@@ -89,11 +89,9 @@ type Stats struct {
 
 	// TTL expiry. Epoch is the database's current epoch (unix seconds
 	// under the default clock); SweptKeys counts expired entries
-	// physically removed since Open (wire sweeps and checkpoint sweeps
-	// alike); Sweeps counts epoch sweeps that found candidates and
-	// submitted expire ops (a candidate resurrected before its op
-	// applies is counted here but not in SweptKeys — the ops are
-	// conditional by design).
+	// physically removed since Open (the server's sweeps and checkpoint
+	// sweeps alike); Sweeps counts the server's epoch sweeps that
+	// removed at least one entry.
 	Epoch         int64   `json:"epoch"`
 	SweptKeys     uint64  `json:"swept_keys"`
 	Sweeps        uint64  `json:"sweeps"`
@@ -128,8 +126,8 @@ func (s *Server) Stats() Stats {
 		ConnsRejected: s.st.connsRejected.Load(),
 		ConnsActive:   s.st.connsActive.Load(),
 		Requests:      s.st.requests.Load(),
-		Reads:         s.st.reads.Load(),
-		Writes:        s.st.writes.Load(),
+		Reads:         s.st.byClass[classRead].Load(),
+		Writes:        s.st.byClass[classWrite].Load(),
 		Errors:        s.st.errors.Load(),
 		WriteBatches:  s.st.wBatches.Load(),
 		WriteBatched:  s.st.wBatchedOps.Load(),
@@ -143,8 +141,8 @@ func (s *Server) Stats() Stats {
 		PendingOps:    s.db.PendingOps(),
 
 		ReadOnlyRejected: s.st.readOnlyRejected.Load(),
-		SyncHashes:       s.st.syncHashes.Load(),
-		SyncChunks:       s.st.syncChunks.Load(),
+		SyncHashes:       s.st.byClass[classSyncHash].Load(),
+		SyncChunks:       s.st.byClass[classSyncChunk].Load(),
 		SyncBytesOut:     s.st.syncBytesOut.Load(),
 		Promotions:       s.promotions.Load(),
 

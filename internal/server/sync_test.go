@@ -24,8 +24,7 @@ func TestSyncOpcodes(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// A tiny chunk cap forces multi-chunk fetches.
-	srv, addr := startTCP(t, db, Config{MaxSyncChunk: 512})
+	srv, addr := startTCP(t, db, Config{})
 	defer srv.Close()
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -57,7 +56,8 @@ func TestSyncOpcodes(t *testing.T) {
 		var img []byte
 		chunks := 0
 		for {
-			data, more, err := c.SyncShardChunk("", i, e.Hash, uint64(len(img)), 0)
+			// A tiny maxlen forces multi-chunk fetches.
+			data, more, err := c.SyncShardChunk("", i, e.Hash, uint64(len(img)), 512)
 			if err != nil {
 				t.Fatalf("shard %d chunk at %d: %v", i, len(img), err)
 			}

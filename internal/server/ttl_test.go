@@ -2,7 +2,7 @@ package server
 
 // TTL through the wire: PUTTTL/GETTTL round trips, lazy filtering at
 // the protocol surface, the epoch-triggered sweeper composing with
-// pipelined writes through the coalescer, and the expiry stats.
+// pipelined writes, and the expiry stats.
 
 import (
 	"errors"
@@ -205,33 +205,18 @@ func TestTTLSweeperVisitsTenants(t *testing.T) {
 	if _, err := c.PutTTL(1, 1, 20); err != nil {
 		t.Fatal(err)
 	}
-	resident := func() (tenant, root int) {
-		db.ExpiredKeys(20, func(ns string, _ int64) {
-			if ns == "acme" {
-				tenant++
-			} else {
-				root++
-			}
-		})
-		return tenant, root
-	}
-	if tenant, root := resident(); tenant != n || root != 1 {
+	if tenant, root := db.NSLen("acme"), physicalKeys(db); tenant != n || root != 1 {
 		t.Fatalf("before the sweep: %d tenant and %d default entries resident, want %d and 1", tenant, root, n)
 	}
 	cps := db.Checkpoints()
 
 	clk.Set(20)
-	srv.sweepOnceNow() // one sweep: expire ops for every keyspace go through the coalescer
-	deadline := time.Now().Add(5 * time.Second)
-	for db.SweptKeys() != n+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("one sweep removed %d entries, want %d (the tenant's %d and the default keyspace's 1)",
-				db.SweptKeys(), n+1, n)
-		}
-		time.Sleep(time.Millisecond)
+	srv.sweepOnceNow() // one sweep, every keyspace
+	if got := db.SweptKeys(); got != n+1 {
+		t.Fatalf("one sweep removed %d entries, want %d (the tenant's %d and the default keyspace's 1)", got, n+1, n)
 	}
-	if tenant, root := resident(); tenant != 0 || root != 0 {
-		t.Fatalf("after the sweep: %d tenant and %d default dead entries still physically resident", tenant, root)
+	if left := db.SweepExpired(20); left != 0 {
+		t.Fatalf("after the sweep: %d dead entries still physically resident", left)
 	}
 	if got := db.Checkpoints(); got != cps {
 		t.Fatalf("a checkpoint ran (%d -> %d): the test must see the sweeper's removals alone", cps, got)
@@ -274,10 +259,10 @@ func TestTTLReadOnlyReplicaRefusesPutTTL(t *testing.T) {
 	// arm it without restarting the server), but while the node is
 	// read-only it must stay inert: sweeping a replica would fork its
 	// state from the primary's checkpoints. Exercise a tick directly —
-	// it must not consume the due epochs or submit expire ops.
+	// it must not consume the due epochs or sweep anything.
 	srv.sweepOnceNow()
 	if got := srv.st.sweeps.Load(); got != 0 {
-		t.Fatalf("read-only sweeper submitted %d sweeps", got)
+		t.Fatalf("read-only sweeper ran %d sweeps", got)
 	}
 }
 

@@ -3,30 +3,21 @@ package shard
 import "fmt"
 
 // Op is one mutation in a mixed ApplyBatch: an upsert of (Key, Val)
-// with optional expiry, a delete of Key when Delete is set, or a
-// conditional expiry removal when Expire is set.
+// with optional expiry, or a delete of Key when Delete is set.
 type Op struct {
 	Key, Val int64
 	// Exp is the absolute expiry epoch for an upsert (0: never expires —
-	// and any previously recorded expiry is cleared), or the epoch bound
-	// for an Expire op.
+	// and any previously recorded expiry is cleared).
 	Exp int64
 	// Delete makes the op an unconditional removal of Key.
 	Delete bool
-	// Expire marks a sweeper-issued conditional removal: Key is deleted
-	// only if its recorded expiry is nonzero and <= Exp. The condition is
-	// re-checked under the shard lock, so a concurrent upsert that
-	// resurrected the key with a fresh value or expiry is never clobbered
-	// by a sweep planned against an older snapshot.
-	Expire bool
 }
 
 // ApplyBatch applies a mixed sequence of upserts and deletes, grouped
 // by shard with each shard's lock taken exactly once, and reports the
 // per-operation outcome: changed[i] is true when op i changed LOGICAL
 // key presence (a fresh insert — including over an expired entry — or a
-// delete that found a live key), or, for Expire ops, when the op
-// physically removed a dead entry. The return value is the number of
+// delete that found a live key). The return value is the number of
 // true entries. Operations on the same shard apply in batch order (the
 // grouping is stable), so a put and a delete of the same key within one
 // batch resolve exactly as the equivalent sequence of point operations
@@ -36,8 +27,6 @@ type Op struct {
 // network connections are gathered into one ApplyBatch, turning k
 // point-op lock acquisitions into at most min(k, shards) while
 // preserving every connection's submission order and per-op result.
-// Expire ops ride the same path, so a sweep serializes with the
-// pipelined writes it races.
 //
 // changed must be nil (outcomes discarded) or have len(ops).
 func (s *Store) ApplyBatch(ops []Op, changed []bool) (n int, err error) {
@@ -59,12 +48,9 @@ func (s *Store) ApplyBatch(ops []Op, changed []bool) (n int, err error) {
 		for _, i := range p.order[lo:hi] {
 			op := &ops[i]
 			var ch bool
-			switch {
-			case op.Expire:
-				ch = c.expire(op.Key, op.Exp)
-			case op.Delete:
+			if op.Delete {
 				ch = c.remove(op.Key, epoch)
-			default:
+			} else {
 				ch = c.upsert(op.Key, op.Val, op.Exp, epoch)
 			}
 			if ch {

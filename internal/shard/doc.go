@@ -43,10 +43,9 @@
 // exp > E — with reads filtering lazily against the store's injected
 // clock and SweepExpired(E) physically removing exactly the entries
 // dead at E, so the surviving bytes are a pure function of (contents,
-// epoch), never of the sweep schedule. ApplyBatch additionally accepts
-// Expire ops: conditional removals that re-check the recorded expiry
-// under the shard lock, the primitive a server-side sweeper feeds
-// through the write coalescer.
+// epoch), never of the sweep schedule. A sweep lists and removes each
+// shard's dead entries under one hold of that shard's lock, so it
+// composes with concurrent upserts without any conditional op.
 //
 // Every shard carries a version counter, bumped under its write lock by
 // every operation that may have changed the shard's contents. A

@@ -35,6 +35,7 @@ type mergeScratch struct {
 	runs []run
 	heap []*run
 	bufs [][]Item
+	exps []Item // filterLive's expiry-index window: shards are visited one at a time, so one suffices
 }
 
 // scratchKeepCap bounds the per-shard item buffers a scratch may keep
@@ -65,14 +66,18 @@ func (s *Store) putScratch(ms *mergeScratch) {
 		ms.runs[i] = run{}
 	}
 	ms.heap = ms.heap[:0]
+	if cap(ms.exps) > scratchKeepCap {
+		ms.exps = nil
+	}
 	s.mergePool.Put(ms)
 }
 
 // run is one shard's contribution to a merge: either a fully copied
 // window (Range) or a lazily refilled chunk stream (Ascend).
 type run struct {
-	c       *cell // non-nil: refill lazily from this shard; nil: buf is complete
-	epoch   int64 // TTL epoch for refill-side liveness filtering
+	c       *cell   // non-nil: refill lazily from this shard; nil: buf is complete
+	epoch   int64   // TTL epoch for refill-side liveness filtering
+	exps    *[]Item // the scan's filterLive scratch
 	buf     []Item
 	pos     int
 	last    int64 // largest key fetched so far (valid once started)
@@ -116,7 +121,7 @@ func (r *run) refill() bool {
 		}
 		r.buf = c.dict.PMA().Query(lo, hi, r.buf[:0])
 		last := r.buf[len(r.buf)-1].Key
-		r.buf = c.filterLive(r.buf, r.epoch)
+		r.buf = c.filterLive(r.buf, r.epoch, r.exps)
 		c.runlock()
 		r.last = last
 		if len(r.buf) > 0 {
@@ -193,7 +198,7 @@ func (s *Store) Range(lo, hi int64, out []Item) []Item {
 	for i := range s.cells {
 		c := &s.cells[i]
 		c.rlock()
-		items := c.filterLive(c.dict.Range(lo, hi, ms.bufs[i][:0]), epoch)
+		items := c.filterLive(c.dict.Range(lo, hi, ms.bufs[i][:0]), epoch, &ms.exps)
 		c.runlock()
 		ms.runs[i].buf = items
 		if len(items) > 0 {
@@ -210,10 +215,10 @@ func (s *Store) Range(lo, hi int64, out []Item) []Item {
 
 // rangeLiveN appends up to max live items of [lo, hi] from c to out.
 // Without TTLs in play it is a single dictionary call; with them it
-// refetches past expired entries so a dead-heavy prefix cannot starve
-// the window of the live items beyond it. The caller holds the cell's
-// lock.
-func (c *cell) rangeLiveN(lo, hi int64, max int, epoch int64, out []Item) []Item {
+// filters each fetched batch in place and refetches past expired
+// entries, so a dead-heavy prefix cannot starve the window of the live
+// items beyond it. The caller holds the cell's lock.
+func (c *cell) rangeLiveN(lo, hi int64, max int, epoch int64, out []Item, exps *[]Item) []Item {
 	if epoch <= 0 || c.exps.Len() == 0 {
 		return c.dict.RangeN(lo, hi, max, out)
 	}
@@ -221,18 +226,16 @@ func (c *cell) rangeLiveN(lo, hi int64, max int, epoch int64, out []Item) []Item
 	cur := lo
 	for len(out)-base < max {
 		need := max - (len(out) - base)
-		batch := c.dict.RangeN(cur, hi, need, nil)
-		for _, it := range batch {
-			if c.liveAt(it.Key, epoch) {
-				out = append(out, it)
-			}
-		}
-		if len(batch) < need {
-			break // window exhausted
-		}
-		last := batch[len(batch)-1].Key
-		if last >= hi || last == math.MaxInt64 {
+		at := len(out)
+		out = c.dict.RangeN(cur, hi, need, out)
+		fetched := len(out) - at
+		if fetched == 0 {
 			break
+		}
+		last := out[len(out)-1].Key
+		out = out[:at+len(c.filterLive(out[at:], epoch, exps))]
+		if fetched < need || last >= hi || last == math.MaxInt64 {
+			break // window exhausted
 		}
 		cur = last + 1
 	}
@@ -261,7 +264,7 @@ func (s *Store) RangeN(lo, hi int64, max int, out []Item) (_ []Item, more bool) 
 	for i := range s.cells {
 		c := &s.cells[i]
 		c.rlock()
-		items := c.rangeLiveN(lo, hi, max+1, epoch, ms.bufs[i][:0])
+		items := c.rangeLiveN(lo, hi, max+1, epoch, ms.bufs[i][:0], &ms.exps)
 		c.runlock()
 		ms.runs[i].buf = items
 		if len(items) > 0 {
@@ -296,7 +299,7 @@ func (s *Store) Ascend(fn func(Item) bool) {
 	runs := ms.heap
 	for i := range s.cells {
 		r := &ms.runs[i]
-		*r = run{c: &s.cells[i], epoch: epoch, buf: ms.bufs[i][:0]}
+		*r = run{c: &s.cells[i], epoch: epoch, exps: &ms.exps, buf: ms.bufs[i][:0]}
 		if r.refill() {
 			runs = append(runs, r)
 		}

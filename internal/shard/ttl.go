@@ -71,42 +71,35 @@ func (c *cell) deadCount(epoch int64) int {
 	return dead
 }
 
-// appendDead appends the keys already expired at epoch (> 0) to out.
-// The caller holds the cell's lock.
-func (c *cell) appendDead(epoch int64, out []int64) []int64 {
-	if c.exps.Len() == 0 {
-		return out
-	}
-	c.exps.Ascend(func(it Item) bool {
-		if !expiry.Live(it.Val, epoch) {
-			out = append(out, it.Key)
-		}
-		return true
-	})
-	return out
-}
-
-// filterLive drops the items already expired at epoch, in place. The
-// caller holds the cell's lock; items must belong to this cell.
-func (c *cell) filterLive(items []Item, epoch int64) []Item {
-	if epoch <= 0 || c.exps.Len() == 0 {
+// filterLive drops the items already expired at epoch, in place. items
+// must be a run of this cell's entries in ascending key order, so the
+// expiry index entries in the run's key span are fetched once into
+// *exps (caller-owned scratch) and merge-joined against it: one index
+// descent per run, not one per item. The caller holds the cell's lock.
+func (c *cell) filterLive(items []Item, epoch int64, exps *[]Item) []Item {
+	if epoch <= 0 || c.exps.Len() == 0 || len(items) == 0 {
 		return items
 	}
+	es := c.exps.Range(items[0].Key, items[len(items)-1].Key, (*exps)[:0])
+	*exps = es
 	out := items[:0]
 	for _, it := range items {
-		if c.liveAt(it.Key, epoch) {
-			out = append(out, it)
+		for len(es) > 0 && es[0].Key < it.Key {
+			es = es[1:]
 		}
+		if len(es) > 0 && es[0].Key == it.Key && !expiry.Live(es[0].Val, epoch) {
+			continue
+		}
+		out = append(out, it)
 	}
 	return out
 }
 
-// upsert, remove and expire are the cell's mutation kernel: every
-// write entry point (Put, PutTTL, Delete, the batches, ApplyBatch, the
-// sweep) applies its operations through them, so the TTL rules — what
-// counts as a logical change, when an expiry is recorded or cleared,
-// when the version moves — are stated once. The caller holds the
-// cell's exclusive lock.
+// upsert and remove are the cell's mutation kernel: every write entry
+// point (Put, PutTTL, Delete, the batches, ApplyBatch) applies its
+// operations through them, so the TTL rules — what counts as a logical
+// change, when an expiry is recorded or cleared, when the version
+// moves — are stated once. The caller holds the cell's exclusive lock.
 
 // upsert sets key to val with absolute expiry exp (0: never expires,
 // clearing any recorded expiry) and reports whether the key is
@@ -133,19 +126,6 @@ func (c *cell) remove(key, epoch int64) (deleted bool) {
 	c.setExp(key, 0)
 	c.version++
 	return expiry.Live(exp, epoch)
-}
-
-// expire is the sweep's conditional removal: key goes only if its
-// recorded expiry is already dead at bound, so an entry that was
-// rewritten with a fresh value or expiry after the sweep was planned
-// stays. It reports whether an entry was physically removed.
-func (c *cell) expire(key, bound int64) (removed bool) {
-	if expiry.Live(c.expOf(key), bound) {
-		return false
-	}
-	c.exps.Delete(key)
-	c.version++
-	return c.dict.Delete(key)
 }
 
 // PutTTL inserts or updates the value for key with an absolute expiry
@@ -181,24 +161,6 @@ func (s *Store) GetTTL(key int64) (val, exp int64, ok bool) {
 	return val, exp, true
 }
 
-// ExpiredKeys appends every key already dead at epoch to out — the
-// worklist a sweeper feeds back through ApplyBatch as Expire ops. Each
-// shard's expiry index is scanned under its own brief read lock, so the
-// listing does not block writers on other shards; the result is
-// per-shard consistent. Cost is O(TTL'd entries), not O(N).
-func (s *Store) ExpiredKeys(epoch int64, out []int64) []int64 {
-	if epoch <= 0 {
-		return out
-	}
-	for i := range s.cells {
-		c := &s.cells[i]
-		c.rlock()
-		out = c.appendDead(epoch, out)
-		c.runlock()
-	}
-	return out
-}
-
 // SweepExpired physically removes every entry that is already dead at
 // epoch and returns how many it removed. The removal set is exactly
 // {keys with 0 < exp <= epoch}, so the surviving contents are a pure
@@ -207,6 +169,8 @@ func (s *Store) ExpiredKeys(epoch int64, out []int64) []int64 {
 // TIMING out of the canonical images. Each shard is swept under its own
 // exclusive lock; the cut is per-shard, which is harmless because a
 // dead entry is invisible to readers whether or not it has been swept.
+// A shard's dead keys are listed and removed under one hold of its lock:
+// a concurrent upsert lands before (seen live, so not listed) or after.
 func (s *Store) SweepExpired(epoch int64) (swept int) {
 	if epoch <= 0 {
 		return 0
@@ -215,9 +179,19 @@ func (s *Store) SweepExpired(epoch int64) (swept int) {
 	for i := range s.cells {
 		c := &s.cells[i]
 		c.mu.Lock()
-		dead = c.appendDead(epoch, dead[:0])
+		dead = dead[:0]
+		if c.exps.Len() > 0 { // Ascend allocates its chunk buffer even when empty
+			c.exps.Ascend(func(it Item) bool {
+				if !expiry.Live(it.Val, epoch) {
+					dead = append(dead, it.Key)
+				}
+				return true
+			})
+		}
 		for _, k := range dead {
-			c.expire(k, epoch)
+			c.exps.Delete(k)
+			c.dict.Delete(k)
+			c.version++
 		}
 		c.mu.Unlock()
 		swept += len(dead)

@@ -276,58 +276,9 @@ func TestTTLApplyBatch(t *testing.T) {
 	if v, exp, ok := s.GetTTL(1); !ok || v != 11 || exp != 0 {
 		t.Fatalf("key 1 = (%d,%d,%v), want TTL cleared", v, exp, ok)
 	}
-
-	clk.Set(11)
-	// Expire ops: conditional on the recorded expiry at apply time.
-	changed = make([]bool, 3)
-	n, err = s.ApplyBatch([]Op{
-		{Key: 3, Exp: 11, Expire: true}, // dead: removed
-		{Key: 2, Exp: 11, Expire: true}, // no expiry recorded: untouched
-		{Key: 9, Exp: 11, Expire: true}, // absent: untouched
-	}, changed)
-	if err != nil || n != 1 {
-		t.Fatalf("expire batch = (%d, %v), want 1", n, err)
-	}
-	if !changed[0] || changed[1] || changed[2] {
-		t.Fatalf("expire changed = %v", changed)
-	}
-	if s.Has(2) != true || s.ShardLen(s.ShardOf(3)) != countPhysical(s, 3) {
-		t.Fatal("expire batch touched the wrong keys")
-	}
-	// Key 3 is physically gone, not just filtered.
-	phys := 0
-	for i := 0; i < s.NumShards(); i++ {
-		phys += s.ShardLen(i)
-	}
-	if phys != 2 {
-		t.Fatalf("physical count after expire = %d, want 2", phys)
-	}
-
-	// An expire op must NOT clobber a resurrected key: the re-check
-	// happens under the lock against the CURRENT expiry.
-	s.PutTTL(5, 50, 100)
-	if n, _ := s.ApplyBatch([]Op{{Key: 5, Exp: 11, Expire: true}}, nil); n != 0 {
-		t.Fatal("expire op removed a key whose expiry is in the future")
-	}
-	if !s.Has(5) {
-		t.Fatal("live key 5 lost to a stale expire op")
-	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// countPhysical reports 1 if key is physically present (ignoring TTL).
-func countPhysical(s *Store, key int64) int {
-	n := 0
-	c := &s.cells[s.ShardOf(key)]
-	c.rlock()
-	if c.dict.Has(key) {
-		n = 1
-	}
-	c.runlock()
-	_ = n
-	return s.ShardLen(s.ShardOf(key))
 }
 
 func TestTTLRangeNDeadHeavyPrefix(t *testing.T) {
