@@ -38,10 +38,6 @@ var ErrNotReplica = errors.New("client: server is already writable")
 // count, checkpoint epoch, and committed-manifest hash.
 type Health = proto.Health
 
-// ShardHash re-exports the per-shard checkpoint descriptor returned by
-// SyncShardHashes: the committed canonical image's size and SHA-256.
-type ShardHash = proto.ShardHash
-
 // Conn is one pipelined protocol connection. It is safe for concurrent
 // use: every method may be called from any goroutine, and concurrent
 // calls share the connection as in-flight pipelined requests.
@@ -555,36 +551,16 @@ func (c *Conn) Checkpoint() (uint64, error) {
 	return proto.DecodeU64(f.Payload)
 }
 
-// SyncShardHashes fetches the last committed checkpoint's descriptor
-// for keyspace ns ("": the default one): its routing seed — a tenant's
-// derived one — and, per shard, the canonical image's size and SHA-256.
-// Two nodes with equal contents return equal hashes for every shard, so
-// this is the comparison an anti-entropy round starts with. The default
-// keyspace's reply also lists the committed tenant names, byte-sorted:
-// what a replica has to mirror. A tenant absent from the last committed
-// checkpoint fails with a RemoteError.
-func (c *Conn) SyncShardHashes(ns string) (hseed uint64, entries []ShardHash, names []string, err error) {
-	var req []byte
-	if ns != "" {
-		req = proto.AppendNSName(nil, ns)
-	}
-	f, err := c.call(proto.OpShardHash, req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return proto.DecodeShardHashes(f.Payload)
-}
-
-// SyncShardChunk fetches up to maxLen bytes (0: the server's default)
-// of the committed canonical image of keyspace ns's shard i, identified
-// by the hash a SyncShardHashes call advertised, starting at offset.
-// more reports that the image continues past the returned bytes. A hash
-// superseded by a newer checkpoint fails with a RemoteError carrying
-// proto.ErrCodeStale — re-fetch the hashes and retry. Callers
-// assembling a whole image must verify its SHA-256 against the
-// advertised hash.
-func (c *Conn) SyncShardChunk(ns string, i int, hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
-	f, err := c.call(proto.OpSync, proto.AppendSyncReq(nil, uint32(i), hash, offset, uint32(maxLen), ns))
+// SyncChunk fetches up to maxLen bytes (0: the server's default),
+// starting at offset, of the blob of the server's committed checkpoint
+// whose SHA-256 is hash: the manifest itself — the hash Health reports —
+// or an image file that manifest names. more reports that the blob
+// continues past the returned bytes. A hash the committed checkpoint
+// does not (or no longer does) name fails with a RemoteError carrying
+// proto.ErrCodeStale — start over from Health. Callers assembling a
+// whole blob must verify its SHA-256 against the hash they asked for.
+func (c *Conn) SyncChunk(hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
+	f, err := c.call(proto.OpSync, proto.AppendSyncReq(nil, hash, offset, uint32(maxLen)))
 	if err != nil {
 		return nil, false, err
 	}

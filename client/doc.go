@@ -38,7 +38,9 @@
 // A connection may point at a read replica. Reads behave identically;
 // mutating calls fail with an error matching both the ErrReadOnly
 // sentinel (errors.Is — route the write to the primary) and a typed
-// *proto.RemoteError with code ErrCodeReadOnly (errors.As). The
-// SyncShardHashes and SyncShardChunk methods expose the replication
-// opcodes replicas converge with (see repro/internal/replica).
+// *proto.RemoteError with code ErrCodeReadOnly (errors.As). Health
+// and SyncChunk are all of replication: Health names the committed
+// checkpoint by its manifest's SHA-256, SyncChunk fetches that manifest
+// and the image files it names, each by hash (see
+// repro/internal/replica).
 package client

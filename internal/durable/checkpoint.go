@@ -96,7 +96,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	type dirtyShard struct {
 		cell      *namespace.Cell
 		idx       int
-		ent, prev *ShardHash
+		ent, prev *imageEntry
 		version   uint64
 		published bool
 	}
@@ -126,7 +126,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		if c.Committed && db.man != nil {
 			prev = db.man.cell(c.Name)
 		}
-		ent := cellEntry{name: c.Name, shards: make([]ShardHash, c.Store.NumShards())}
+		ent := cellEntry{name: c.Name, shards: make([]imageEntry, c.Store.NumShards())}
 		for i := range ent.shards {
 			d := dirtyShard{cell: c, idx: i, ent: &ent.shards[i]}
 			if prev != nil {
@@ -163,7 +163,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		}
 		img := buf.Bytes()
 		h := sha256.Sum256(img)
-		*d.ent = ShardHash{Size: int64(len(img)), Hash: h}
+		*d.ent = imageEntry{Size: int64(len(img)), Hash: h}
 		if d.prev != nil && h == d.prev.Hash {
 			// Version moved but the canonical bytes did not (e.g. an
 			// insert undone by a delete): the committed file is already
@@ -209,7 +209,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		// the same stamp CheckpointStamp exposes and a replica's
 		// sync-round span links to, so cross-node spans correlate by
 		// value with no shared id plumbing.
-		h := sha256.Sum256(manBytes)
+		h := db.manHash.Load()
 		tr.Record(trace.Span{
 			Trace: tid, ID: cpSID, Parent: psid,
 			Start: cpStart.UnixNano(), Dur: int64(time.Since(cpStart)),
@@ -222,9 +222,10 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 }
 
 // publishImage writes one shard image under its content-addressed
-// name. The old manifest does not reference that name, so the file is
-// invisible to recovery until a manifest that does is committed. Caller
-// holds cpMu.
+// name. The old manifest does not reference that name — or, when an
+// install replaces a rotten file, references it for exactly these bytes
+// — so the file is invisible to recovery until a manifest that names it
+// is committed. Caller holds cpMu.
 func (db *DB) publishImage(hseed uint64, idx int, hash [32]byte, data []byte) error {
 	if err := db.writeFileAtomic(imageFileName(hseed, idx, hash), data); err != nil {
 		return fmt.Errorf("durable: publishing shard %d image: %w", idx, err)
@@ -245,8 +246,17 @@ func (db *DB) commitManifest(newMan *manifest, manBytes []byte) error {
 	if err := db.fs.SyncDir(db.dir); err != nil {
 		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
 	}
-	db.man, db.manBytes = newMan, manBytes
+	db.setCommitted(newMan, manBytes)
 	return nil
+}
+
+// setCommitted records man, encoded as manBytes, as the committed
+// checkpoint, hashing it once for every later reader of its name.
+// Caller holds cpMu.
+func (db *DB) setCommitted(man *manifest, manBytes []byte) {
+	h := sha256.Sum256(manBytes)
+	db.man, db.manBytes = man, manBytes
+	db.manHash.Store(&h)
 }
 
 // writeFileAtomic publishes data under name via the temp-file dance:

@@ -11,8 +11,17 @@
 // pure function of (shard contents, seed), already byte-identical
 // across operation histories — plus a checksummed manifest (v3: one
 // cell table, see manifest.go) naming them by seed and content hash.
-// Recover, checkpoint, install and VerifyCanonical are each one loop
-// over the cells. Commits follow the classic atomic-publish sequence:
+// The manifest is canonical too, so a checkpoint IS its manifest: its
+// SHA-256 (CheckpointStamp, hashed once per commit) names the
+// checkpoint, Blob exports the manifest or any image it lists by hash,
+// and Install takes a manifest's bytes plus a way to fetch blobs — the
+// whole replication surface. Checkpoint and VerifyCanonical are each
+// one loop over the cells, and there is one loader: recovery is "decode
+// MANIFEST, load the cells it names from local files", Install is
+// "decode these bytes, load the cells they name from local files or,
+// failing that, the fetch" — the same decoder, the same loop, one image
+// in memory at a time. Commits follow the classic atomic-publish
+// sequence:
 //
 //	write shard images to *.tmp → fsync each → rename into place →
 //	fsync dir → write MANIFEST.tmp → fsync → rename over MANIFEST →
@@ -34,9 +43,9 @@
 // safe as publishing at the end: a checkpoint that fails part-way
 // leaves orphans for the next sweep (or Open), never a mixed state.
 // Reads are the mirror: files are read at the size the manifest gives
-// (checked before a byte is read), and images are decoded from exact-
-// length slices, length and checksum verified before a slot is
-// allocated.
+// (checked before a byte is read) into one buffer reused across
+// images, hashed against the manifest, and decoded from exact-length
+// slices, length and checksum verified before a slot is allocated.
 //
 // Checkpoints are incremental: each shard carries a version counter
 // bumped under its write lock, and the checkpointer rewrites only

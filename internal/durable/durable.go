@@ -108,24 +108,27 @@ type DB struct {
 	fs   FS
 	opts Options
 	// root is the default keyspace — the cell named "" — and nss holds
-	// the tenants' cells; every engine path (recover, checkpoint,
-	// install, verify) is one loop over cells(). The root is a swappable
-	// pointer outside the registry so its point ops cost one pointer
-	// load and a store call: InstallCheckpoint publishes freshly
-	// assembled cells while concurrent readers keep whichever store they
-	// loaded — before or after, both are consistent snapshots. Tenant
-	// cells are created lazily on first write. Each cell's
-	// CPVersions/Committed bookkeeping is guarded by cpMu.
+	// the tenants' cells; every engine path (load, checkpoint, verify)
+	// is one loop over the cells. The root is a swappable pointer outside
+	// the registry so its point ops cost one pointer load and a store
+	// call: Install publishes freshly assembled cells while concurrent
+	// readers keep whichever store they loaded — before or after, both
+	// are consistent snapshots. Tenant cells are created lazily on first
+	// write. Each cell's CPVersions/Committed bookkeeping is guarded by
+	// cpMu.
 	root atomic.Pointer[namespace.Cell]
 	nss  *namespace.Registry
 
-	// cpMu serializes checkpoints and guards the committed-state
-	// fields below.
+	// cpMu serializes checkpoints and installs and guards the
+	// committed-state fields below.
 	cpMu sync.Mutex
-	// man is the last committed manifest (nil: none yet) and manBytes
-	// its encoding — the bytes in the MANIFEST file.
+	// man is the last committed manifest (nil: none yet), manBytes its
+	// encoding — the bytes in the MANIFEST file — and manHash their
+	// SHA-256, computed once per commit: the checkpoint's name. manHash
+	// alone is also readable without cpMu (see CheckpointStamp).
 	man      *manifest
 	manBytes []byte
+	manHash  atomic.Pointer[[32]byte]
 
 	dirtyOps    atomic.Uint64 // mutating ops since the last checkpoint
 	checkpoints atomic.Uint64 // committed checkpoints (in-memory stat)
@@ -183,7 +186,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	db := &DB{dir: dir, fs: fs, opts: o, nss: namespace.NewRegistry()}
 	db.m.init(o.Metrics)
 	if hasManifest {
-		if err := db.recover(o.Seed); err != nil {
+		if err := db.recover(); err != nil {
 			return nil, err
 		}
 	} else {
@@ -219,8 +222,8 @@ func Open(dir string, opts *Options) (*DB, error) {
 }
 
 // recover rebuilds every committed cell from the last checkpoint.
-func (db *DB) recover(seed uint64) error {
-	data, err := db.readFile(manifestName, -1)
+func (db *DB) recover() error {
+	data, err := db.readFile(manifestName, -1, nil)
 	if err != nil {
 		return fmt.Errorf("durable: reading manifest: %w", err)
 	}
@@ -228,57 +231,71 @@ func (db *DB) recover(seed uint64) error {
 	if err != nil {
 		return err
 	}
-	cells := make([]*namespace.Cell, len(man.cells))
-	for k, e := range man.cells {
-		if cells[k], err = db.recoverCell(man, e, seed); err != nil {
-			return err
-		}
+	cells, err := db.loadCells(man, nil)
+	if err != nil {
+		return err
 	}
 	db.publish(cells)
-	db.man, db.manBytes = man, data
+	db.setCommitted(man, data)
 	db.sweep() // clear debris from any interrupted commit
 	return nil
 }
 
-// recoverCell rebuilds one cell from its committed images, verifying
-// each file's size and hash against the manifest.
-func (db *DB) recoverCell(man *manifest, e cellEntry, seed uint64) (*namespace.Cell, error) {
-	hseed := man.cellSeed(e.name)
-	images := make([][]byte, len(e.shards))
-	for i, se := range e.shards {
-		img, err := db.readFile(imageFileName(hseed, i, se.Hash), se.Size)
+// loadCells is the one way a keyspace gets from image bytes into
+// memory: recovery and Install both end here. It walks man in canonical
+// order and builds every cell it names, one image at a time. An image
+// comes from its content-addressed local file when that file is there
+// with the manifest's size and SHA-256 — so "is the local file good" is
+// decided exactly where the file is used. Otherwise, when fetch is
+// non-nil, the image is fetched, checked against the manifest's size
+// and hash, published under its content-addressed name (replacing a
+// rotten file of that name, if any) and decoded; with a nil fetch a
+// missing or corrupt file is an error. Per-image checksums and each
+// store's structural and routing invariants are verified as it is
+// assembled. The default keyspace routes under man.hseed and draws
+// fresh randomness from Options.Seed; a tenant must sit at the seed
+// derived from (man.hseed, name), so an image set filed under the wrong
+// tenant fails assembly. Cells come back marked committed: callers
+// publish them only together with man. Caller holds cpMu (or is Open).
+func (db *DB) loadCells(man *manifest, fetch func(hash [32]byte, size int64) ([]byte, error)) ([]*namespace.Cell, error) {
+	cells := make([]*namespace.Cell, len(man.cells))
+	var local []byte // the one local image held at a time, reused
+	for k, e := range man.cells {
+		hseed, seed := man.hseed, db.opts.Seed
+		if e.name != "" {
+			seed = namespace.DeriveSeed(man.hseed, e.name)
+			hseed = shard.MixSeed(seed)
+		}
+		st, err := shard.AssembleStore(hseed, len(e.shards), func(i int) ([]byte, error) {
+			want := e.shards[i]
+			var err error
+			local, err = db.readFile(imageFileName(hseed, i, want.Hash), want.Size, local[:0])
+			if err == nil && sha256.Sum256(local) != want.Hash {
+				err = errors.New("hash mismatch")
+			}
+			if err == nil {
+				return local, nil
+			}
+			if fetch == nil {
+				return nil, fmt.Errorf("shard %d image: %w", i, err)
+			}
+			img, err := fetch(want.Hash, want.Size)
+			if err != nil {
+				return nil, err
+			}
+			if int64(len(img)) != want.Size || sha256.Sum256(img) != want.Hash {
+				return nil, fmt.Errorf("fetched shard %d image does not match the manifest's size and hash", i)
+			}
+			return img, db.publishImage(hseed, i, want.Hash, img)
+		}, seed, nil)
 		if err != nil {
-			return nil, fmt.Errorf("durable: keyspace %q shard %d image: %w", e.name, i, err)
+			return nil, fmt.Errorf("durable: keyspace %q: %w", e.name, err)
 		}
-		if sha256.Sum256(img) != se.Hash {
-			return nil, fmt.Errorf("durable: keyspace %q shard %d image hash mismatch", e.name, i)
-		}
-		images[i] = img
+		st.SetClock(db.opts.Clock)
+		cells[k] = &namespace.Cell{Name: e.name, Store: st}
+		cells[k].MarkCommitted()
 	}
-	return db.assembleCell(man.hseed, e.name, images, seed)
-}
-
-// assembleCell builds the cell called name from one canonical image
-// per shard, verifying per-image checksums and the store's structural
-// and routing invariants. The default keyspace routes under rootHseed
-// and draws fresh randomness from seed; a tenant must sit at the seed
-// derived from (rootHseed, name), so an image set filed under the wrong
-// tenant fails assembly. The cell comes back marked committed: callers
-// publish it only together with a manifest that lists these images.
-func (db *DB) assembleCell(rootHseed uint64, name string, images [][]byte, seed uint64) (*namespace.Cell, error) {
-	hseed := rootHseed
-	if name != "" {
-		seed = namespace.DeriveSeed(rootHseed, name)
-		hseed = shard.MixSeed(seed)
-	}
-	st, err := shard.AssembleStore(hseed, images, seed, nil)
-	if err != nil {
-		return nil, fmt.Errorf("durable: keyspace %q: %w", name, err)
-	}
-	st.SetClock(db.opts.Clock)
-	c := &namespace.Cell{Name: name, Store: st}
-	c.MarkCommitted()
-	return c, nil
+	return cells, nil
 }
 
 // publish makes cells — the root first, then the tenants — the live
@@ -321,19 +338,22 @@ func (db *DB) openSized(name string, size int64) (File, int64, error) {
 	return f, onDisk, err
 }
 
-// readFile reads the whole of name (see openSized for size) into a
-// buffer allocated once, at the file's length.
-func (db *DB) readFile(name string, size int64) ([]byte, error) {
+// readFile reads the whole of name (see openSized for size) into buf,
+// which is grown — once, to the file's length — only when too small.
+func (db *DB) readFile(name string, size int64, buf []byte) ([]byte, error) {
 	f, size, err := db.openSized(name, size)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	data := make([]byte, size)
-	_, err = io.ReadFull(f, data)
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	buf = buf[:size]
+	_, err = io.ReadFull(f, buf)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	return data, err
+	return buf, err
 }
 
 // Store returns the underlying concurrent store. Mutations made
@@ -586,22 +606,24 @@ func (db *DB) Promote(background bool) {
 // Demote returns the DB to replica duty: checkpoint-time sweeping is
 // disabled again so the directory can track a new primary's committed
 // images exactly. The background checkpointer, if running, is left
-// running — InstallCheckpoint keeps the directory correct either way.
+// running — Install keeps the directory correct either way.
 func (db *DB) Demote() {
 	db.noSweep.Store(true)
 }
 
 // CheckpointStamp returns the node's checkpoint epoch — checkpoints
 // committed or installed since process start — together with the
-// SHA-256 of the committed manifest encoding. Two nodes serving
-// identical checkpoints report identical hashes (the manifest is
-// canonical), so a failover coordinator can rank replicas by content.
-// Both values are in-memory state; neither is ever persisted.
+// SHA-256 of the committed manifest encoding: the checkpoint's name.
+// Two nodes serving identical checkpoints report identical hashes (the
+// manifest is canonical), so a failover coordinator can rank replicas
+// by content and a replica asks for exactly this blob. Both values are
+// in-memory state; neither is ever persisted. It takes no lock — two
+// atomic loads, the hash computed once at commit — so a HEALTH probe
+// never waits behind a checkpoint or an install in progress; the epoch
+// may trail the hash by the one commit being counted.
 func (db *DB) CheckpointStamp() (epoch uint64, hash [32]byte) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man != nil {
-		hash = sha256.Sum256(db.manBytes)
+	if h := db.manHash.Load(); h != nil {
+		hash = *h
 	}
 	return db.checkpoints.Load(), hash
 }

@@ -54,6 +54,14 @@ const maxManifestShards = 1 << 16
 // maxManifestCells bounds the cell count the same way.
 const maxManifestCells = 1 << 16
 
+// imageEntry describes one committed shard image file: its size and
+// SHA-256. The hash is the image's whole identity — its file name, its
+// address on the wire, and what a replica compares.
+type imageEntry struct {
+	Size int64
+	Hash [32]byte
+}
+
 // cellEntry describes one committed keyspace: its name ("" for the
 // default keyspace) and one image entry per shard. A tenant's name
 // appears here and nowhere else on disk — dropping the tenant
@@ -61,7 +69,7 @@ const maxManifestCells = 1 << 16
 // commit.
 type cellEntry struct {
 	name   string
-	shards []ShardHash
+	shards []imageEntry
 }
 
 // manifest is the decoded commit record. cells is byte-sorted by name,
@@ -122,7 +130,11 @@ func (m *manifest) encode() []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// decodeManifest parses and verifies a manifest image.
+// decodeManifest parses and verifies a manifest image. The bytes may be
+// hostile — replicas decode manifests fetched from a peer — so both
+// counts are checked against the bytes that actually arrived before
+// anything is sized by them, and only the canonical encoding is
+// accepted: whatever decodes re-encodes to the identical bytes.
 func decodeManifest(b []byte) (*manifest, error) {
 	if len(b) < 8+8+8+8+4 {
 		return nil, fmt.Errorf("durable: manifest too short (%d bytes)", len(b))
@@ -134,16 +146,17 @@ func decodeManifest(b []byte) (*manifest, error) {
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("durable: manifest checksum mismatch: stored %08x, computed %08x", sum, got)
 	}
+	rest := body[32:]
 	nsh := binary.LittleEndian.Uint64(b[8:16])
 	if nsh < 1 || nsh > maxManifestShards || nsh&(nsh-1) != 0 {
 		return nil, fmt.Errorf("durable: implausible shard count %d in manifest", nsh)
 	}
+	// Every cell takes a name length and nsh 40-byte entries at least.
 	cnt := binary.LittleEndian.Uint64(b[24:32])
-	if cnt < 1 || cnt > maxManifestCells {
-		return nil, fmt.Errorf("durable: implausible cell count %d in manifest", cnt)
+	if cnt < 1 || cnt > maxManifestCells || cnt > uint64(len(rest))/(8+40*nsh) {
+		return nil, fmt.Errorf("durable: implausible cell count %d in a %d-byte manifest of %d shards", cnt, len(b), nsh)
 	}
 	m := &manifest{hseed: binary.LittleEndian.Uint64(b[16:24]), cells: make([]cellEntry, cnt)}
-	rest := body[32:]
 	take := func(n int, what string) ([]byte, error) {
 		if len(rest) < n {
 			return nil, fmt.Errorf("durable: manifest truncated reading %s", what)
@@ -179,7 +192,7 @@ func decodeManifest(b []byte) (*manifest, error) {
 				return nil, fmt.Errorf("durable: manifest cells not in canonical order at %q", name)
 			}
 		}
-		m.cells[k] = cellEntry{name: name, shards: make([]ShardHash, nsh)}
+		m.cells[k] = cellEntry{name: name, shards: make([]imageEntry, nsh)}
 		for i := range m.cells[k].shards {
 			e, err := take(40, "shard table")
 			if err != nil {

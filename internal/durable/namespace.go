@@ -171,19 +171,3 @@ func (db *DB) Namespaces() []NamespaceStat {
 // NamespaceCount returns the number of live tenants with at least one
 // live key.
 func (db *DB) NamespaceCount() int { return len(db.Namespaces()) }
-
-// NSNames returns the COMMITTED tenant names — the ones in the last
-// manifest — byte-sorted. This is the replication view: a replica
-// mirrors committed state, so it gathers exactly these.
-func (db *DB) NSNames() ([]string, error) {
-	db.cpMu.Lock()
-	defer db.cpMu.Unlock()
-	if db.man == nil {
-		return nil, errNoCheckpoint
-	}
-	names := make([]string, 0, len(db.man.cells)-1)
-	for _, e := range db.man.cells[1:] {
-		names = append(names, e.name)
-	}
-	return names, nil
-}

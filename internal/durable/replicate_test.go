@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -57,8 +58,45 @@ func sameDir(t *testing.T, a, b map[string][]byte) {
 	}
 }
 
-// TestShardImageExport checks that ShardHashes and ShardImage agree
-// with the committed files and that stale hashes are refused.
+// committedManifest returns db's committed manifest bytes, fetched the
+// way a replica does: the blob named by the checkpoint stamp.
+func committedManifest(t *testing.T, db *DB) []byte {
+	t.Helper()
+	_, stamp := db.CheckpointStamp()
+	man, err := db.Blob(stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// blobsOf is the fetch a replica hands Install, served from src's
+// committed checkpoint.
+func blobsOf(src *DB) func([32]byte, int64) ([]byte, error) {
+	return func(hash [32]byte, _ int64) ([]byte, error) { return src.Blob(hash) }
+}
+
+// rot overwrites the first three bytes of a file in place, durably.
+func rot(t *testing.T, fs FS, name string) {
+	t.Helper()
+	f, err := fs.OpenWrite(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xde, 0xad, 0x01}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+}
+
+// TestShardImageExport checks that Blob serves exactly the committed
+// checkpoint — the manifest under the stamp's hash, every image file
+// under its own SHA-256 — and nothing else: hashes of a superseded
+// checkpoint are refused as stale, and a file that rotted on disk is
+// refused rather than served.
 func TestShardImageExport(t *testing.T) {
 	fs := NewMemFS()
 	db := openMem(t, fs, "p", 7)
@@ -66,57 +104,76 @@ func TestShardImageExport(t *testing.T) {
 	for k := int64(0); k < 500; k++ {
 		db.Put(k, k*3)
 	}
+	if _, err := db.NSPut("acme", 1, 2); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	hseed, entries, err := db.ShardHashes("")
-	if err != nil {
-		t.Fatal(err)
+	dir := dirBytes(t, fs, "p")
+	_, stamp := db.CheckpointStamp()
+	man := committedManifest(t, db)
+	if sha256.Sum256(man) != stamp || !bytes.Equal(man, dir[manifestName]) {
+		t.Fatal("the blob under the checkpoint stamp is not the MANIFEST file")
 	}
-	if hseed != db.Store().RoutingSeed() {
-		t.Fatalf("hseed %x, store says %x", hseed, db.Store().RoutingSeed())
-	}
-	if len(entries) != 4 {
-		t.Fatalf("%d entries, want 4", len(entries))
-	}
-	for i, e := range entries {
-		img, err := db.ShardImage("", i, e.Hash)
+	images := 0
+	for name, data := range dir {
+		if !strings.HasSuffix(name, ".img") {
+			continue
+		}
+		images++
+		got, err := db.Blob(sha256.Sum256(data))
 		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if int64(len(img)) != e.Size {
-			t.Fatalf("shard %d: %d bytes, manifest says %d", i, len(img), e.Size)
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s: blob differs from the committed file", name)
 		}
-		if sha256.Sum256(img) != e.Hash {
-			t.Fatalf("shard %d: bytes do not match advertised hash", i)
-		}
+	}
+	if images != 8 {
+		t.Fatalf("%d image files, want 4 per keyspace", images)
+	}
+	if _, err := db.Blob([32]byte{1}); !errors.Is(err, ErrStale) {
+		t.Fatalf("unknown hash: %v, want ErrStale", err)
 	}
 
-	// A superseded hash must be refused with the typed error.
-	old := entries[0].Hash
+	// Hashes only the superseded checkpoint named must be refused with
+	// the typed error: its manifest, and every image that changed.
+	old := db.man.cells[0].shards
 	db.Put(1_000_001, 1)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	_, entries2, err := db.ShardHashes("")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := db.Blob(stamp); !errors.Is(err, ErrStale) {
+		t.Fatalf("superseded manifest: %v, want ErrStale", err)
 	}
-	for i := range entries2 {
-		if entries2[i].Hash == old {
-			continue // this shard did not change; old hash still valid
+	stale := 0
+	for i, e := range db.man.cells[0].shards {
+		if e.Hash == old[i].Hash {
+			continue // this shard did not change; old hash still committed
 		}
-		if _, err := db.ShardImage("", i, old); !errors.Is(err, ErrStaleShard) {
+		stale++
+		if _, err := db.Blob(old[i].Hash); !errors.Is(err, ErrStale) {
 			t.Fatalf("stale fetch of shard %d: %v", i, err)
 		}
 	}
+	if stale != 1 {
+		t.Fatalf("one Put superseded %d images", stale)
+	}
+
+	// A committed image that rotted on disk is an error, never bytes.
+	e := db.man.cells[0].shards[0]
+	rot(t, fs, "p/"+imageFileName(db.man.hseed, 0, e.Hash))
+	if img, err := db.Blob(e.Hash); err == nil || errors.Is(err, ErrStale) {
+		t.Fatalf("rotten image served: %d bytes, err %v", len(img), err)
+	}
 }
 
-// TestInstallCheckpoint ships a primary's images into a second DB and
-// checks the directories become byte-identical while readers observe
-// the new contents.
-func TestInstallCheckpoint(t *testing.T) {
+// TestInstall ships a primary's checkpoint — root and a tenant — into a
+// second DB and checks the directories become byte-identical while
+// readers observe the new contents.
+func TestInstall(t *testing.T) {
 	pfs, rfs := NewMemFS(), NewMemFS()
 	p := openMem(t, pfs, "db", 7)
 	defer p.Close()
@@ -126,13 +183,24 @@ func TestInstallCheckpoint(t *testing.T) {
 	for k := int64(0); k < 1000; k++ {
 		p.Put(k, -k)
 	}
+	if _, err := p.NSPut("acme", 5, 50); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	hseed, images := committedImages(t, p, "")
-	if err := r.InstallCheckpoint(hseed, []CellImages{{Images: images}}); err != nil {
+	man := committedManifest(t, p)
+	fetched := 0
+	err := r.Install(man, func(hash [32]byte, size int64) ([]byte, error) {
+		fetched++
+		return p.Blob(hash)
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if fetched != 8 {
+		t.Fatalf("install into a foreign-seed directory fetched %d images, want all 8", fetched)
 	}
 
 	sameDir(t, dirBytes(t, pfs, "db"), dirBytes(t, rfs, "db"))
@@ -142,18 +210,50 @@ func TestInstallCheckpoint(t *testing.T) {
 	if v, ok := r.Get(123); !ok || v != -123 {
 		t.Fatalf("replica Get(123) = %d %v", v, ok)
 	}
+	if v, ok := r.NSGet("acme", 5); !ok || v != 50 {
+		t.Fatalf("replica acme[5] = %d %v", v, ok)
+	}
 	if err := r.VerifyCanonical(); err != nil {
 		t.Fatal(err)
+	}
+	_, ps := p.CheckpointStamp()
+	if _, rs := r.CheckpointStamp(); rs != ps {
+		t.Fatal("checkpoint stamps differ after the install")
 	}
 
 	// Installing the same checkpoint again is a no-op: zero mutating
 	// filesystem operations.
 	before := rfs.Ops()
-	if err := r.InstallCheckpoint(hseed, []CellImages{{Images: images}}); err != nil {
+	if err := r.Install(man, blobsOf(p)); err != nil {
 		t.Fatal(err)
 	}
 	if after := rfs.Ops(); after != before {
 		t.Fatalf("repeat install performed %d filesystem ops", after-before)
+	}
+
+	// The next checkpoint moves one root shard and drops the tenant: the
+	// install fetches that one image, rewrites no file already right, and
+	// erases the tenant's.
+	p.Put(5_000_000, 1)
+	p.DropNamespace("acme")
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fetched = 0
+	creates := rfs.OpCounts()["create"]
+	err = r.Install(committedManifest(t, p), func(hash [32]byte, size int64) ([]byte, error) {
+		fetched++
+		return p.Blob(hash)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if creates = rfs.OpCounts()["create"] - creates; fetched != 1 || creates != 2 {
+		t.Fatalf("incremental install fetched %d images and created %d files, want 1 and 2 (image, manifest)", fetched, creates)
+	}
+	sameDir(t, dirBytes(t, pfs, "db"), dirBytes(t, rfs, "db"))
+	if r.NSLen("acme") != 0 {
+		t.Fatal("dropped tenant survived the install")
 	}
 
 	// The replica's directory must survive reopen (it is a valid DB dir).
@@ -167,35 +267,43 @@ func TestInstallCheckpoint(t *testing.T) {
 	}
 }
 
-// TestInstallCheckpointCrashSafety injects a fault at every mutating
-// filesystem step of an install and checks recovery lands on either the
-// old or the new checkpoint — never a mix, never an unopenable dir.
-func TestInstallCheckpointCrashSafety(t *testing.T) {
-	// Build the primary once; capture its images.
+// TestInstallCrashSafety injects a fault at every mutating filesystem
+// step of an install — an incremental one over root and tenant cells:
+// some images already local, some fetched, one tenant erased — and
+// checks recovery lands on either the old or the new checkpoint,
+// byte-exact: never a mix, never an unopenable dir, no debris.
+func TestInstallCrashSafety(t *testing.T) {
 	pfs := NewMemFS()
 	p := openMem(t, pfs, "db", 7)
-	for k := int64(0); k < 800; k++ {
-		p.Put(k, k^0x55)
-	}
+	defer p.Abandon()
+	crashOpsA(p)
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	hseed, images := committedImages(t, p, "")
-	primaryDir := dirBytes(t, pfs, "db")
-	p.Close()
+	oldMan, oldDir := committedManifest(t, p), dirBytes(t, pfs, "db")
+	// A second primary at the same seed carries checkpoint A while p
+	// moves on, so each round's replica can install A, then B.
+	pa := openMem(t, NewMemFS(), "db", 7)
+	defer pa.Abandon()
+	if err := pa.Install(oldMan, blobsOf(p)); err != nil {
+		t.Fatal(err)
+	}
+	crashOpsB(p)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	newMan, newDir := committedManifest(t, p), dirBytes(t, pfs, "db")
 
 	for fail := 1; ; fail++ {
 		rfs := NewMemFS()
 		r := openMem(t, rfs, "db", 3)
-		// Old state: a small unrelated keyset, checkpointed.
-		r.Put(-5, 5)
-		if err := r.Checkpoint(); err != nil {
+		if err := r.Install(oldMan, blobsOf(pa)); err != nil {
 			t.Fatal(err)
 		}
-		oldDir := dirBytes(t, rfs, "db")
+		sameDir(t, oldDir, dirBytes(t, rfs, "db"))
 
 		rfs.FailAfter(fail)
-		installErr := r.InstallCheckpoint(hseed, []CellImages{{Images: images}})
+		installErr := r.Install(newMan, blobsOf(p))
 		r.Abandon()
 		crashed := rfs.Crash()
 
@@ -204,10 +312,10 @@ func TestInstallCheckpointCrashSafety(t *testing.T) {
 			t.Fatalf("fail=%d: recovery: %v", fail, err)
 		}
 		got := dirBytes(t, crashed, "db")
-		if v, ok := r2.Get(-5); ok && v == 5 {
+		if contents := dumpAll(t, r2); sameKeyspaces(contents, refA()) {
 			sameDir(t, oldDir, got) // rolled back: byte-exact old checkpoint
-		} else if v, ok := r2.Get(0); ok && v == 0^0x55 {
-			sameDir(t, primaryDir, got) // committed: byte-exact new checkpoint
+		} else if sameKeyspaces(contents, refB()) {
+			sameDir(t, newDir, got) // committed: byte-exact new checkpoint
 		} else {
 			t.Fatalf("fail=%d: recovered to neither old nor new state", fail)
 		}
@@ -224,71 +332,85 @@ func TestInstallCheckpointCrashSafety(t *testing.T) {
 	}
 }
 
-// committedImages fetches keyspace ns's committed seed and image set.
-func committedImages(t *testing.T, db *DB, ns string) (uint64, [][]byte) {
-	t.Helper()
-	hseed, entries, err := db.ShardHashes(ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	images := make([][]byte, len(entries))
-	for i, e := range entries {
-		if images[i], err = db.ShardImage(ns, i, e.Hash); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return hseed, images
-}
-
-// TestInstallCheckpointRejectsCorruptImages checks hostile images fail
-// before anything touches the directory.
-func TestInstallCheckpointRejectsCorruptImages(t *testing.T) {
+// TestInstallRejectsCorruptImages checks that hostile manifests and
+// hostile blobs fail without committing anything, and that whatever a
+// failed install staged is gone by the time it returns.
+func TestInstallRejectsCorruptImages(t *testing.T) {
 	fs := NewMemFS()
 	db := openMem(t, fs, "db", 1)
 	db.Put(1, 1)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// A tenant image set that is valid on its own — right derived seed,
-	// power-of-two shard count — but cut for an 8-shard database, paired
-	// with this 4-shard one's root. The manifest records one shard count
-	// for every cell, so committing the pair would brick the directory:
-	// the next Open could not decode its manifest.
-	wide, err := Open("wide", memOpts(NewMemFS(), 8, 1))
-	if err != nil {
+	src := openMem(t, NewMemFS(), "src", 42)
+	defer src.Abandon()
+	crashOpsA(src)
+	if err := src.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	defer wide.Abandon()
-	if _, err := wide.NSPut("acme", 5, 50); err != nil {
-		t.Fatal(err)
-	}
-	if err := wide.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	hseed, root := committedImages(t, db, "")
-	_, tenant := committedImages(t, wide, "acme")
-	if len(tenant) == len(root) {
-		t.Fatalf("test set-up: both image sets have %d shards", len(root))
-	}
+	good := committedManifest(t, src)
 	dirBefore := dirBytes(t, fs, "db")
 	before := fs.Ops()
 
-	if err := db.InstallCheckpoint(42, []CellImages{{Images: [][]byte{{1, 2, 3}}}}); err == nil {
+	// Manifests no Open could decode never reach the directory: garbage,
+	// a shard count that is not a power of two, no default keyspace. (A
+	// tenant with another shard count than the root's — the install bug
+	// of PR 15 — cannot be written down: the format has one shard count.)
+	odd := &manifest{hseed: 42, cells: []cellEntry{{shards: make([]imageEntry, 3)}}}
+	headless := &manifest{hseed: 42, cells: []cellEntry{{name: "acme", shards: make([]imageEntry, 4)}}}
+	for what, man := range map[string][]byte{
+		"garbage":                    {1, 2, 3},
+		"truncated":                  good[:len(good)-7],
+		"three shards":               odd.encode(),
+		"no default keyspace":        headless.encode(),
+		"trailing byte past the crc": append(append([]byte(nil), good...), 0),
+	} {
+		if err := db.Install(man, blobsOf(src)); err == nil {
+			t.Fatalf("%s manifest accepted", what)
+		}
+	}
+	// A sound manifest whose first blob arrives as garbage.
+	junk := func([32]byte, int64) ([]byte, error) { return []byte{1, 2, 3}, nil }
+	if err := db.Install(good, junk); err == nil {
 		t.Fatal("garbage image accepted")
-	}
-	if err := db.InstallCheckpoint(42, []CellImages{{Images: make([][]byte, 3)}}); err == nil {
-		t.Fatal("non-power-of-two shard count accepted")
-	}
-	if err := db.InstallCheckpoint(hseed, []CellImages{{Images: root}, {Name: "acme", Images: tenant}}); err == nil {
-		t.Fatal("tenant image set with a different shard count than the root's accepted")
-	}
-	if err := db.InstallCheckpoint(hseed, []CellImages{{Name: "acme", Images: tenant}}); err == nil {
-		t.Fatal("image set without the default keyspace accepted")
 	}
 	if after := fs.Ops(); after != before {
 		t.Fatalf("rejected installs performed %d filesystem ops", after-before)
 	}
+
+	// Images that are exactly what the manifest's hashes say, filed under
+	// the wrong tenant: every blob verifies, and assembly must still
+	// refuse — the keys do not route under the seed derived for "zeta".
+	misfiled, err := decodeManifest(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range misfiled.cells {
+		if misfiled.cells[k].name == "brief" {
+			misfiled.cells[k].name = "zeta"
+		}
+	}
+	if err := db.Install(misfiled.encode(), blobsOf(src)); err == nil {
+		t.Fatal("tenant images filed under another tenant's name accepted")
+	}
 	sameDir(t, dirBefore, dirBytes(t, fs, "db"))
+
+	// A fetch that fails on the k-th blob, for every k: whatever was
+	// staged before it is wiped once Install returns.
+	for k := 1; k <= len(misfiled.cells)*4; k++ {
+		calls := 0
+		err := db.Install(good, func(hash [32]byte, size int64) ([]byte, error) {
+			if calls++; calls == k {
+				return nil, errors.New("peer went away")
+			}
+			return src.Blob(hash)
+		})
+		if err == nil || calls != k {
+			t.Fatalf("install with fetch %d failing: %d fetches, err %v", k, calls, err)
+		}
+		sameDir(t, dirBefore, dirBytes(t, fs, "db"))
+	}
+
 	db.Abandon()
 	re, err := Open("db", memOpts(fs, 4, 1))
 	if err != nil {

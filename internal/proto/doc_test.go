@@ -95,9 +95,6 @@ func TestProtocolDocLockstep(t *testing.T) {
 	if MaxRangeItems != (1<<20-13)/16 {
 		t.Errorf("MaxRangeItems = %d, doc says floor((1 MiB - 13)/16)", MaxRangeItems)
 	}
-	if MaxSyncShards != (1<<20-12)/40 {
-		t.Errorf("MaxSyncShards = %d, doc says floor((1 MiB - 12)/40)", MaxSyncShards)
-	}
 	if MaxSyncChunk != 1<<20-1 {
 		t.Errorf("MaxSyncChunk = %d, doc says 1 MiB - 1", MaxSyncChunk)
 	}
@@ -109,7 +106,7 @@ func TestProtocolDocLockstep(t *testing.T) {
 	}
 	// The bounds must actually keep the replies under the cap.
 	if 12+9*MaxBatchGet > MaxPayload || 13+16*MaxRangeItems > MaxPayload ||
-		12+40*MaxSyncShards > MaxPayload || 1+MaxSyncChunk > MaxPayload ||
+		1+MaxSyncChunk > MaxPayload ||
 		12+11*MaxListNS > MaxPayload {
 		t.Error("reply-size bounds do not fit MaxPayload")
 	}

@@ -30,10 +30,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Ver: Version, Op: OpRange | FlagReply, ID: 6, Payload: AppendRangeReply(nil, []Item{{Key: 1, Val: 2}}, false, 7)},
 		{Ver: Version, Op: OpBatch | FlagReply, ID: 5, Payload: AppendBatchGetReply(nil, []int64{1}, []bool{true}, 7)},
 		{Ver: Version, Op: OpError, ID: 2, Payload: AppendError(nil, ErrCodeBadFrame, "boom")},
-		{Ver: Version, Op: OpShardHash, ID: 10},
-		{Ver: Version, Op: OpShardHash | FlagReply, ID: 10,
-			Payload: AppendShardHashes(nil, 0xfeed, []ShardHash{{Size: 64, Hash: [32]byte{1, 2}}, {Size: 0}}, nil)},
-		{Ver: Version, Op: OpSync, ID: 11, Payload: AppendSyncReq(nil, 3, [32]byte{9}, 128, 4096, "")},
+		{Ver: Version, Op: OpSync, ID: 10, Payload: AppendSyncReq(nil, [32]byte{3, 1}, 0, 0)},
+		{Ver: Version, Op: OpSync | FlagReply, ID: 10, Payload: AppendSyncChunk(nil, false, []byte("HIDBMF03"))},
+		{Ver: Version, Op: OpSync, ID: 11, Payload: AppendSyncReq(nil, [32]byte{9}, 128, 4096)},
 		{Ver: Version, Op: OpSync | FlagReply, ID: 11, Payload: AppendSyncChunk(nil, true, []byte("img"))},
 		{Ver: Version, Op: OpPutTTL, ID: 12, Payload: AppendKeyValExp(nil, 7, 70, 1_900_000_000)},
 		{Ver: Version, Op: OpPutTTL | FlagReply, ID: 12, Payload: AppendTTLAck(nil, true, 1_900_000_000)},
@@ -54,10 +53,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Ver: Version, Op: OpListNS, ID: 20},
 		{Ver: Version, Op: OpListNS | FlagReply, ID: 20,
 			Payload: AppendNSList(nil, 1000, []NSStat{{Name: "acme", Keys: 3}, {Name: "globex", Keys: 9}})},
-		{Ver: Version, Op: OpShardHash, ID: 21, Payload: AppendNSName(nil, "acme")},
-		{Ver: Version, Op: OpShardHash | FlagReply, ID: 21,
-			Payload: AppendShardHashes(nil, 0xfeed, []ShardHash{{Size: 64, Hash: [32]byte{1, 2}}}, []string{"acme", "globex"})},
-		{Ver: Version, Op: OpSync, ID: 22, Payload: AppendSyncReq(nil, 3, [32]byte{9}, 128, 4096, "acme")},
+		{Ver: Version, Op: OpSync, ID: 21, Payload: AppendSyncReq(nil, [32]byte{1, 2}, 1<<20, 1)},
+		{Ver: Version, Op: OpSync | FlagReply, ID: 21, Payload: AppendSyncChunk(nil, false, nil)},
+		{Ver: Version, Op: OpSync, ID: 22, Payload: AppendSyncReq(nil, [32]byte{0xff}, 1<<63, 1<<31)},
 		{Ver: Version, Op: OpError, ID: 16, Payload: AppendError(nil, ErrCodeQuota, "namespace over quota")},
 
 		// The trace-context extension: present (sampled and not), echoed
@@ -121,18 +119,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		DecodeRangeReq(fr.Payload)
 		DecodeRangeReply(fr.Payload)
 		DecodeError(fr.Payload)
-		if _, entries, names, err := DecodeShardHashes(fr.Payload); err == nil {
-			// The counts were validated against the payload length, so a
-			// hostile count can never out-allocate its own frame: entries
-			// are 40 bytes each after the 12-byte head, and a name table
-			// costs its count plus at least 3 bytes (2+1) per name.
-			if names == nil && len(entries)*40+12 != len(fr.Payload) {
-				t.Fatalf("shard-hash entries %d disagree with payload %d", len(entries), len(fr.Payload))
-			}
-			if names != nil && len(entries)*40+12+4+3*len(names) > len(fr.Payload) {
-				t.Fatalf("shard-hash names %d disagree with payload %d", len(names), len(fr.Payload))
-			}
-		}
 		DecodeSyncReq(fr.Payload)
 		DecodeSyncChunk(fr.Payload)
 		DecodeKeyValExp(fr.Payload)
@@ -231,15 +217,9 @@ func TestNSCodecCountValidation(t *testing.T) {
 	if _, _, err := DecodeNSList(short); err == nil {
 		t.Error("ns-list with short payload accepted")
 	}
-	// shard-hash namespace table with a hostile count.
-	withTable := AppendShardHashes(nil, 1, nil, nil)
-	withTable = AppendU32(withTable, 1<<30)
-	if _, _, _, err := DecodeShardHashes(withTable); err == nil {
-		t.Error("shard-hash namespace table with hostile count accepted")
-	}
-	// sync request with garbage after the name.
-	bad := append(AppendSyncReq(nil, 0, [32]byte{}, 0, 0, "acme"), 0x01)
-	if _, _, _, _, _, err := DecodeSyncReq(bad); err == nil {
+	// sync request with garbage after its fixed fields.
+	bad := append(AppendSyncReq(nil, [32]byte{}, 0, 0), 0x01)
+	if _, _, _, err := DecodeSyncReq(bad); err == nil {
 		t.Error("sync request with trailing bytes accepted")
 	}
 }

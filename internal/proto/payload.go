@@ -345,145 +345,31 @@ func DecodeRangeReply(p []byte) (items []Item, epoch uint64, more bool, err erro
 	return items, epoch, more, nil
 }
 
-// ShardHash describes one shard's committed canonical image: its size
-// and SHA-256. A SHARDHASH reply carries one per shard; two nodes with
-// equal contents have equal hashes for every shard (the images are
-// canonical), so anti-entropy is hash comparison plus image shipping.
-type ShardHash struct {
-	Size int64
-	Hash [32]byte
-}
+// MaxSyncChunk caps the bytes in one SYNC reply: 1 + n bytes (more
+// flag, then blob bytes). Servers clamp the request's maxlen to it.
+const MaxSyncChunk = MaxPayload - 1
 
-// Replication ceilings derived from MaxPayload.
-const (
-	// MaxSyncShards caps the shards in one SHARDHASH reply: the reply
-	// carries 12 + 40·n bytes (hseed, count, then size+hash per shard).
-	// Servers with more shards reject SHARDHASH with ErrCodeTooLarge.
-	MaxSyncShards = (MaxPayload - 12) / 40
-	// MaxSyncChunk caps the bytes in one SYNC reply: 1 + n bytes (more
-	// flag, then image bytes). Servers clamp the request's maxlen to it.
-	MaxSyncChunk = MaxPayload - 1
-)
-
-// AppendShardHashes appends an OpShardHash reply: the routing seed, a
-// shard count, then each shard's committed image size and SHA-256 in
-// shard order, then (when names is non-empty) a name count and each
-// committed namespace name. The names let a replica discover the
-// primary's tenants in one round; a reply for a SINGLE tenant's cell
-// (per-namespace SHARDHASH request) carries no table, and the tenant's
-// derived seed in the hseed field.
-func AppendShardHashes(dst []byte, hseed uint64, entries []ShardHash, names []string) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, hseed)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(entries)))
-	for _, e := range entries {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Size))
-		dst = append(dst, e.Hash[:]...)
-	}
-	if len(names) == 0 {
-		return dst
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(names)))
-	for _, ns := range names {
-		dst = appendNSName(dst, ns)
-	}
-	return dst
-}
-
-// DecodeShardHashes decodes an OpShardHash reply, with or without the
-// trailing namespace-name table (names is nil without one). Both counts
-// are validated against the actual payload length and their caps
-// (MaxSyncShards, MaxListNS) before allocating.
-func DecodeShardHashes(p []byte) (hseed uint64, entries []ShardHash, names []string, err error) {
-	if len(p) < 12 {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply is %d bytes, want >= 12", len(p))
-	}
-	hseed = binary.BigEndian.Uint64(p)
-	n := binary.BigEndian.Uint32(p[8:])
-	if n > MaxSyncShards {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply claims %d shards, cap %d", n, MaxSyncShards)
-	}
-	body := p[12:]
-	if uint64(len(body)) < uint64(n)*40 {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply of %d shards has %d payload bytes", n, len(body))
-	}
-	entries = make([]ShardHash, n)
-	for i := range entries {
-		e := body[i*40 : i*40+40]
-		size := int64(binary.BigEndian.Uint64(e))
-		if size < 0 {
-			return 0, nil, nil, fmt.Errorf("proto: shard-hash entry %d has negative size", i)
-		}
-		entries[i].Size = size
-		copy(entries[i].Hash[:], e[8:])
-	}
-	rest := body[uint64(n)*40:]
-	if len(rest) == 0 {
-		return hseed, entries, nil, nil
-	}
-	if len(rest) < 4 {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash namespace table is %d bytes, want >= 4", len(rest))
-	}
-	cnt := binary.BigEndian.Uint32(rest)
-	if cnt > MaxListNS {
-		return 0, nil, nil, fmt.Errorf("proto: shard-hash reply claims %d namespaces, cap %d", cnt, MaxListNS)
-	}
-	rest = rest[4:]
-	names = make([]string, 0, cnt)
-	for i := uint32(0); i < cnt; i++ {
-		ns, after, err := decodeNSName(rest)
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("proto: shard-hash namespace %d: %w", i, err)
-		}
-		names = append(names, ns)
-		rest = after
-	}
-	if len(rest) != 0 {
-		return 0, nil, nil, fmt.Errorf("proto: %d trailing bytes in shard-hash reply", len(rest))
-	}
-	return hseed, entries, names, nil
-}
-
-// AppendSyncReq appends an OpSync request: the shard index, the
-// expected image hash (from a SHARDHASH reply), a byte offset into the
-// image, the maximum bytes wanted back (0: the server's default; always
-// clamped to MaxSyncChunk), and — for a tenant's cell — the namespace
-// name. An empty ns (the default keyspace) adds nothing to the 48
-// fixed bytes.
-func AppendSyncReq(dst []byte, shard uint32, hash [32]byte, offset uint64, maxLen uint32, ns string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, shard)
+// AppendSyncReq appends an OpSync request: the SHA-256 of a blob of the
+// committed checkpoint (the manifest — the hash a HEALTH reply carries —
+// or an image file it names), a byte offset into the blob, and the
+// maximum bytes wanted back (0: the server's default; always clamped to
+// MaxSyncChunk). The hash is the whole address: no keyspace, no index.
+func AppendSyncReq(dst []byte, hash [32]byte, offset uint64, maxLen uint32) []byte {
 	dst = append(dst, hash[:]...)
 	dst = binary.BigEndian.AppendUint64(dst, offset)
-	dst = binary.BigEndian.AppendUint32(dst, maxLen)
-	if ns != "" {
-		dst = appendNSName(dst, ns)
-	}
-	return dst
+	return binary.BigEndian.AppendUint32(dst, maxLen)
 }
 
-// DecodeSyncReq decodes an OpSync request (ns is "" for the default
-// keyspace).
-func DecodeSyncReq(p []byte) (shard uint32, hash [32]byte, offset uint64, maxLen uint32, ns string, err error) {
-	if len(p) < 48 {
-		return 0, hash, 0, 0, "", fmt.Errorf("proto: sync request is %d bytes, want >= 48", len(p))
+// DecodeSyncReq decodes an OpSync request.
+func DecodeSyncReq(p []byte) (hash [32]byte, offset uint64, maxLen uint32, err error) {
+	if len(p) != 44 {
+		return hash, 0, 0, fmt.Errorf("proto: sync request is %d bytes, want 44", len(p))
 	}
-	shard = binary.BigEndian.Uint32(p)
-	copy(hash[:], p[4:36])
-	offset = binary.BigEndian.Uint64(p[36:])
-	maxLen = binary.BigEndian.Uint32(p[44:])
-	if len(p) == 48 {
-		return shard, hash, offset, maxLen, "", nil
-	}
-	ns, rest, err := decodeNSName(p[48:])
-	if err != nil {
-		return 0, hash, 0, 0, "", err
-	}
-	if len(rest) != 0 {
-		return 0, hash, 0, 0, "", fmt.Errorf("proto: %d trailing bytes in sync request", len(rest))
-	}
-	return shard, hash, offset, maxLen, ns, nil
+	copy(hash[:], p)
+	return hash, binary.BigEndian.Uint64(p[32:]), binary.BigEndian.Uint32(p[40:]), nil
 }
 
-// AppendSyncChunk appends an OpSync reply: a more flag (the image has
+// AppendSyncChunk appends an OpSync reply: a more flag (the blob has
 // bytes past this chunk) and the chunk itself.
 func AppendSyncChunk(dst []byte, more bool, data []byte) []byte {
 	dst = AppendBool(dst, more)
@@ -601,8 +487,7 @@ func DecodeNSKey(p []byte) (ns string, key int64, err error) {
 	return ns, key, err
 }
 
-// AppendNSName appends a bare tenant-name payload (OpDropNS requests;
-// also OpShardHash requests addressing one tenant's cell).
+// AppendNSName appends a bare tenant-name payload (OpDropNS requests).
 func AppendNSName(dst []byte, ns string) []byte { return appendNSName(dst, ns) }
 
 // DecodeNSName decodes a bare tenant-name payload.

@@ -20,11 +20,10 @@ type Item = hipma.Item
 // connection. Version 2 added the HEALTH/PROMOTE opcodes and stamped
 // every read reply with the serving node's checkpoint epoch (bounded
 // staleness). Version 3 added the namespace opcodes (NSPUT/NSGET/NSDEL/
-// DROPNS/LISTNS), per-namespace SHARDHASH/SYNC addressing, and
-// ErrCodeQuota. Version 4 added the optional trace-context extension
-// after the request id (a header layout change, hence the bump):
-// extlen(1), then — when extlen is TraceExtLen — trace id(8), parent
-// span id(8), flags(1).
+// DROPNS/LISTNS) and ErrCodeQuota. Version 4 added the optional
+// trace-context extension after the request id (a header layout change,
+// hence the bump): extlen(1), then — when extlen is TraceExtLen — trace
+// id(8), parent span id(8), flags(1).
 const Version = 4
 
 // HeaderSize is the frame overhead up to and including the request id:
@@ -59,12 +58,12 @@ const (
 	OpCheckpoint byte = 0x07 // payload: empty → reply: checkpoints(8)
 	OpPing       byte = 0x08 // payload: arbitrary → reply: the same bytes
 
-	// Replication opcodes. A replica compares the primary's last
-	// committed checkpoint against its own — per-shard canonical content
-	// hashes, never an operation log — and ships only divergent shard
-	// images. See docs/PROTOCOL.md "Replication".
-	OpShardHash byte = 0x09 // payload: empty → reply: hseed(8) count(4) [size(8) hash(32)]…
-	OpSync      byte = 0x0A // payload: shard(4) hash(32) offset(8) maxlen(4) → reply: more(1) bytes
+	// The replication opcode. A committed checkpoint is its manifest:
+	// HEALTH advertises the manifest's SHA-256, and SYNC serves bytes of
+	// any committed blob by hash — the manifest itself, or an image file
+	// it names. Never an operation log. 0x09 (the old per-keyspace
+	// descriptor) is unassigned. See docs/PROTOCOL.md "Replication".
+	OpSync byte = 0x0A // payload: hash(32) offset(8) maxlen(4) → reply: more(1) bytes
 
 	// TTL opcodes. The expiry is an ABSOLUTE epoch in unix seconds
 	// (0: never expires), recorded as part of the entry's logical state
@@ -122,7 +121,7 @@ const (
 	ErrCodeShutdown  byte = 6 // server is draining; connection will close
 	ErrCodeInternal  byte = 7 // server-side failure (e.g. checkpoint error)
 	ErrCodeReadOnly  byte = 8 // server is a read replica; writes go to the primary
-	ErrCodeStale     byte = 9 // requested shard image superseded; re-fetch SHARDHASH
+	ErrCodeStale     byte = 9 // requested blob is not in the committed checkpoint; start a new round
 
 	ErrCodeNotReplica byte = 10 // PROMOTE sent to a node that is already writable
 
@@ -140,7 +139,6 @@ var opNames = map[byte]string{
 	OpLen:        "OpLen",
 	OpCheckpoint: "OpCheckpoint",
 	OpPing:       "OpPing",
-	OpShardHash:  "OpShardHash",
 	OpSync:       "OpSync",
 	OpPutTTL:     "OpPutTTL",
 	OpGetTTL:     "OpGetTTL",

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -136,28 +135,10 @@ func TestPayloadRoundTrips(t *testing.T) {
 		t.Fatalf("error: %d %q %v", code, msg, err)
 	}
 
-	// SHARDHASH replies and SYNC requests, each with and without its
-	// namespace tail: no name table (a tenant's cell, or a primary with
-	// no tenants) decodes to nil names, no name to the default keyspace.
-	for _, tc := range []struct {
-		entries []ShardHash
-		names   []string
-	}{
-		{entries: []ShardHash{{Size: 100, Hash: [32]byte{1}}, {Size: 0, Hash: [32]byte{0xAA}}}},
-		{},
-		{entries: []ShardHash{{Size: 9, Hash: [32]byte{5}}}, names: []string{"acme", "globex"}},
-	} {
-		hseed, entries, names, err := DecodeShardHashes(AppendShardHashes(nil, 0xdead, tc.entries, tc.names))
-		if err != nil || hseed != 0xdead || !slices.Equal(entries, tc.entries) || !slices.Equal(names, tc.names) ||
-			(tc.names == nil) != (names == nil) {
-			t.Fatalf("shard hashes %v %v: %x %v %v %v", tc.entries, tc.names, hseed, entries, names, err)
-		}
-	}
-	for _, ns := range []string{"", "acme"} {
-		sh, h, off, maxLen, gotNS, err := DecodeSyncReq(AppendSyncReq(nil, 9, [32]byte{7, 7}, 1<<40, 512, ns))
-		if err != nil || sh != 9 || h != ([32]byte{7, 7}) || off != 1<<40 || maxLen != 512 || gotNS != ns {
-			t.Fatalf("sync req %q: %d %x %d %d %q %v", ns, sh, h[:2], off, maxLen, gotNS, err)
-		}
+	// SYNC requests: a hash is the whole address.
+	h, off, maxLen, err := DecodeSyncReq(AppendSyncReq(nil, [32]byte{7, 7}, 1<<40, 512))
+	if err != nil || h != ([32]byte{7, 7}) || off != 1<<40 || maxLen != 512 {
+		t.Fatalf("sync req: %x %d %d %v", h[:2], off, maxLen, err)
 	}
 	data, more, err := DecodeSyncChunk(AppendSyncChunk(nil, true, []byte("bytes")))
 	if err != nil || !more || string(data) != "bytes" {
@@ -202,20 +183,10 @@ func TestHostilePayloads(t *testing.T) {
 	if _, _, _, err := DecodeBatch([]byte{9, 0, 0, 0, 0}); err == nil {
 		t.Fatal("unknown batch kind accepted")
 	}
-	// A shard-hash count that promises more entries than the payload
-	// holds, or more than the protocol ceiling, must be rejected before
-	// any count-sized allocation.
-	lie = append(make([]byte, 8), 0xFF, 0xFF, 0xFF, 0xFF)
-	if _, _, _, err := DecodeShardHashes(lie); err == nil {
-		t.Fatal("shard-hash count lie accepted")
-	}
-	overCap := append(make([]byte, 8), 0x00, 0x01, 0x00, 0x00) // 65536 > MaxSyncShards
-	overCap = append(overCap, make([]byte, 65536*40)...)
-	if _, _, _, err := DecodeShardHashes(overCap); err == nil {
-		t.Fatal("shard-hash count over MaxSyncShards accepted")
-	}
-	if _, _, _, _, _, err := DecodeSyncReq(make([]byte, 47)); err == nil {
-		t.Fatal("short sync request accepted")
+	for _, n := range []int{0, 43, 45, 48} { // 48: the old shard-indexed layout
+		if _, _, _, err := DecodeSyncReq(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte sync request accepted", n)
+		}
 	}
 	if _, _, err := DecodeSyncChunk(nil); err == nil {
 		t.Fatal("empty sync chunk accepted")

@@ -3,30 +3,57 @@
 //
 // The paper's property makes replication uniquely easy to get provably
 // right: every shard's durable image is a pure function of (contents,
-// seed), so two nodes with equal contents hold byte-identical images.
-// Anti-entropy therefore reduces to comparing per-shard content hashes
-// (SHARDHASH) and shipping the canonical images of the shards that
-// differ (SYNC) — no oplog, no sequence numbers, no vector clocks. An
-// operation log would also be an operation *history*, the exact
-// artifact this system exists to keep off the disk; replication ships
-// state, never operations, so history independence survives the hop:
-// after a sync the replica's DB directory is byte-identical to the
-// primary's checkpoint, and an adversary imaging either disk learns
-// the same nothing.
+// seed), so two nodes with equal contents hold byte-identical images,
+// each filed under its SHA-256, and the manifest that lists them is
+// canonical too — its SHA-256 names the checkpoint. A checkpoint IS its
+// manifest, and anti-entropy reduces to comparing one hash (HEALTH) and
+// fetching blobs by hash (SYNC): the manifest first, then the images it
+// names that the local disk lacks — no oplog, no sequence numbers, no
+// vector clocks. An operation log would also be an operation *history*,
+// the exact artifact this system exists to keep off the disk;
+// replication ships state, never operations, so history independence
+// survives the hop: after a sync the replica's DB directory is
+// byte-identical to the primary's checkpoint, and an adversary imaging
+// either disk learns the same nothing.
 //
 // A Replica owns one connection to the primary (redialed on error) and
-// runs rounds: fetch the primary's checkpoint descriptor, compare with
-// its own, fetch only divergent shard images chunk by chunk, verify
-// each image's SHA-256 against the advertised hash, and install the
-// whole set through durable.DB.InstallCheckpoint — the same atomic
-// commit sequence checkpoints use, so a power cut mid-install recovers
-// to either the old or the new checkpoint, never a mix. Reads keep
-// being served throughout: the store swap is a single atomic pointer
-// publication.
+// runs rounds: HEALTH; if the advertised manifest hash equals the local
+// stamp the round is over; otherwise fetch that manifest chunk by
+// chunk, verify its SHA-256, and hand it to durable.DB.Install with a
+// fetch function for blobs. Install — recovery's own loader — takes
+// each image from the local content-addressed file when that file has
+// the manifest's size and hash (so a rotten file is noticed where it is
+// used, refetched and replaced), fetches the rest, and commits through
+// the same atomic sequence checkpoints use, so a power cut mid-install
+// recovers to either the old or the new checkpoint, never a mix. Reads
+// keep being served throughout: the store swap is a single atomic
+// pointer publication.
+//
+// # Why a round needs no second look at the primary
+//
+// The hazard is installing a mix of two checkpoints because the primary
+// committed mid-round. It cannot happen, and not because the round
+// checks for it: once the manifest is fetched and verified the round's
+// target is fixed, and every later fetch is BY A HASH THAT MANIFEST
+// NAMES. A blob either arrives hashing to what was asked — then it is
+// the byte string the manifest means, whatever the primary has
+// committed since: content addressing leaves no other bytes under that
+// name — or the primary no longer holds it and answers stale, which
+// fails the round before anything is committed (what was staged is
+// wiped; the next round starts from a fresh HEALTH). So a round
+// installs exactly the one manifest it fetched, or nothing. (The
+// protocol this replaced gathered per-keyspace descriptors over T+2
+// round trips and had to re-probe HEALTH before installing.)
 //
 // The replica only ever installs state the primary has *committed*, so
 // a replica can never run ahead of its primary's disk: a primary crash
 // rolls back, at worst, to a checkpoint every replica already had or
 // can re-converge to. Serving the installed checkpoint (rather than
 // the primary's live memory) is what makes the guarantee exact.
+//
+// Nothing a peer says is trusted for memory: the manifest goes through
+// recovery's hostile-input decoder, an image's size — even out of a
+// manifest that verifies — is reserved only up to a fixed bound, and
+// the manifest, whose length nobody advertises, grows with what arrives
+// under that bound.
 package replica

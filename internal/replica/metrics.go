@@ -17,7 +17,7 @@ type replicaMetrics struct {
 
 func (m *replicaMetrics) init(reg *obs.Registry, r *Replica) {
 	m.converged = reg.Counter("hidb_replica_converged_total", "anti-entropy rounds that found the checkpoints already matching")
-	m.verifyFails = reg.Counter("hidb_replica_verify_failures_total", "fetched shard images rejected by size or hash verification")
+	m.verifyFails = reg.Counter("hidb_replica_verify_failures_total", "fetched blobs (manifest or image) rejected by size or hash verification")
 	m.roundSecs = reg.Histogram("hidb_replica_round_seconds", "anti-entropy round wall time, converged rounds included", obs.UnitSeconds)
 	if reg == nil {
 		return

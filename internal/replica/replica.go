@@ -22,14 +22,14 @@ import (
 // defaults.
 type Config struct {
 	// Dial establishes a connection to the primary (or to another
-	// replica — replicas serve SHARDHASH/SYNC too, so trees work). The
+	// replica — replicas serve HEALTH/SYNC too, so trees work). The
 	// replica redials after any connection error.
 	Dial func() (net.Conn, error)
 	// Interval is the poll period between anti-entropy rounds in Run
-	// (0: 250ms). A converged round is one SHARDHASH round trip.
+	// (0: 250ms). A converged round is one HEALTH round trip.
 	Interval time.Duration
-	// ChunkSize caps the image bytes requested per SYNC fetch
-	// (0: 256 KiB; clamped to proto.MaxSyncChunk).
+	// ChunkSize caps the blob bytes requested per SYNC fetch (0: the
+	// serving side's own cap, 256 KiB, which also clamps larger values).
 	ChunkSize int
 	// Timeout bounds each request's reply wait (0: 30 seconds;
 	// negative: none). Without it a primary that accepts the connection
@@ -71,11 +71,6 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
 	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 256 << 10
-	} else if c.ChunkSize > proto.MaxSyncChunk {
-		c.ChunkSize = proto.MaxSyncChunk
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
 	} else if c.Timeout < 0 {
@@ -95,15 +90,12 @@ type Summary struct {
 	// Installed: a new checkpoint was committed locally this round.
 	Installed bool
 	// ShardsFetched counts shard images that crossed the wire (divergent
-	// shards only; matching shards are reused from the local disk),
-	// tenant cells included.
+	// shards only; matching shards are used from the local disk), tenant
+	// cells included.
 	ShardsFetched int
-	// BytesFetched counts image bytes that crossed the wire.
+	// BytesFetched counts image bytes that crossed the wire (the
+	// manifest's own few bytes are not counted).
 	BytesFetched int64
-	// Namespaces is the tenant count of the installed checkpoint. A
-	// tenant the primary dropped simply stops appearing — the install
-	// erases its local files the same way the primary's drop did.
-	Namespaces int
 }
 
 // Stats is a point-in-time snapshot of a Replica's counters.
@@ -209,13 +201,13 @@ func (r *Replica) dropConn() {
 	}
 }
 
-// SyncOnce runs one anti-entropy round: compare checkpoint descriptors
-// with the primary, fetch the divergent shard images, verify them, and
-// install. It is safe to call concurrently with reads on the DB and
-// with other SyncOnce calls (rounds serialize). On any error the
-// connection is dropped and the next call redials; a RemoteError with
-// proto.ErrCodeStale simply means the primary checkpointed mid-round —
-// retry and the round converges.
+// SyncOnce runs one anti-entropy round: compare checkpoint stamps with
+// the primary, and if they differ fetch its manifest and install it,
+// fetching the images the local disk lacks. It is safe to call
+// concurrently with reads on the DB and with other SyncOnce calls
+// (rounds serialize). On any error the connection is dropped and the
+// next call redials; a RemoteError with proto.ErrCodeStale simply means
+// the primary checkpointed mid-round — retry and the round converges.
 func (r *Replica) SyncOnce() (Summary, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -260,9 +252,9 @@ func (r *Replica) SyncOnce() (Summary, error) {
 
 // roundTrace carries one sync round's span identity through
 // syncLocked, which anchors the link (the primary's manifest hash
-// prefix, from the round's first Health reply) and records the
-// install child span; SyncOnce records the round root afterwards,
-// when the outcome (and therefore the keep decision) is known.
+// prefix, from the round's Health reply) and records the install child
+// span; SyncOnce records the round root afterwards, when the outcome
+// (and therefore the keep decision) is known.
 type roundTrace struct {
 	tr      *trace.Store
 	tid     uint64
@@ -277,85 +269,42 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 	if err != nil {
 		return sum, err
 	}
-	// The cut anchor: the primary's Health carries the SHA-256 of its
-	// committed manifest, which names the exact checkpoint — tenant
-	// table included, the manifest is canonical. Matching the local
-	// stamp means converged without touching a single shard hash.
-	h0, err := conn.Health()
+	// The primary's Health carries the SHA-256 of its committed manifest,
+	// which names the exact checkpoint — tenant table included, the
+	// manifest is canonical. Matching the local stamp means converged
+	// without another byte crossing the wire.
+	h, err := conn.Health()
 	if err != nil {
 		return sum, fmt.Errorf("replica: fetching health: %w", err)
 	}
 	if rt != nil {
-		rt.link = binary.BigEndian.Uint64(h0.Hash[:8])
+		rt.link = binary.BigEndian.Uint64(h.Hash[:8])
 	}
-	if _, localHash := r.db.CheckpointStamp(); localHash != ([32]byte{}) && h0.Hash == localHash {
+	if _, local := r.db.CheckpointStamp(); h.Hash == local {
 		sum.Converged = true
 		return sum, nil
 	}
-
-	// One gather per committed keyspace, the default one ("") first —
-	// its reply lists the tenants: compare against the locally committed
-	// cell (if any), reuse matching images from local disk, fetch the
-	// divergent ones. Tenants the primary no longer lists are simply
-	// absent from the set; the install drops them.
-	var hseed uint64
-	var set []durable.CellImages
-	names := []string{""}
-	for k := 0; k < len(names); k++ {
-		ns := names[k]
-		seed, remote, tenants, err := conn.SyncShardHashes(ns)
-		if err != nil {
-			return sum, fmt.Errorf("replica: fetching shard hashes: %w", err)
-		}
-		if ns == "" {
-			hseed, names = seed, append(names, tenants...)
-		}
-		localSeed, local, lerr := r.db.ShardHashes(ns)
-		sameLayout := lerr == nil && localSeed == seed && len(local) == len(remote)
-		images := make([][]byte, len(remote))
-		for i, e := range remote {
-			if sameLayout && local[i].Hash == e.Hash {
-				// This shard already matches: reuse the committed local
-				// bytes instead of shipping them again. The images are
-				// content addressed, so "same hash" IS "same bytes".
-				img, err := r.db.ShardImage(ns, i, e.Hash)
-				if err == nil && int64(len(img)) == e.Size {
-					images[i] = img
-					continue
-				}
-				// Local file unexpectedly unusable — fall through and fetch.
-			}
-			img, err := r.fetchShard(conn, ns, i, e)
-			if err != nil {
-				return sum, err
-			}
-			images[i] = img
+	// The round installs this one manifest or nothing (doc.go: why no
+	// second HEALTH is needed).
+	man, err := r.fetchBlob(conn, h.Hash, -1)
+	if err != nil {
+		return sum, err
+	}
+	ti := time.Now()
+	err = r.db.Install(man, func(hash [32]byte, size int64) ([]byte, error) {
+		img, err := r.fetchBlob(conn, hash, size)
+		if err == nil {
 			sum.ShardsFetched++
 			sum.BytesFetched += int64(len(img))
 			r.shardsFetched.Add(1)
 			r.bytesFetched.Add(uint64(len(img)))
 		}
-		set = append(set, durable.CellImages{Name: ns, Images: images})
-	}
-
-	// The cut check: the gather above took several round trips. If the
-	// primary checkpointed anywhere in between, the pieces may mix two
-	// checkpoints — installing them would fabricate a state the primary
-	// never committed. Abandon the round; the next one re-anchors.
-	h1, err := conn.Health()
+		return img, err
+	})
 	if err != nil {
-		return sum, fmt.Errorf("replica: re-fetching health: %w", err)
-	}
-	if h1.Hash != h0.Hash {
-		return sum, errors.New("replica: primary checkpointed mid-round; retrying")
-	}
-
-	ti := time.Now()
-	if err := r.db.InstallCheckpoint(hseed, set); err != nil {
 		return sum, err
 	}
 	sum.Installed = true
-	sum.Namespaces = len(set) - 1
 	r.installs.Add(1)
 	if rt != nil && rt.sampled {
 		rt.tr.Record(trace.Span{
@@ -369,42 +318,45 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 	return sum, nil
 }
 
-// fetchReserve is the most fetchShard reserves ahead of the bytes it
-// has actually received. The advertised size is the peer's word: below
-// the bound it is reserved exactly, so an honest image is allocated
-// once; past it the buffer grows with what arrives.
+// fetchReserve is the most fetchBlob reserves ahead of the bytes it has
+// actually received. A size is the peer's word even when it comes out
+// of a hash-checked manifest: below the bound it is reserved exactly,
+// so an honest image is allocated once; past it the buffer grows with
+// what arrives. It is also the most a manifest may weigh.
 const fetchReserve = 64 << 20
 
-// fetchShard pulls one shard image chunk by chunk — from the default
-// keyspace when ns is empty, from tenant ns's cell otherwise — and
-// verifies it against the advertised size and hash, so a lying or
+// fetchBlob pulls the committed blob with the given SHA-256 chunk by
+// chunk and verifies it against that hash and size, so a lying or
 // corrupted peer cannot hand us installable garbage — nor, by
-// advertising an absurd size, make us reserve memory for it.
-func (r *Replica) fetchShard(conn *client.Conn, ns string, i int, e proto.ShardHash) ([]byte, error) {
-	buf := make([]byte, 0, min(e.Size, fetchReserve))
+// advertising an absurd size, make us reserve memory for it. size is
+// what the manifest says of an image; the manifest itself is fetched
+// with size < 0 — nobody advertises its length — and then grows with
+// what arrives, up to fetchReserve.
+func (r *Replica) fetchBlob(conn *client.Conn, hash [32]byte, size int64) ([]byte, error) {
+	limit, reserve := size, min(size, fetchReserve)
+	if size < 0 {
+		limit, reserve = fetchReserve, 0
+	}
+	buf := make([]byte, 0, reserve)
 	for {
-		data, more, err := conn.SyncShardChunk(ns, i, e.Hash, uint64(len(buf)), r.cfg.ChunkSize)
+		data, more, err := conn.SyncChunk(hash, uint64(len(buf)), r.cfg.ChunkSize)
 		if err != nil {
-			return nil, fmt.Errorf("replica: fetching shard %d at offset %d: %w", i, len(buf), err)
+			return nil, fmt.Errorf("replica: fetching blob %x at offset %d: %w", hash[:8], len(buf), err)
 		}
 		buf = append(buf, data...)
-		if int64(len(buf)) > e.Size {
-			return nil, fmt.Errorf("replica: shard %d grew past its advertised %d bytes", i, e.Size)
+		if int64(len(buf)) > limit {
+			return nil, fmt.Errorf("replica: blob %x grew past %d bytes", hash[:8], limit)
 		}
 		if !more {
 			break
 		}
 		if len(data) == 0 {
-			return nil, fmt.Errorf("replica: shard %d fetch stalled at offset %d", i, len(buf))
+			return nil, fmt.Errorf("replica: blob %x fetch stalled at offset %d", hash[:8], len(buf))
 		}
 	}
-	if int64(len(buf)) != e.Size {
+	if (size >= 0 && int64(len(buf)) != size) || sha256.Sum256(buf) != hash {
 		r.m.verifyFails.Inc()
-		return nil, fmt.Errorf("replica: shard %d image is %d bytes, advertised %d", i, len(buf), e.Size)
-	}
-	if sha256.Sum256(buf) != e.Hash {
-		r.m.verifyFails.Inc()
-		return nil, fmt.Errorf("replica: shard %d image does not match its advertised hash", i)
+		return nil, fmt.Errorf("replica: the %d bytes fetched as blob %x do not match its hash and size", len(buf), hash[:8])
 	}
 	return buf, nil
 }
@@ -541,8 +493,8 @@ func (r *Replica) Stop() {
 	r.mu.Unlock()
 }
 
-// IsStale reports whether err is the primary telling us our image
-// request was superseded by a newer checkpoint — the retryable
+// IsStale reports whether err is the primary telling us the checkpoint
+// we were fetching was superseded by a newer one — the retryable
 // mid-round race, not a failure.
 func IsStale(err error) bool {
 	var re *proto.RemoteError

@@ -3,6 +3,7 @@ package replica
 import (
 	"bytes"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/client"
@@ -149,13 +150,18 @@ func TestSyncOnceConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second round with nothing new is pure hash comparison.
+	// A second round with nothing new is pure hash comparison: one
+	// HEALTH round trip.
+	reqs := p.srv.Stats().Requests
 	sum, err = rep.SyncOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sum.Converged || sum.Installed || sum.ShardsFetched != 0 {
 		t.Fatalf("converged round: %+v", sum)
+	}
+	if got := p.srv.Stats().Requests - reqs; got != 1 {
+		t.Fatalf("converged round cost %d requests, want 1 (HEALTH)", got)
 	}
 
 	// A small write dirties a subset of shards; only those cross the
@@ -171,7 +177,108 @@ func TestSyncOnceConverges(t *testing.T) {
 	if !sum.Installed || sum.ShardsFetched != 1 {
 		t.Fatalf("incremental round fetched %d shards: %+v", sum.ShardsFetched, sum)
 	}
+	// HEALTH, the manifest (one chunk), the one divergent image (one
+	// chunk): nothing else crosses the wire, and nothing is re-probed.
+	if got := p.srv.Stats().Requests - reqs - 1; got != 3 {
+		t.Fatalf("incremental round cost %d requests, want 3", got)
+	}
 	sameDirs(t, p.fs, r.fs)
+
+	// Tenants cost their images and nothing more: the one manifest names
+	// them all, so three new tenants are still HEALTH + manifest before
+	// the first image byte moves.
+	for _, ns := range []string{"acme", "globex", "initech"} {
+		if _, err := p.db.NSPut(ns, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	reqs = p.srv.Stats().Requests
+	if sum, err = rep.SyncOnce(); err != nil || sum.ShardsFetched != 3*8 {
+		t.Fatalf("three-tenant round: %+v, %v", sum, err)
+	}
+	if got := p.srv.Stats().Requests - reqs; got != 2+3*8 {
+		t.Fatalf("three-tenant round cost %d requests, want %d", got, 2+3*8)
+	}
+	sameDirs(t, p.fs, r.fs)
+}
+
+// TestSyncHealsRottenLocalImage: an image the replica already holds rots
+// on its disk, and the next checkpoint still names it. The round must
+// notice — the decision "is the local file good" is made where the file
+// is used — fetch the image again AND put the right bytes back, so the
+// directory converges and reopens. (When the fetch decision and the
+// write decision were separate code the round refetched, skipped the
+// write as "already committed", reported Installed, and left a replica
+// that could not reopen.)
+func TestSyncHealsRottenLocalImage(t *testing.T) {
+	p := newNode(t, durable.NewMemFS(), 7, 8, false)
+	defer p.close()
+	for k := int64(0); k < 3000; k++ {
+		p.db.Put(k, k*11)
+	}
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rfs := durable.NewMemFS()
+	r := newNode(t, rfs, 99, 8, true)
+	rep, err := New(r.db, Config{Dial: p.dialTo()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	if _, err := rep.SyncOnce(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, p.fs)
+	p.db.Put(5_000_000, 1)
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	for name := range dirBytes(t, p.fs) {
+		if _, both := before[name]; both && strings.HasSuffix(name, ".img") {
+			victim = name
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("no image survived the one-key checkpoint; the test exercises nothing")
+	}
+	f, err := rfs.OpenWrite(nodeDir + "/" + victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xba, 0xdb, 0x17}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	sum, err := rep.SyncOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sum.Installed || sum.ShardsFetched != 2 {
+		t.Fatalf("healing round: %+v, want the divergent image and the rotten one fetched", sum)
+	}
+	sameDirs(t, p.fs, rfs)
+	if err := r.db.VerifyCanonical(); err != nil {
+		t.Fatal(err)
+	}
+	r.close()
+	re, err := durable.Open(nodeDir, &durable.Options{NoBackground: true, NoSweep: true, FS: rfs})
+	if err != nil {
+		t.Fatalf("reopening the healed replica: %v", err)
+	}
+	defer re.Abandon()
+	if v, ok := re.Get(5_000_000); !ok || v != 1 {
+		t.Fatalf("reopened replica Get(5000000) = %d %v", v, ok)
+	}
 }
 
 // TestSyncChunking forces multi-chunk image fetches and checks the

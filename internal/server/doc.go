@@ -67,11 +67,12 @@
 // # Replication
 //
 // The server is also the serving side of the read-replica protocol:
-// SHARDHASH advertises the last committed checkpoint's per-shard
-// canonical content hashes, and SYNC ships a shard image (by content
-// hash, chunked) out of that checkpoint. With Config.ReadOnly the
+// HEALTH names the last committed checkpoint by its manifest's SHA-256,
+// and SYNC ships any blob of that checkpoint — the manifest, or an
+// image file it lists — by content hash, chunked; a hash the checkpoint
+// does not name is answered ErrCodeStale. With Config.ReadOnly the
 // server is itself a replica: mutating requests are refused with
-// ErrCodeReadOnly while reads and the sync opcodes keep working, so
+// ErrCodeReadOnly while reads, HEALTH and SYNC keep working, so
 // replicas both serve read traffic and feed downstream replicas. See
 // repro/internal/replica for the fetching/installing side.
 //

@@ -92,15 +92,24 @@ func TestScrapeUnderLoad(t *testing.T) {
 
 	// After quiesce, the per-op histograms' totals must equal the
 	// dispatched request count exactly — nothing double counted or lost.
-	var histTotal uint64
-	for op := range opTable {
-		if h := srv.sm.ops[op]; h != nil {
-			histTotal += h.Snapshot().Count
-		}
-	}
+	// The server observes a request after its reply is on the wire, so
+	// the last reply's observation may still be in flight when the
+	// clients return: wait for the total to arrive, never past it.
 	reqs := srv.st.requests.Load()
 	if reqs == 0 {
 		t.Fatal("workload issued no requests")
+	}
+	var histTotal uint64
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		histTotal = 0
+		for op := range opTable {
+			if h := srv.sm.ops[op]; h != nil {
+				histTotal += h.Snapshot().Count
+			}
+		}
+		if histTotal >= reqs || time.Now().After(deadline) {
+			break
+		}
 	}
 	if histTotal != reqs {
 		t.Fatalf("op histograms hold %d observations, server dispatched %d", histTotal, reqs)

@@ -3,9 +3,10 @@ package server
 // Wire-level tests for the namespace opcodes: tenant round-trips,
 // keyspace disjointness, canonical LISTNS order, exact quota
 // enforcement on the coalescer, the DROPNS durability barrier, and
-// per-tenant replication addressing.
+// tenant images on the replication path.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"testing"
@@ -182,9 +183,8 @@ func TestNamespaceWireDropBarrier(t *testing.T) {
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	names, err := db.NSNames()
-	if err != nil || len(names) != 2 {
-		t.Fatalf("committed names = %v %v, want [doomed keeper]", names, err)
+	if !manifestNames(t, db, "doomed") || !manifestNames(t, db, "keeper") {
+		t.Fatal("committed manifest does not name both tenants")
 	}
 
 	// DROPNS is a durability barrier: by the time the reply arrives, the
@@ -194,9 +194,8 @@ func TestNamespaceWireDropBarrier(t *testing.T) {
 	if err != nil || !existed {
 		t.Fatalf("drop: %v %v", existed, err)
 	}
-	names, err = db.NSNames()
-	if err != nil || len(names) != 1 || names[0] != "keeper" {
-		t.Fatalf("committed names after drop = %v %v, want [keeper]", names, err)
+	if manifestNames(t, db, "doomed") || !manifestNames(t, db, "keeper") {
+		t.Fatal("committed manifest after the drop does not name exactly [keeper]")
 	}
 	if _, ok, _ := c.NSGet("doomed", 1); ok {
 		t.Fatal("dropped tenant still readable")
@@ -255,8 +254,8 @@ func TestNamespaceWireDropCheckpointFailureRetry(t *testing.T) {
 	if _, tenants, err := c.ListNS(); err != nil || len(tenants) != 2 {
 		t.Fatalf("listing after failed drop = %v %v, want [doomed keeper]", tenants, err)
 	}
-	if names, err := db.NSNames(); err != nil || len(names) != 2 {
-		t.Fatalf("committed names after failed drop = %v %v, want [doomed keeper]", names, err)
+	if !manifestNames(t, db, "doomed") || !manifestNames(t, db, "keeper") {
+		t.Fatal("committed manifest after the failed drop does not name both tenants")
 	}
 
 	// The disk recovers; the retried DROPNS completes the erasure and
@@ -265,8 +264,8 @@ func TestNamespaceWireDropCheckpointFailureRetry(t *testing.T) {
 	if existed, err := c.DropNS("doomed"); err != nil || !existed {
 		t.Fatalf("retried drop = (%v, %v), want (true, nil)", existed, err)
 	}
-	if names, err := db.NSNames(); err != nil || len(names) != 1 || names[0] != "keeper" {
-		t.Fatalf("committed names after retried drop = %v %v, want [keeper]", names, err)
+	if manifestNames(t, db, "doomed") || !manifestNames(t, db, "keeper") {
+		t.Fatal("committed manifest after the retried drop does not name exactly [keeper]")
 	}
 	if _, ok, _ := c.NSGet("doomed", 1); ok {
 		t.Fatal("dropped tenant still readable after the retry")
@@ -279,8 +278,24 @@ func TestNamespaceWireDropCheckpointFailureRetry(t *testing.T) {
 	}
 }
 
+// manifestNames reports whether db's committed manifest — the blob its
+// checkpoint stamp names — carries the tenant's name.
+func manifestNames(t *testing.T, db *durable.DB, tenant string) bool {
+	t.Helper()
+	_, stamp := db.CheckpointStamp()
+	man, err := db.Blob(stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Contains(man, []byte(tenant))
+}
+
+// TestNamespaceWireReplicationAddressing: a tenant's images are
+// addressed like every other blob — by hash alone, no tenant name in
+// any SYNC request — and the manifest fetched over the wire is the only
+// place the tenant's name crosses it.
 func TestNamespaceWireReplicationAddressing(t *testing.T) {
-	db := newTestDB(t, 4)
+	db, fs := newSyncDB(t)
 	defer db.Abandon()
 	srv, addr := startTCP(t, db, Config{SweepInterval: -1})
 	defer srv.Close()
@@ -290,51 +305,48 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 		if _, err := c.NSPut("acme", k, k*3); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := c.Put(k, -k); err != nil { // empty shards would share one image hash
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The default SHARDHASH reply carries the committed tenant table.
-	_, _, names, err := c.SyncShardHashes("")
+	h, err := c.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 || names[0] != "acme" {
-		t.Fatalf("name table = %v, want [acme]", names)
+	man, _ := fetchBlob(t, c, h.Hash, 0)
+	if sha256.Sum256(man) != h.Hash || !bytes.Contains(man, []byte("acme")) {
+		t.Fatal("the manifest HEALTH names does not verify or does not list the tenant")
 	}
-	// The per-tenant form advertises the derived seed and per-shard
-	// hashes; SYNC with the tenant name fetches images that verify.
-	nsHseed, entries, _, err := c.SyncShardHashes("acme")
-	if err != nil {
+	// Root and tenant images alike fetch by hash and verify.
+	_, images := committedFiles(t, fs)
+	if len(images) != 8 {
+		t.Fatalf("%d image files, want 4 for the root and 4 for the tenant", len(images))
+	}
+	for hash, want := range images {
+		if img, _ := fetchBlob(t, c, hash, 0); !bytes.Equal(img, want) {
+			t.Fatalf("image %x does not match the committed file", hash[:4])
+		}
+	}
+	// Once the tenant is dropped its images are no blob of the checkpoint.
+	if _, err := c.DropNS("acme"); err != nil {
 		t.Fatal(err)
 	}
-	if nsHseed == 42 || nsHseed == 0 {
-		t.Fatalf("tenant advertises a non-derived seed %d", nsHseed)
-	}
-	for i, e := range entries {
-		var img []byte
-		for off := uint64(0); ; {
-			chunk, more, err := c.SyncShardChunk("acme", i, e.Hash, off, 0)
-			if err != nil {
-				t.Fatalf("sync shard %d: %v", i, err)
-			}
-			img = append(img, chunk...)
-			off += uint64(len(chunk))
-			if !more {
-				break
-			}
+	_, kept := committedFiles(t, fs)
+	for hash := range images {
+		if _, still := kept[hash]; still {
+			continue
 		}
-		if int64(len(img)) != e.Size || sha256.Sum256(img) != e.Hash {
-			t.Fatalf("shard %d image does not match its advertised descriptor", i)
+		if _, _, err := c.SyncChunk(hash, 0, 0); !isStale(err) {
+			t.Fatalf("dropped tenant's image %x: %v, want ErrCodeStale", hash[:4], err)
 		}
 	}
-	// A tenant absent from the committed checkpoint is a typed refusal.
-	var rerr *proto.RemoteError
-	if _, _, _, err := c.SyncShardHashes("ghost"); !errors.As(err, &rerr) {
-		t.Fatalf("absent tenant hashes: %v, want RemoteError", err)
+	if len(kept) != 4 {
+		t.Fatalf("%d image files after the drop, want the root's 4", len(kept))
 	}
-	_ = durable.ErrNoNamespace // the server maps this to ErrCodeBadFrame on the wire
 }
 
 // TestNamespaceWireReadOnlyRefusal walks the opcode table on a replica:
@@ -344,23 +356,19 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 func TestNamespaceWireReadOnlyRefusal(t *testing.T) {
 	db := newTestDB(t, 4)
 	defer db.Abandon()
-	_, hashes, err := db.ShardHashes("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stamp := db.CheckpointStamp()
 	// A well-formed request for each row a replica serves.
 	valid := map[byte][]byte{
-		proto.OpGet:       proto.AppendKey(nil, 1),
-		proto.OpGetTTL:    proto.AppendKey(nil, 1),
-		proto.OpNSGet:     proto.AppendNSKey(nil, "acme", 1),
-		proto.OpRange:     proto.AppendRangeReq(nil, 0, 10, 0),
-		proto.OpLen:       {},
-		proto.OpPing:      []byte("still here"),
-		proto.OpHealth:    {},
-		proto.OpPromote:   {},
-		proto.OpListNS:    {},
-		proto.OpShardHash: {},
-		proto.OpSync:      proto.AppendSyncReq(nil, 0, hashes[0].Hash, 0, 0, ""),
+		proto.OpGet:     proto.AppendKey(nil, 1),
+		proto.OpGetTTL:  proto.AppendKey(nil, 1),
+		proto.OpNSGet:   proto.AppendNSKey(nil, "acme", 1),
+		proto.OpRange:   proto.AppendRangeReq(nil, 0, 10, 0),
+		proto.OpLen:     {},
+		proto.OpPing:    []byte("still here"),
+		proto.OpHealth:  {},
+		proto.OpPromote: {},
+		proto.OpListNS:  {},
+		proto.OpSync:    proto.AppendSyncReq(nil, stamp, 0, 0),
 	}
 	type request struct {
 		name    string

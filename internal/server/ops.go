@@ -16,7 +16,6 @@ const (
 	classOther     opClass = iota // counted in requests only
 	classRead                     // Stats.Reads
 	classWrite                    // Stats.Writes
-	classSyncHash                 // Stats.SyncHashes
 	classSyncChunk                // Stats.SyncChunks
 	numClasses
 )
@@ -69,7 +68,6 @@ var opTable = [256]*opSpec{
 	proto.OpHealth:     {label: "health", decode: decodeEmpty, serve: serveHealth},
 	proto.OpPromote:    {label: "promote", decode: decodeEmpty, serve: servePromote},
 	proto.OpListNS:     {label: "list_ns", class: classRead, tenant: true, barrier: true, decode: decodeEmpty, serve: serveListNS},
-	proto.OpShardHash:  {label: "shard_hash", class: classSyncHash, barrier: true, decode: decodeOptNS, serve: serveShardHash},
 	proto.OpSync:       {label: "sync", class: classSyncChunk, serve: serveSync},
 }
 
@@ -110,15 +108,6 @@ func decodeNSKey(p []byte) (ns string, key, val, exp int64, err error) {
 func decodeNS(p []byte) (ns string, key, val, exp int64, err error) {
 	ns, err = proto.DecodeNSName(p)
 	return
-}
-
-// decodeOptNS accepts an empty payload (the default keyspace) or a
-// tenant name.
-func decodeOptNS(p []byte) (ns string, key, val, exp int64, err error) {
-	if len(p) == 0 {
-		return
-	}
-	return decodeNS(p)
 }
 
 func decodeEmpty(p []byte) (ns string, key, val, exp int64, err error) {
@@ -251,75 +240,42 @@ func serveListNS(c *conn, _ request, _, dst []byte) ([]byte, time.Time, byte) {
 	return dst, ta, 0
 }
 
-// serveShardHash advertises the last committed checkpoint's canonical
-// per-shard hashes of one keyspace; its barrier makes
-// SHARDHASH-after-CHECKPOINT see that checkpoint. The default
-// keyspace's reply appends the committed namespace-name table.
-func serveShardHash(c *conn, rq request, _, dst []byte) ([]byte, time.Time, byte) {
-	db := c.srv.db
-	hseed, entries, err := db.ShardHashes(rq.ns)
-	var names []string
-	if err == nil && rq.ns == "" {
-		names, err = db.NSNames()
-	}
-	if err != nil {
-		code := byte(proto.ErrCodeInternal)
-		if errors.Is(err, durable.ErrNoNamespace) {
-			code = proto.ErrCodeBadFrame
-		}
-		return refuse(code, err.Error())
-	}
-	ta := time.Now()
-	if len(entries) > proto.MaxSyncShards {
-		return refuse(proto.ErrCodeTooLarge,
-			fmt.Sprintf("%d shards exceed the %d-shard reply cap", len(entries), proto.MaxSyncShards))
-	}
-	out := make([]proto.ShardHash, len(entries))
-	for i, e := range entries {
-		out[i] = proto.ShardHash{Size: e.Size, Hash: e.Hash}
-	}
-	dst = proto.AppendShardHashes(dst, hseed, out, names)
-	if len(dst) > proto.MaxPayload {
-		return refuse(proto.ErrCodeTooLarge, "shard-hash reply exceeds the frame payload cap")
-	}
-	return dst, ta, 0
-}
-
-// maxSyncChunk caps the image bytes in one SYNC reply; a request's own
+// maxSyncChunk caps the blob bytes in one SYNC reply; a request's own
 // maxlen can only lower it.
 const maxSyncChunk = 256 << 10
 
+// serveSync answers with bytes [off, off+maxlen) of the committed blob
+// the request names by hash: the manifest or an image it lists. A hash
+// the committed checkpoint does not name is stale — the fetcher is
+// working from a superseded manifest and must start a new round.
 func serveSync(c *conn, _ request, p, dst []byte) ([]byte, time.Time, byte) {
 	s := c.srv
-	shardIdx, hash, off, maxLen, ns, err := proto.DecodeSyncReq(p)
+	hash, off, maxLen, err := proto.DecodeSyncReq(p)
 	if err != nil {
 		return refuse(proto.ErrCodeBadFrame, err.Error())
 	}
-	img, err := s.shardImage(ns, int(shardIdx), hash)
-	switch {
-	case errors.Is(err, durable.ErrStaleShard):
+	blob, err := s.blob(hash)
+	if errors.Is(err, durable.ErrStale) {
 		return refuse(proto.ErrCodeStale, err.Error())
-	case errors.Is(err, durable.ErrNoNamespace):
-		return refuse(proto.ErrCodeBadFrame, err.Error())
-	case err != nil:
+	} else if err != nil {
 		return refuse(proto.ErrCodeInternal, err.Error())
 	}
-	if off > uint64(len(img)) {
-		return refuse(proto.ErrCodeBadFrame, fmt.Sprintf("offset %d past the %d-byte image", off, len(img)))
+	if off > uint64(len(blob)) {
+		return refuse(proto.ErrCodeBadFrame, fmt.Sprintf("offset %d past the %d-byte blob", off, len(blob)))
 	}
 	limit := maxSyncChunk
 	if maxLen > 0 && int(maxLen) < limit {
 		limit = int(maxLen)
 	}
-	end := min(int(off)+limit, len(img))
-	chunk := img[off:end]
-	more := end < len(img)
+	end := min(int(off)+limit, len(blob))
+	chunk := blob[off:end]
+	more := end < len(blob)
 	if !more {
-		// The fetcher just took the image's last chunk; release the
-		// cache rather than pin a whole shard image between syncs.
+		// The fetcher just took the blob's last chunk; release the cache
+		// rather than pin a whole shard image between syncs.
 		s.syncMu.Lock()
-		if s.syncNS == ns && s.syncIdx == int(shardIdx) && s.syncHash == hash {
-			s.syncImage = nil
+		if s.syncHash == hash {
+			s.syncBlob = nil
 		}
 		s.syncMu.Unlock()
 	}

@@ -42,9 +42,9 @@ type Config struct {
 	MaxRangeItems int
 	// ReadOnly makes this a read replica: PUT, DEL, mutating BATCH
 	// kinds, and CHECKPOINT are answered with ErrCodeReadOnly (the
-	// connection stays open — reads continue). SHARDHASH/SYNC still
-	// serve the node's own last installed checkpoint, so replicas can
-	// chain off replicas. Promote lifts the restriction at runtime.
+	// connection stays open — reads continue). HEALTH/SYNC still serve
+	// the node's own last installed checkpoint, so replicas can chain
+	// off replicas. Promote lifts the restriction at runtime.
 	ReadOnly bool
 	// OnPromote, if set, runs inside Promote BEFORE writes are accepted.
 	// A replica wires its anti-entropy shutdown here: the callback must
@@ -154,16 +154,13 @@ type Server struct {
 	// goroutine runs between drains (see sweepOnceNow).
 	sweep *expiry.Schedule
 
-	// One-entry cache of the last shard image served to a SYNC fetch,
-	// so a replica pulling an image chunk by chunk costs one disk read,
-	// not one per chunk. Content-addressed (and namespace-qualified:
-	// syncNS is "" for the default keyspace), so it can never serve the
-	// wrong bytes — at worst it misses.
-	syncMu    sync.Mutex
-	syncNS    string
-	syncIdx   int
-	syncHash  [32]byte
-	syncImage []byte
+	// One-entry cache of the last blob served to a SYNC fetch, so a
+	// replica pulling an image chunk by chunk costs one disk read, not
+	// one per chunk. Keyed by content hash alone, so it can never serve
+	// the wrong bytes — at worst it misses.
+	syncMu   sync.Mutex
+	syncHash [32]byte
+	syncBlob []byte
 }
 
 // New returns an unstarted server over db.
@@ -755,22 +752,18 @@ func (c *conn) fail(rq *request, code byte, msg string) {
 	c.finish(rq, payload, code, 0, now, now)
 }
 
-// shardImage returns the committed image for (ns, idx, hash) through
-// the one-entry sync cache; ns "" addresses the default keyspace.
-func (s *Server) shardImage(ns string, idx int, hash [32]byte) ([]byte, error) {
+// blob returns the committed blob with the given hash through the
+// one-entry sync cache. The lock is held across a miss's disk read:
+// durable serializes those reads anyway.
+func (s *Server) blob(hash [32]byte) ([]byte, error) {
 	s.syncMu.Lock()
-	if s.syncImage != nil && s.syncNS == ns && s.syncIdx == idx && s.syncHash == hash {
-		img := s.syncImage
-		s.syncMu.Unlock()
-		return img, nil
+	defer s.syncMu.Unlock()
+	if s.syncBlob == nil || s.syncHash != hash {
+		b, err := s.db.Blob(hash)
+		if err != nil {
+			return nil, err
+		}
+		s.syncHash, s.syncBlob = hash, b
 	}
-	s.syncMu.Unlock()
-	img, err := s.db.ShardImage(ns, idx, hash)
-	if err != nil {
-		return nil, err
-	}
-	s.syncMu.Lock()
-	s.syncNS, s.syncIdx, s.syncHash, s.syncImage = ns, idx, hash, img
-	s.syncMu.Unlock()
-	return img, nil
+	return s.syncBlob, nil
 }

@@ -13,8 +13,8 @@ type stats struct {
 	connsActive   atomic.Int64
 	requests      atomic.Uint64
 	// byClass counts requests by their opTable row's class — reads,
-	// writes (BATCH adds one per entry), SHARDHASH and SYNC requests;
-	// the classOther slot is never reported.
+	// writes (BATCH adds one per entry), SYNC requests; the classOther
+	// slot is never reported.
 	byClass     [numClasses]atomic.Uint64
 	errors      atomic.Uint64 // error frames sent
 	wBatches    atomic.Uint64 // coalescer drains applied
@@ -79,7 +79,6 @@ type Stats struct {
 	PendingOps  uint64 `json:"pending_ops"`
 
 	ReadOnlyRejected uint64 `json:"read_only_rejected"`
-	SyncHashes       uint64 `json:"sync_hashes"`
 	SyncChunks       uint64 `json:"sync_chunks"`
 	SyncBytesOut     uint64 `json:"sync_bytes_out"`
 	// Promotions counts replica-to-primary promotions of this process
@@ -141,7 +140,6 @@ func (s *Server) Stats() Stats {
 		PendingOps:    s.db.PendingOps(),
 
 		ReadOnlyRejected: s.st.readOnlyRejected.Load(),
-		SyncHashes:       s.st.byClass[classSyncHash].Load(),
 		SyncChunks:       s.st.byClass[classSyncChunk].Load(),
 		SyncBytesOut:     s.st.syncBytesOut.Load(),
 		Promotions:       s.promotions.Load(),

@@ -217,18 +217,21 @@ func (s *Store) SnapshotShard(i int, w io.Writer) (version uint64, written int64
 	return version, written, err
 }
 
-// AssembleStore rebuilds a store from one canonical image per shard (as
-// produced by WriteShard or SnapshotShard) plus the persisted routing
-// seed. It is the recovery path of the durable layer: the manifest
-// carries hseed and the shard files carry the images. len(images) must
-// be a power of two >= 1, and each image must be exactly its shard's
-// bytes; trackers must be nil or hold one tracker per shard. The
-// caller's seed supplies fresh randomness for future operations. Every
-// dictionary's invariants are verified as it is decoded, then the
-// store's routing and TTL invariants. The returned store has no clock;
-// the caller attaches one with SetClock before sharing it.
-func AssembleStore(hseed uint64, images [][]byte, seed uint64, trackers []*iomodel.Tracker) (*Store, error) {
-	nsh := len(images)
+// AssembleStore rebuilds a store of nsh shards (a power of two >= 1)
+// from one canonical image per shard (as produced by WriteShard or
+// SnapshotShard) plus the persisted routing seed. It is the one loader
+// of the durable layer: the manifest carries hseed and the shard count,
+// and image(i) supplies shard i's bytes — exactly its image — from a
+// file or a peer. image is called once per shard, in shard order, and
+// its result is decoded into the shard's slot before the next call and
+// never retained, so the caller may hand back the same buffer every
+// time: no more than one image is held at once. trackers must be nil or
+// hold one tracker per shard. The caller's seed supplies fresh
+// randomness for future operations. Every dictionary's invariants are
+// verified as it is decoded, then the store's routing and TTL
+// invariants. The returned store has no clock; the caller attaches one
+// with SetClock before sharing it.
+func AssembleStore(hseed uint64, nsh int, image func(i int) ([]byte, error), seed uint64, trackers []*iomodel.Tracker) (*Store, error) {
 	if nsh < 1 || nsh&(nsh-1) != 0 {
 		return nil, fmt.Errorf("shard: %d shard images is not a power of two >= 1", nsh)
 	}
@@ -236,7 +239,11 @@ func AssembleStore(hseed uint64, images [][]byte, seed uint64, trackers []*iomod
 		return nil, fmt.Errorf("shard: %d trackers for %d shard images", len(trackers), nsh)
 	}
 	s := &Store{mask: uint64(nsh - 1), hseed: hseed, cells: make([]cell, nsh)}
-	for i, img := range images {
+	for i := range s.cells {
+		img, err := image(i)
+		if err != nil {
+			return nil, err
+		}
 		if err := s.loadCell(i, img, seed, trackers); err != nil {
 			return nil, err
 		}
