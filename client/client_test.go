@@ -138,7 +138,7 @@ func TestServerGoneMidFlight(t *testing.T) {
 // TestRemoteErrorSurface.
 func TestReadOnlyRemoteError(t *testing.T) {
 	db, err := durable.Open("db", &durable.Options{
-		Shards: 4, Seed: 7, NoBackground: true, FS: durable.NewMemFS(),
+		Shards: 4, Seed: 7, NoBackground: true, NoSweep: true, FS: durable.NewMemFS(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestReadOnlyRemoteError(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db, server.Config{ReadOnly: true})
+	srv := server.New(db, server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

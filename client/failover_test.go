@@ -16,17 +16,17 @@ import (
 	"repro/internal/server"
 )
 
-// startRoleServer is startTestServer with the node's role exposed: the
-// returned server handle lets a test promote the node mid-life.
-func startRoleServer(t *testing.T, readOnly bool) (addr string, srv *server.Server, stop func()) {
+// startRoleServer is startTestServer with the node's role chosen — the
+// DB's one bit; the server follows it — and the server handle returned.
+func startRoleServer(t *testing.T, replica bool) (addr string, srv *server.Server, stop func()) {
 	t.Helper()
 	db, err := durable.Open("db", &durable.Options{
-		Shards: 4, Seed: 7, NoBackground: true, NoSweep: readOnly, FS: durable.NewMemFS(),
+		Shards: 4, Seed: 7, NoBackground: true, NoSweep: replica, FS: durable.NewMemFS(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv = server.New(db, server.Config{SweepInterval: -1, ReadOnly: readOnly})
+	srv = server.New(db, server.Config{SweepInterval: -1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestFailoverOnReadOnly(t *testing.T) {
 // node without any request replay.
 func TestFailoverAfterPrimaryDeath(t *testing.T) {
 	pAddr, _, pStop := startRoleServer(t, false)
-	rAddr, rSrv, rStop := startRoleServer(t, true)
+	rAddr, _, rStop := startRoleServer(t, true)
 	defer rStop()
 
 	cl, err := OpenEndpoints([]string{pAddr, rAddr}, 2, 5*time.Second)
@@ -190,9 +190,14 @@ func TestFailoverAfterPrimaryDeath(t *testing.T) {
 	}
 
 	pStop() // the primary is gone, conns die
-	if n, err := rSrv.Promote(); err != nil || n != 1 {
+	pc, err := Dial(rAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := pc.Promote(); err != nil || n != 1 {
 		t.Fatalf("promote: %d %v", n, err)
 	}
+	pc.Close()
 
 	// Writes must come back once the pool notices and fails over. The
 	// first attempts may still race the reader goroutines marking conns

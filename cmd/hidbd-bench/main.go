@@ -565,8 +565,10 @@ func selfHost(nReplicas int) (addr string, replicaAddrs []string, killPrimary, s
 			return fail(err)
 		}
 		stops = append(stops, func() { os.RemoveAll(rdir) })
+		// NoSweep: the replica role. A PROMOTE frame flips it, and the
+		// background checkpointer — idle until then — starts acting.
 		rdb, err := antipersist.Open(rdir, &antipersist.DBOptions{
-			Shards: 16, Seed: uint64(1000 + i), NoBackground: true, NoSweep: true,
+			Shards: 16, Seed: uint64(1000 + i), NoSweep: true,
 		})
 		if err != nil {
 			return fail(err)
@@ -583,13 +585,7 @@ func selfHost(nReplicas int) (addr string, replicaAddrs []string, killPrimary, s
 		}
 		rep.Start()
 		stops = append(stops, rep.Stop)
-		rsrv := server.New(rdb, server.Config{
-			ReadOnly: true,
-			// A PROMOTE frame lifts this node to primary: anti-entropy
-			// abdicates first, then the background checkpointer starts.
-			OnPromote:         rep.Abdicate,
-			PromoteBackground: true,
-		})
+		rsrv := server.New(rdb, server.Config{})
 		rln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fail(err)

@@ -1,7 +1,9 @@
 // hidbd is the network server over the durable history-independent
 // database: a TCP daemon speaking the length-prefixed binary protocol
-// of docs/PROTOCOL.md (GET/PUT/DEL/BATCH/RANGE/LEN/CHECKPOINT/PING)
-// with per-connection pipelining and server-side write coalescing.
+// of docs/PROTOCOL.md — point, TTL, batch and range operations on the
+// default keyspace and on tenant namespaces, CHECKPOINT as a durability
+// barrier, HEALTH/SYNC/PROMOTE for replication — with per-connection
+// pipelining and server-side write coalescing.
 //
 // Usage:
 //
@@ -15,23 +17,29 @@
 // crash would leave (that is the durable layer's whole design).
 //
 // With -replica-of PRIMARY:PORT, the daemon runs as a read replica:
-// it serves GET/RANGE/LEN (writes are refused with ErrCodeReadOnly)
-// while continuously converging its directory onto the primary's
-// committed checkpoints by canonical-state anti-entropy — per-shard
-// content hashes compared, only divergent shard images shipped, each
-// install atomic. After a sync the replica's directory is
-// byte-identical to the primary's checkpoint. Replicas also serve the
-// sync opcodes, so replicas can chain off replicas.
+// it serves reads (writes are refused with ErrCodeReadOnly) while
+// continuously converging its directory onto the primary's committed
+// checkpoints by canonical-state anti-entropy. A checkpoint is its
+// manifest: each round asks the primary's HEALTH for the SHA-256 of its
+// committed manifest, and if that differs from the local one fetches
+// the manifest by that hash and then, by the hashes it names, exactly
+// the images the local disk lacks; the install is atomic. After a sync
+// the replica's directory is byte-identical to the primary's
+// checkpoint, MANIFEST included. Replicas serve HEALTH and SYNC too, so
+// replicas can chain off replicas.
 //
-// A replica can be lifted to primary: a PROMOTE frame (see
-// docs/PROTOCOL.md) quiesces anti-entropy, re-arms sweeping and
-// background checkpointing, and flips the node writable. With
-// -health-interval the replica PINGs the primary on a dedicated
-// connection and declares it down after -health-threshold consecutive
-// failures; -auto-promote then promotes this node automatically
-// (single-replica topologies only — two auto-promoting replicas can
-// split-brain). Promotion state is memory and wire only; nothing about
-// an election ever reaches the disk.
+// The node's role is one bit on the database, opened from -replica-of
+// and read by everything that depends on it. A PROMOTE frame (see
+// docs/PROTOCOL.md) flips it under the checkpoint lock — after any
+// install in flight has landed whole — and from that flip the node
+// accepts writes, refuses every peer's checkpoint, sweeps expired
+// entries and checkpoints in the background; nothing else has to be
+// told. With -health-interval the replica PINGs the primary on a
+// dedicated connection and declares it down after -health-threshold
+// consecutive failures; -auto-promote then promotes this node
+// automatically (single-replica topologies only — two auto-promoting
+// replicas can split-brain). Promotion state is memory and wire only;
+// nothing about an election ever reaches the disk.
 //
 // With -debug-addr, an HTTP listener serves the observability surface
 // on an explicit mux (nothing leaks onto http.DefaultServeMux):
@@ -131,13 +139,10 @@ func main() {
 		CheckpointInterval:  *cpInterval,
 		CheckpointThreshold: *cpOps,
 		Metrics:             reg,
-		// A replica's durable state advances only by installing the
-		// primary's checkpoints; its own checkpointer would have nothing
-		// to do and is left off — and it must not sweep on its own
-		// schedule either (dead entries leave when the primary's swept
-		// checkpoint ships).
-		NoBackground: *replicaOf != "",
-		NoSweep:      *replicaOf != "",
+		// The replica role: the directory advances only by installing the
+		// primary's checkpoints (the node's own checkpointer and expiry
+		// sweeps idle, the server refuses writes) until a promotion.
+		NoSweep: *replicaOf != "",
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hidbd: %v\n", err)
@@ -149,7 +154,6 @@ func main() {
 		ReadTimeout:     *readTO,
 		WriteTimeout:    *writeTO,
 		MaxRangeItems:   *rangeMax,
-		ReadOnly:        *replicaOf != "",
 		SweepInterval:   *sweepEvery,
 		Metrics:         reg,
 		SlowOpThreshold: *slowOp,
@@ -159,29 +163,16 @@ func main() {
 	if *slowOp > 0 {
 		srvCfg.SlowOpLog = os.Stderr
 	}
-	// A replica can be promoted to primary by a PROMOTE frame (or by
-	// -auto-promote): anti-entropy abdicates first, then the background
-	// checkpointer starts, then writes are accepted. The closure reads
-	// rep at promotion time, after both objects exist.
-	var rep *replica.Replica
-	if *replicaOf != "" {
-		srvCfg.OnPromote = func() {
-			if rep != nil {
-				rep.Abdicate()
-			}
-		}
-		srvCfg.PromoteBackground = true
-	}
 	srv := server.New(db, srvCfg)
 
-	if *replicaOf != "" {
+	var rep *replica.Replica
+	if db.Replica() {
 		repCfg := replica.Config{
 			Interval: *syncEvery,
 			Metrics:  reg,
 			Dial: func() (net.Conn, error) {
 				return net.DialTimeout("tcp", *replicaOf, 5*time.Second)
 			},
-			Server:          srv,
 			HealthInterval:  *healthIntv,
 			HealthThreshold: *healthN,
 			Trace:           tr,

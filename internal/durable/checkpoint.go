@@ -12,20 +12,21 @@ import (
 	"repro/internal/trace"
 )
 
-// Checkpoint persists the store's current contents: it first sweeps
-// every entry already expired at the current epoch (unless
-// Options.NoSweep), so the committed images hold exactly the
-// live-set-at-E — an expired entry can never outlive the checkpoint
-// that follows its deadline, and WHEN earlier sweeps happened to run
-// leaves no trace in the bytes. It then renders a canonical image for
-// every shard whose version counter moved since the last commit,
-// publishes the changed images and a new manifest with the atomic
-// commit sequence, and wipes and unlinks whatever the new manifest no
-// longer references. A checkpoint that changes nothing is a no-op.
-// Checkpoints serialize with each other; readers and writers on clean
-// shards are never blocked, and a dirty shard's lock is held only while
-// its sorted contents are copied out — rendering, hashing and
-// publishing happen after it is released, one shard at a time.
+// Checkpoint persists the store's current contents: on a primary it
+// first sweeps every entry already expired at the current epoch (a
+// replica mirrors its primary's swept images instead — see DB.Replica),
+// so the committed images hold exactly the live-set-at-E — an expired
+// entry can never outlive the checkpoint that follows its deadline, and
+// WHEN earlier sweeps happened to run leaves no trace in the bytes. It
+// then renders a canonical image for every shard whose version counter
+// moved since the last commit, publishes the changed images and a new
+// manifest with the atomic commit sequence, and wipes and unlinks
+// whatever the new manifest no longer references. A checkpoint that
+// changes nothing is a no-op. Checkpoints serialize with each other;
+// readers and writers on clean shards are never blocked, and a dirty
+// shard's lock is held only while its sorted contents are copied out —
+// rendering, hashing and publishing happen after it is released, one
+// shard at a time.
 func (db *DB) Checkpoint() error {
 	return db.CheckpointTraced(0, 0)
 }
@@ -72,7 +73,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	// The live-set-at-E sweep, over every keyspace: what gets committed
 	// is a pure function of (contents, epoch), never of any earlier
 	// sweeper's schedule.
-	if !db.noSweep.Load() {
+	if !db.replica.Load() {
 		if epoch := expiry.Epoch(db.opts.Clock); epoch > 0 {
 			swept := db.sweepCells(cells, epoch)
 			if swept > 0 {
@@ -89,14 +90,14 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		}
 	}
 	newMan := &manifest{hseed: cells[0].Store.RoutingSeed()}
-	// dirtyShard is one shard whose version moved since the last commit:
-	// where its new manifest entry goes, the committed entry (if any) its
-	// bytes are compared with, and — once published — the version its
-	// image was captured at.
+	// dirtyShard is one shard whose version moved since its cell's
+	// committed image was rendered (or that has none): where its new
+	// manifest entry goes and — once published — the version its image was
+	// captured at.
 	type dirtyShard struct {
 		cell      *namespace.Cell
 		idx       int
-		ent, prev *imageEntry
+		ent       *imageEntry
 		version   uint64
 		published bool
 	}
@@ -106,41 +107,25 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	// name. The root is always committed; a tenant that is physically
 	// empty after the sweep is excluded from the manifest entirely:
 	// created-then-emptied commits the same bytes as never-existed.
-	var manCells []*namespace.Cell
 	for _, c := range cells {
 		if c.Name != "" && c.PhysicalLen() == 0 {
+			// The manifest this commits drops the cell's files, so its
+			// record of them goes too: refilled, it renders in full — the
+			// shards that were empty all along included, whose versions
+			// never moved.
+			clear(c.Images)
 			continue
-		}
-		if c.CPVersions == nil {
-			c.CPVersions = make([]uint64, c.Store.NumShards())
-		}
-		// A previous manifest entry is reusable only by the incarnation
-		// that produced it. A cell recreated after a drop (no checkpoint
-		// between) has fresh zero version floors that match its untouched
-		// shards, while the manifest still carries the DROPPED
-		// incarnation's entry under the same name — reusing it would
-		// resurrect the dropped tenant's images. Committed is set only
-		// when this cell's own entry lands in a manifest, so an
-		// uncommitted cell always renders in full.
-		var prev *cellEntry
-		if c.Committed && db.man != nil {
-			prev = db.man.cell(c.Name)
 		}
 		ent := cellEntry{name: c.Name, shards: make([]imageEntry, c.Store.NumShards())}
 		for i := range ent.shards {
-			d := dirtyShard{cell: c, idx: i, ent: &ent.shards[i]}
-			if prev != nil {
-				if c.Store.ShardVersion(i) == c.CPVersions[i] {
-					ent.shards[i] = prev.shards[i] // image still current
-					continue
-				}
-				d.prev = &prev.shards[i]
+			if im := c.Images[i]; im.OK && im.Version == c.Store.ShardVersion(i) {
+				ent.shards[i] = im.Image // image still current
+				continue
 			}
-			dirty = append(dirty, d)
+			dirty = append(dirty, dirtyShard{cell: c, idx: i, ent: &ent.shards[i]})
 			maxImage = max(maxImage, c.Store.ShardImageSize(i))
 		}
 		newMan.cells = append(newMan.cells, ent)
-		manCells = append(manCells, c)
 	}
 
 	// Each dirty shard goes render → hash → compare → publish before the
@@ -164,11 +149,11 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 		img := buf.Bytes()
 		h := sha256.Sum256(img)
 		*d.ent = imageEntry{Size: int64(len(img)), Hash: h}
-		if d.prev != nil && h == d.prev.Hash {
+		if im := &d.cell.Images[d.idx]; im.OK && h == im.Image.Hash {
 			// Version moved but the canonical bytes did not (e.g. an
 			// insert undone by a delete): the committed file is already
-			// exact, so just advance the version floor.
-			d.cell.CPVersions[d.idx] = ver
+			// exact, so just advance the version it is current at.
+			im.Version = ver
 			continue
 		}
 		if err := db.publishImage(d.cell.Store.RoutingSeed(), d.idx, h, img); err != nil {
@@ -192,11 +177,8 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	// Committed. Everything below is housekeeping.
 	for _, d := range dirty {
 		if d.published {
-			d.cell.CPVersions[d.idx] = d.version
+			d.cell.Images[d.idx] = namespace.ShardImage{Image: *d.ent, Version: d.version, OK: true}
 		}
-	}
-	for _, c := range manCells {
-		c.Committed = true
 	}
 	db.dirtyOps.Add(-dirtyAtStart)
 	db.checkpoints.Add(1)
@@ -333,13 +315,16 @@ func (db *DB) wipeRemove(name string) {
 	db.fs.Remove(p)
 }
 
-// background is the checkpointer goroutine: it commits dirty state
-// every CheckpointInterval, or sooner when the dirty-op count crosses
-// the threshold (noteDirty's kick). At most one checkpoint is in
-// flight, and the loop re-checks the count after each: a threshold's
-// worth of writes landing during a checkpoint gets one follow-up, less
-// waits for its own crossing or the next tick. Errors are not fatal —
-// the next tick retries, and Close surfaces the final attempt's error.
+// background is the checkpointer goroutine: while the node is a primary
+// it commits dirty state every CheckpointInterval, or sooner when the
+// dirty-op count crosses the threshold (noteDirty's kick); while it is
+// a replica the ticks pass unused — installs, not local checkpoints,
+// keep that directory current — so a promotion has nothing to start. At
+// most one checkpoint is in flight, and the loop re-checks the count
+// after each: a threshold's worth of writes landing during a checkpoint
+// gets one follow-up, less waits for its own crossing or the next tick.
+// Errors are not fatal — the next tick retries, and Close surfaces the
+// final attempt's error.
 func (db *DB) background() {
 	defer db.wg.Done()
 	t := time.NewTicker(db.opts.CheckpointInterval)
@@ -350,6 +335,9 @@ func (db *DB) background() {
 			return
 		case <-t.C:
 		case <-db.kick:
+		}
+		if db.replica.Load() {
+			continue
 		}
 		err := db.checkpoint(0, 0)
 		// A kick sent while that checkpoint ran is answered here: drain it,

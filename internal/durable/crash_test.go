@@ -84,7 +84,7 @@ func refB() keyspaces {
 func dumpAll(t *testing.T, db *DB) keyspaces {
 	t.Helper()
 	out := keyspaces{"": dump(t, db)}
-	for _, c := range db.nss.Snapshot() {
+	for _, c := range db.cells()[1:] {
 		m := map[int64]int64{}
 		c.Store.Ascend(func(it Item) bool { m[it.Key] = it.Val; return true })
 		if len(m) > 0 {

@@ -63,8 +63,24 @@
 // different TTL operation histories but the same live set at epoch E
 // commit byte-identical directories. SweepExpired is that same sweep at
 // an explicit epoch; the network server calls it on epoch transitions.
-// Read replicas open with NoSweep: their dead entries leave when the
-// primary's swept checkpoint ships.
+//
+// The DB also owns the node's role — one in-memory bit, never persisted
+// (Replica; opened from Options.NoSweep, changed only by Promote and
+// Demote, both under the checkpoint lock). A replica's directory follows
+// a peer's checkpoints: Install is allowed, checkpoints do not sweep
+// (dead entries leave when the primary's swept checkpoint ships), the
+// background checkpointer lets its ticks pass, and the network server
+// refuses writes. A primary's follows its own writes: the reverse of
+// each, Install refused with ErrNotReplica. Because Install holds the
+// checkpoint lock from its role check to its publish, a promotion waits
+// out an install in flight and none can start after it — the whole
+// failover fence is that one bit under that one lock.
+//
+// The live keyspaces are one immutable snapshot (namespace.Set) behind
+// one atomic pointer, replaced copy-on-write by tenant creation, drop
+// and Install, so every reader sees the cells of one moment; each cell
+// carries the images last committed for it, which is what a checkpoint
+// compares shard versions against.
 //
 // DB is safe for concurrent use and is the storage engine behind the
 // network server (repro/internal/server): point and batch operations

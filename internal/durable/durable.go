@@ -24,6 +24,11 @@ type Item = shard.Item
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("durable: database is closed")
 
+// ErrNotReplica is returned by Promote and Install on a node that is
+// already a primary: a double promotion, a PROMOTE aimed at the primary,
+// or a peer's checkpoint arriving after this node began taking writes.
+var ErrNotReplica = errors.New("durable: node is a primary, not a replica")
+
 // Options configures Open. The zero value is usable: 8 shards, seed 0,
 // the paper's PMA constants, background checkpointing every second or
 // every 4096 dirty operations, secure wipe on, real filesystem.
@@ -54,12 +59,13 @@ type Options struct {
 	// seconds). Tests inject an expiry.Manual to make expiry — and
 	// therefore the checkpoint bytes of TTL workloads — deterministic.
 	Clock expiry.Clock
-	// NoSweep disables the pre-checkpoint expiry sweep. Read replicas
-	// set it: their directories must track the primary's committed
-	// images exactly, so dead entries leave when the primary's swept
-	// checkpoint ships, never on the replica's own schedule. (Lazy read
-	// filtering still applies either way — a dead entry is invisible
-	// from the moment it expires.)
+	// NoSweep opens the database in the replica role (see DB.Replica):
+	// the directory follows a peer's checkpoints through Install instead
+	// of the node's own writes. The name is the first thing the role
+	// turns off — a replica's dead entries leave when the primary's
+	// swept checkpoint ships, never on the replica's own schedule (lazy
+	// read filtering still applies: a dead entry is invisible from the
+	// moment it expires). Promote and Demote change the role later.
 	NoSweep bool
 	// FS is the filesystem to commit through (nil: the real one).
 	FS FS
@@ -107,20 +113,22 @@ type DB struct {
 	dir  string
 	fs   FS
 	opts Options
-	// root is the default keyspace — the cell named "" — and nss holds
-	// the tenants' cells; every engine path (load, checkpoint, verify)
-	// is one loop over the cells. The root is a swappable pointer outside
-	// the registry so its point ops cost one pointer load and a store
-	// call: Install publishes freshly assembled cells while concurrent
-	// readers keep whichever store they loaded — before or after, both
-	// are consistent snapshots. Tenant cells are created lazily on first
-	// write. Each cell's CPVersions/Committed bookkeeping is guarded by
+	// live is the set of live keyspaces, an immutable snapshot behind one
+	// pointer: the default keyspace — the cell named "" — first, then the
+	// tenants' cells; every engine path (load, checkpoint, verify) is one
+	// loop over it, and a point op costs one pointer load and a store
+	// call. Install publishes freshly assembled cells with a single
+	// store while concurrent readers keep whichever snapshot they loaded
+	// — before or after, never the root of one checkpoint beside the
+	// tenants of another. Tenant cells are created lazily on first write;
+	// liveMu serializes the copy-on-write replacements (create, drop and
+	// its undo, publish). Each cell's committed images are guarded by
 	// cpMu.
-	root atomic.Pointer[namespace.Cell]
-	nss  *namespace.Registry
+	live   atomic.Pointer[namespace.Set]
+	liveMu sync.Mutex
 
-	// cpMu serializes checkpoints and installs and guards the
-	// committed-state fields below.
+	// cpMu serializes checkpoints, installs and role changes, and guards
+	// the committed-state fields below.
 	cpMu sync.Mutex
 	// man is the last committed manifest (nil: none yet), manBytes its
 	// encoding — the bytes in the MANIFEST file — and manHash their
@@ -141,21 +149,22 @@ type DB struct {
 	// first eight bytes — never keys, values, or tenant names — so the
 	// trace buffer stays forensically clean by construction.
 	trc atomic.Pointer[trace.Store]
-	// noSweep is Options.NoSweep made switchable at runtime: a replica
-	// opens with sweeping off and Promote turns it back on. It is an
-	// in-memory role bit only — nothing about it reaches the disk.
-	noSweep atomic.Bool
+	// replica is the node's role, the one place it is stated: set, the
+	// directory follows a peer's checkpoints (Install allowed; no expiry
+	// sweep, no background checkpoint; the server refuses writes); clear,
+	// it follows the node's own writes (the reverse of each). Opened from
+	// Options.NoSweep, flipped only by Promote and Demote under cpMu, so
+	// a flip never lands inside a checkpoint or an install. promotions
+	// counts the flips to primary. Both are in-memory only — nothing
+	// about the role ever reaches the disk.
+	replica    atomic.Bool
+	promotions atomic.Uint64
 
 	m dbMetrics
 
-	kick chan struct{} // threshold trigger for the background loop
-	stop chan struct{}
-	// bgMu guards bgRunning, the start/stop handshake for the background
-	// checkpointer: Open may start it, Promote may start it later on a
-	// replica, and Close/Abandon must stop it exactly once.
-	bgMu      sync.Mutex
-	bgRunning bool
-	wg        sync.WaitGroup
+	kick chan struct{}  // threshold trigger for the background loop
+	stop chan struct{}  // closed once, by whichever of Close/Abandon wins closed
+	wg   sync.WaitGroup // the background checkpointer, if Open started one
 }
 
 // Open opens the database directory dir, creating it (and an initial
@@ -183,8 +192,9 @@ func Open(dir string, opts *Options) (*DB, error) {
 		}
 	}
 
-	db := &DB{dir: dir, fs: fs, opts: o, nss: namespace.NewRegistry()}
+	db := &DB{dir: dir, fs: fs, opts: o}
 	db.m.init(o.Metrics)
+	db.replica.Store(o.NoSweep)
 	if hasManifest {
 		if err := db.recover(); err != nil {
 			return nil, err
@@ -201,24 +211,26 @@ func Open(dir string, opts *Options) (*DB, error) {
 			return nil, fmt.Errorf("durable: %w", err)
 		}
 		s.SetClock(o.Clock)
-		db.root.Store(&namespace.Cell{Store: s})
+		db.publish([]*namespace.Cell{newCell("", s)})
 		if err := db.checkpoint(0, 0); err != nil {
 			return nil, fmt.Errorf("durable: initial checkpoint: %w", err)
 		}
 	}
 
-	// kick and stop exist even when the checkpointer is not running, so
-	// a later Promote can start it without racing writers that already
-	// consult the kick channel.
+	// kick exists even when the checkpointer does not: writers consult it
+	// either way.
 	db.kick = make(chan struct{}, 1)
 	db.stop = make(chan struct{})
-	db.noSweep.Store(o.NoSweep)
 	if !o.NoBackground {
-		db.bgRunning = true
 		db.wg.Add(1)
 		go db.background()
 	}
 	return db, nil
+}
+
+// newCell wraps st as the cell called name, no image committed yet.
+func newCell(name string, st *shard.Store) *namespace.Cell {
+	return &namespace.Cell{Name: name, Store: st, Images: make([]namespace.ShardImage, st.NumShards())}
 }
 
 // recover rebuilds every committed cell from the last checkpoint.
@@ -255,8 +267,9 @@ func (db *DB) recover() error {
 // assembled. The default keyspace routes under man.hseed and draws
 // fresh randomness from Options.Seed; a tenant must sit at the seed
 // derived from (man.hseed, name), so an image set filed under the wrong
-// tenant fails assembly. Cells come back marked committed: callers
-// publish them only together with man. Caller holds cpMu (or is Open).
+// tenant fails assembly. Cells come back carrying man's entries as their
+// committed images: callers publish them only together with man. Caller
+// holds cpMu (or is Open).
 func (db *DB) loadCells(man *manifest, fetch func(hash [32]byte, size int64) ([]byte, error)) ([]*namespace.Cell, error) {
 	cells := make([]*namespace.Cell, len(man.cells))
 	var local []byte // the one local image held at a time, reused
@@ -292,32 +305,28 @@ func (db *DB) loadCells(man *manifest, fetch func(hash [32]byte, size int64) ([]
 			return nil, fmt.Errorf("durable: keyspace %q: %w", e.name, err)
 		}
 		st.SetClock(db.opts.Clock)
-		cells[k] = &namespace.Cell{Name: e.name, Store: st}
-		cells[k].MarkCommitted()
+		cells[k] = newCell(e.name, st)
+		for i, se := range e.shards {
+			cells[k].Images[i] = namespace.ShardImage{Image: se, Version: st.ShardVersion(i), OK: true}
+		}
 	}
 	return cells, nil
 }
 
 // publish makes cells — the root first, then the tenants — the live
-// state, replacing whatever was there.
+// state, replacing whatever was there with one store.
 func (db *DB) publish(cells []*namespace.Cell) {
-	db.root.Store(cells[0])
-	db.nss.ReplaceAll(cells[1:])
+	db.liveMu.Lock()
+	defer db.liveMu.Unlock()
+	db.live.Store(namespace.NewSet(cells))
 }
 
 // cells returns every live cell: the root, then the tenants
 // byte-sorted by name — the manifest's canonical order.
-func (db *DB) cells() []*namespace.Cell {
-	return append([]*namespace.Cell{db.root.Load()}, db.nss.Snapshot()...)
-}
+func (db *DB) cells() []*namespace.Cell { return db.live.Load().Cells() }
 
 // cell returns the live cell called ns ("": the root), or nil.
-func (db *DB) cell(ns string) *namespace.Cell {
-	if ns == "" {
-		return db.root.Load()
-	}
-	return db.nss.Get(ns)
-}
+func (db *DB) cell(ns string) *namespace.Cell { return db.live.Load().Get(ns) }
 
 func (db *DB) path(name string) string { return path.Join(db.dir, name) }
 
@@ -359,7 +368,7 @@ func (db *DB) readFile(name string, size int64, buf []byte) ([]byte, error) {
 // Store returns the underlying concurrent store. Mutations made
 // directly on it are picked up by the next checkpoint via the shard
 // version counters, but do not count toward the dirty-op threshold.
-func (db *DB) Store() *shard.Store { return db.root.Load().Store }
+func (db *DB) Store() *shard.Store { return db.cells()[0].Store }
 
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
@@ -415,10 +424,10 @@ func (db *DB) Clock() expiry.Clock { return db.opts.Clock }
 func (db *DB) Epoch() int64 { return expiry.Epoch(db.opts.Clock) }
 
 // SweepExpired physically removes every entry already expired at
-// epoch, in every keyspace, and returns how many it removed. Checkpoint
-// runs the same sweep at the current epoch (unless Options.NoSweep), so
-// committed directories always hold exactly the live-set-at-E; the
-// network server calls this on each epoch transition.
+// epoch, in every keyspace, and returns how many it removed. A primary's
+// Checkpoint runs the same sweep at the current epoch, so committed
+// directories always hold exactly the live-set-at-E; the network server
+// calls this on each epoch transition.
 func (db *DB) SweepExpired(epoch int64) int {
 	n := db.sweepCells(db.cells(), epoch)
 	db.noteDirty(n)
@@ -548,7 +557,8 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return ErrClosed
 	}
-	db.stopBackground()
+	close(db.stop)
+	db.wg.Wait()
 	return db.checkpoint(0, 0)
 }
 
@@ -562,53 +572,56 @@ func (db *DB) Abandon() {
 	if db.closed.Swap(true) {
 		return
 	}
-	db.stopBackground()
+	close(db.stop)
+	db.wg.Wait()
 }
 
-// stopBackground stops the checkpointer goroutine if one is running.
-// Callers have already marked the DB closed, so no new start can race
-// in behind the bgMu window.
-func (db *DB) stopBackground() {
-	db.bgMu.Lock()
-	running := db.bgRunning
-	db.bgRunning = false
-	if running {
-		close(db.stop)
+// Replica reports the node's role: true while the directory follows a
+// peer's checkpoints, false while it follows the node's own writes.
+func (db *DB) Replica() bool { return db.replica.Load() }
+
+// Promotions returns how many times this process has been promoted. A
+// replication client remembers the count it was created under, so a
+// promotion retires it for good — even after a later Demote.
+func (db *DB) Promotions() uint64 { return db.promotions.Load() }
+
+// Promote flips a replica into the primary role and returns the node's
+// promotion count; on a primary it changes nothing and fails with
+// ErrNotReplica. The flip is taken under the checkpoint lock, which
+// Install holds for its whole run: Promote waits out an install in
+// flight, and every later one is refused — so no write the node accepts
+// as primary can be replaced by a peer's checkpoint. Everything else
+// the role decides follows from the same bit: checkpoints sweep expired
+// entries again (the node now owns the live-set-at-E contract instead of
+// mirroring the old primary's swept images), the background checkpointer
+// acts on its ticks, the server accepts writes. Promotion writes nothing
+// to disk — the directory stays a pure function of contents, and the
+// role change becomes visible there only through what future
+// checkpoints commit.
+func (db *DB) Promote() (uint64, error) {
+	db.cpMu.Lock()
+	defer db.cpMu.Unlock()
+	if !db.replica.Load() {
+		return db.promotions.Load(), ErrNotReplica
 	}
-	db.bgMu.Unlock()
-	if running {
-		db.wg.Wait()
-	}
+	n := db.promotions.Add(1)
+	db.replica.Store(false)
+	return n, nil
 }
 
-// Promote flips a read replica's DB into primary duty: checkpoint-time
-// expiry sweeping is re-enabled (the node now owns the live-set-at-E
-// contract instead of mirroring the old primary's swept images), and,
-// if background is set, the background checkpointer is started if it
-// is not already running. Promotion writes nothing to disk by itself —
-// the directory stays a pure function of contents, and the role change
-// becomes visible on disk only through what future checkpoints sweep.
-func (db *DB) Promote(background bool) {
-	db.noSweep.Store(false)
-	if !background {
-		return
+// Demote returns a primary to the replica role (the rejoin path: an old
+// primary that crashed and recovered demotes itself before syncing off
+// the new one); on a replica it fails. Writes already accepted stay
+// applied — demotion is a role change, not a barrier; callers quiesce
+// their own clients first.
+func (db *DB) Demote() error {
+	db.cpMu.Lock()
+	defer db.cpMu.Unlock()
+	if db.replica.Load() {
+		return errors.New("durable: node is already a replica")
 	}
-	db.bgMu.Lock()
-	defer db.bgMu.Unlock()
-	if db.bgRunning || db.closed.Load() {
-		return
-	}
-	db.bgRunning = true
-	db.wg.Add(1)
-	go db.background()
-}
-
-// Demote returns the DB to replica duty: checkpoint-time sweeping is
-// disabled again so the directory can track a new primary's committed
-// images exactly. The background checkpointer, if running, is left
-// running — Install keeps the directory correct either way.
-func (db *DB) Demote() {
-	db.noSweep.Store(true)
+	db.replica.Store(true)
+	return nil
 }
 
 // CheckpointStamp returns the node's checkpoint epoch — checkpoints
@@ -646,14 +659,15 @@ func (db *DB) VerifyCanonical() error {
 	var sum [sha256.Size]byte
 	hashIs := func(want [32]byte) bool { return [32]byte(h.Sum(sum[:0])) == want }
 	copyBuf := make([]byte, 64<<10)
+	live := db.live.Load()
 	for _, e := range db.man.cells {
-		c := db.cell(e.name)
+		c := live.Get(e.name)
 		if c == nil {
 			return fmt.Errorf("durable: manifest commits keyspace %q with no live cell", e.name)
 		}
 		hseed := db.man.cellSeed(e.name)
 		for i, se := range e.shards {
-			if ver := c.Store.ShardVersion(i); c.CPVersions == nil || ver != c.CPVersions[i] {
+			if im := c.Images[i]; !im.OK || im.Version != c.Store.ShardVersion(i) {
 				return fmt.Errorf("durable: keyspace %q shard %d has uncheckpointed changes", e.name, i)
 			}
 			h.Reset()
@@ -671,9 +685,10 @@ func (db *DB) VerifyCanonical() error {
 			}
 		}
 	}
-	// And every live tenant with physical contents must be committed.
-	for _, c := range db.nss.Snapshot() {
-		if db.man.cell(c.Name) == nil && c.PhysicalLen() > 0 {
+	// And every live tenant with physical contents must be committed (a
+	// cell's images are committed all together: the first speaks for all).
+	for _, c := range live.Cells()[1:] {
+		if !c.Images[0].OK && c.PhysicalLen() > 0 {
 			return fmt.Errorf("durable: keyspace %q has uncheckpointed contents", c.Name)
 		}
 	}

@@ -185,7 +185,7 @@ func TestImagePathAllocationBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rdb, err := Open("replica", &Options{Shards: 8, Seed: 43, NoBackground: true, FS: fs, Clock: expiry.NewManual(1000)})
+	rdb, err := Open("replica", &Options{Shards: 8, Seed: 43, NoBackground: true, NoSweep: true, FS: fs, Clock: expiry.NewManual(1000)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,8 @@ const maxManifestShards = 1 << 16
 const maxManifestCells = 1 << 16
 
 // imageEntry describes one committed shard image file: its size and
-// SHA-256. The hash is the image's whole identity — its file name, its
-// address on the wire, and what a replica compares.
-type imageEntry struct {
-	Size int64
-	Hash [32]byte
-}
+// SHA-256 (the type lives beside the cells that carry it).
+type imageEntry = namespace.Image
 
 // cellEntry describes one committed keyspace: its name ("" for the
 // default keyspace) and one image entry per shard. A tenant's name

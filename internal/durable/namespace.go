@@ -29,11 +29,44 @@ func (db *DB) cellOrCreate(ns string) (*namespace.Cell, error) {
 	if c := db.cell(ns); c != nil {
 		return c, nil
 	}
-	return db.nss.GetOrCreate(ns, func() (*namespace.Cell, error) {
-		s := db.Store()
-		cfg := shard.Config{Shards: s.NumShards(), PMA: s.PMAConfig()}
-		return namespace.NewCell(ns, s.RoutingSeed(), cfg, db.opts.Clock)
-	})
+	db.liveMu.Lock()
+	defer db.liveMu.Unlock()
+	live := db.live.Load()
+	if c := live.Get(ns); c != nil {
+		return c, nil
+	}
+	s := live.Cells()[0].Store
+	cfg := shard.Config{Shards: s.NumShards(), PMA: s.PMAConfig()}
+	c, err := namespace.NewCell(ns, s.RoutingSeed(), cfg, db.opts.Clock)
+	if err != nil {
+		return nil, err
+	}
+	db.live.Store(live.With(c))
+	return c, nil
+}
+
+// takeCell removes the tenant called ns from the live set and returns
+// its cell (nil if absent; the default keyspace is no tenant).
+func (db *DB) takeCell(ns string) *namespace.Cell {
+	if ns == "" {
+		return nil
+	}
+	db.liveMu.Lock()
+	defer db.liveMu.Unlock()
+	live := db.live.Load()
+	c := live.Get(ns)
+	if c != nil {
+		db.live.Store(live.Without(ns))
+	}
+	return c
+}
+
+// putCell is takeCell's undo: c is live again, its committed images
+// intact.
+func (db *DB) putCell(c *namespace.Cell) {
+	db.liveMu.Lock()
+	defer db.liveMu.Unlock()
+	db.live.Store(db.live.Load().With(c))
 }
 
 // NSPut upserts key in the named tenant's cell, creating the cell on
@@ -103,7 +136,7 @@ func (db *DB) NSLen(ns string) int {
 // erasure durable now — and drop-undone-on-failure semantics — use
 // DropNamespaceSync instead.
 func (db *DB) DropNamespace(ns string) bool {
-	existed := db.nss.Take(ns) != nil
+	existed := db.takeCell(ns) != nil
 	if existed {
 		db.noteDirty(1)
 	}
@@ -133,13 +166,13 @@ func (db *DB) DropNamespaceSync(ns string, tid, psid uint64) (bool, error) {
 	if db.closed.Load() {
 		return false, ErrClosed
 	}
-	c := db.nss.Take(ns)
+	c := db.takeCell(ns)
 	if c == nil && !db.nsInManifest(ns) {
 		return false, nil
 	}
 	if err := db.checkpoint(tid, psid); err != nil {
 		if c != nil {
-			db.nss.Put(c)
+			db.putCell(c)
 		}
 		return false, err
 	}
@@ -158,7 +191,7 @@ func (db *DB) nsInManifest(ns string) bool {
 // tenant is indistinguishable from one that never existed, in listings
 // as on disk).
 func (db *DB) Namespaces() []NamespaceStat {
-	cells := db.nss.Snapshot()
+	cells := db.cells()[1:]
 	out := make([]NamespaceStat, 0, len(cells))
 	for _, c := range cells {
 		if n := c.Store.Len(); n > 0 {

@@ -9,6 +9,11 @@ package durable_test
 // floors match its untouched shards, and reusing the old manifest
 // entry for them would resurrect dropped data.
 //
+// TestEmptiedTenantRefilledRendersInFull: a tenant emptied key by key
+// leaves the manifest and has its image files wiped, but its cell lives
+// on; refilled, it must not take the wiped images of the shards that
+// were empty all along — and so never moved — for current.
+//
 // TestDropNamespaceSyncRestoresOnCheckpointFailure: a DROPNS whose
 // erasure checkpoint fails must leave the tenant fully present — never
 // "gone from the live store, durable on disk" — and a retry against a
@@ -143,6 +148,74 @@ func TestDropNSRecreateBeforeCheckpointNoResurrection(t *testing.T) {
 	if !bytes.Equal(blobDirty, blobClean) {
 		t.Fatalf("drop+recreate directory differs from never-dropped (%d vs %d bytes): the dropped incarnation leaked into committed state",
 			len(blobDirty), len(blobClean))
+	}
+}
+
+func TestEmptiedTenantRefilledRendersInFull(t *testing.T) {
+	const tenant = "ebb-and-flow"
+	opts := func(fs *durable.MemFS) *durable.Options {
+		return &durable.Options{Shards: 8, Seed: 42, FS: fs, NoBackground: true}
+	}
+	fs := durable.NewMemFS()
+	db, err := durable.Open("db", opts(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One key, committed: one shard holds it, seven are empty — and their
+	// empty images are files too. Deleted, committed: the tenant is out of
+	// the manifest and all eight files are gone, while the seven empty
+	// shards' versions still equal the ones their images had.
+	if _, err := db.NSPut(tenant, dropKey(0), dropVal(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.NSDelete(tenant, dropKey(0))
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if manifestNames(t, db, tenant) {
+		t.Fatal("the emptied tenant is still in the manifest")
+	}
+
+	// One key back: one shard moves, seven have not been touched since.
+	if _, err := db.NSPut(tenant, 7, 7777); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.VerifyCanonical(); err != nil {
+		t.Fatalf("the refilled tenant's checkpoint is not canonical: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := durable.Open("db", opts(fs))
+	if err != nil {
+		t.Fatalf("reopening after the refill: %v", err)
+	}
+	defer re.Abandon()
+	if v, ok := re.NSGet(tenant, 7); !ok || v != 7777 || re.NSLen(tenant) != 1 {
+		t.Fatalf("recovered tenant[7] = (%d,%v) of %d keys, want (7777,true) of 1", v, ok, re.NSLen(tenant))
+	}
+
+	// And the bytes are those of a tenant that only ever held the one key.
+	fsClean := durable.NewMemFS()
+	clean, err := durable.Open("db", opts(fsClean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Abandon()
+	if _, err := clean.NSPut(tenant, 7, 7777); err != nil {
+		t.Fatal(err)
+	}
+	if err := clean.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(foretest.DirBytes(t, fs, "db"), foretest.DirBytes(t, fsClean, "db")) {
+		t.Fatal("emptied-then-refilled directory differs from one that only saw the refill")
 	}
 }
 

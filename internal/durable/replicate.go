@@ -76,13 +76,18 @@ func (db *DB) Blob(hash [32]byte) ([]byte, error) {
 // new checkpoint, never a mix. Installing the checkpoint already
 // committed touches nothing.
 //
-// This is the read-replica install path. It assumes no concurrent local
-// writers: operations applied between the checkpoint's capture and the
-// install are silently superseded (that is the semantics of replacing
-// state). Concurrent readers are safe — they keep the store snapshot
-// they loaded until the swap publishes the new one. Checkpoints wait:
-// fetch runs under the checkpoint lock, so nothing can sweep a staged
-// image before its manifest lands.
+// This is the read-replica install path, and only a replica takes it: on
+// a primary Install touches nothing and fails with ErrNotReplica. The
+// role is read under the checkpoint lock, held from there to the end, so
+// an install and a promotion never overlap — Promote waits for the
+// install to land whole, and no install starts after it (see Promote).
+// Install assumes no concurrent local writers: operations applied
+// between the checkpoint's capture and the install are silently
+// superseded (that is the semantics of replacing state). Concurrent
+// readers are safe — they keep the snapshot of the live keyspaces they
+// loaded until one store publishes the new one. Checkpoints wait: fetch
+// runs under the checkpoint lock, so nothing can sweep a staged image
+// before its manifest lands.
 //
 // Every cell is re-assembled even when only a few shards changed. That
 // costs O(total contents) per install, but it is what makes every
@@ -101,6 +106,9 @@ func (db *DB) Install(manifestBytes []byte, fetch func(hash [32]byte, size int64
 	}
 	db.cpMu.Lock()
 	defer db.cpMu.Unlock()
+	if !db.replica.Load() {
+		return ErrNotReplica
+	}
 	if bytes.Equal(manifestBytes, db.manBytes) {
 		return nil
 	}

@@ -5,13 +5,25 @@ import (
 	"crypto/sha256"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // openMem opens a DB over a fresh MemFS with deterministic options.
 func openMem(t *testing.T, fs *MemFS, dir string, seed uint64) *DB {
 	t.Helper()
 	db, err := Open(dir, &Options{Shards: 4, Seed: seed, NoBackground: true, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// openMemReplica is openMem in the replica role: an Install destination.
+func openMemReplica(t *testing.T, fs *MemFS, dir string, seed uint64) *DB {
+	t.Helper()
+	db, err := Open(dir, &Options{Shards: 4, Seed: seed, NoBackground: true, NoSweep: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestInstall(t *testing.T) {
 	pfs, rfs := NewMemFS(), NewMemFS()
 	p := openMem(t, pfs, "db", 7)
 	defer p.Close()
-	r := openMem(t, rfs, "db", 99) // different seed: it is overwritten by install
+	r := openMemReplica(t, rfs, "db", 99) // different seed: it is overwritten by install
 	defer r.Close()
 
 	for k := int64(0); k < 1000; k++ {
@@ -267,6 +279,122 @@ func TestInstall(t *testing.T) {
 	}
 }
 
+// TestInstallRefusedOnPrimary: a primary's directory follows its own
+// writes, so a peer's checkpoint offered to it is refused, typed, before
+// anything is fetched or a byte of the directory moves.
+func TestInstallRefusedOnPrimary(t *testing.T) {
+	src := openMem(t, NewMemFS(), "src", 7)
+	defer src.Close()
+	src.Put(1, 10)
+	if err := src.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fs := NewMemFS()
+	db := openMem(t, fs, "db", 7)
+	defer db.Close()
+	db.Put(2, 20)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	ops, dir := fs.Ops(), dirBytes(t, fs, "db")
+	err := db.Install(committedManifest(t, src), func([32]byte, int64) ([]byte, error) {
+		t.Error("a refused install fetched a blob")
+		return nil, errors.New("unreachable")
+	})
+	if !errors.Is(err, ErrNotReplica) {
+		t.Fatalf("install on a primary: %v, want ErrNotReplica", err)
+	}
+	if got := fs.Ops(); got != ops {
+		t.Fatalf("the refused install performed %d filesystem ops", got-ops)
+	}
+	sameDir(t, dir, dirBytes(t, fs, "db"))
+	if v, ok := db.Get(2); !ok || v != 20 {
+		t.Fatalf("Get(2) = %d %v after the refused install", v, ok)
+	}
+}
+
+// TestPromoteWaitsOutInFlightInstall: the role flips under the lock an
+// install holds from its role check to its publish, so a promotion that
+// arrives mid-install waits, the install lands whole, and from the flip
+// on no install lands at all — the first write the new primary takes
+// cannot be replaced by a peer's checkpoint.
+func TestPromoteWaitsOutInFlightInstall(t *testing.T) {
+	pfs, rfs := NewMemFS(), NewMemFS()
+	p := openMem(t, pfs, "db", 7)
+	defer p.Close()
+	for k := int64(0); k < 200; k++ {
+		p.Put(k, -k)
+	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	r := openMemReplica(t, rfs, "db", 7)
+	defer r.Close()
+
+	// The install parks inside its first fetch.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	installed := make(chan error, 1)
+	man := committedManifest(t, p)
+	go func() {
+		installed <- r.Install(man, func(hash [32]byte, _ int64) ([]byte, error) {
+			once.Do(func() { close(parked) })
+			<-release
+			return p.Blob(hash)
+		})
+	}()
+	<-parked
+	type promotion struct {
+		n   uint64
+		err error
+	}
+	promoted := make(chan promotion, 1)
+	go func() {
+		n, err := r.Promote()
+		promoted <- promotion{n, err}
+	}()
+	select {
+	case pr := <-promoted:
+		t.Fatalf("Promote returned (%d, %v) with an install in flight", pr.n, pr.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if !r.Replica() {
+		t.Fatal("the role flipped under an install in flight")
+	}
+	close(release)
+	if err := <-installed; err != nil {
+		t.Fatalf("the in-flight install: %v", err)
+	}
+	if pr := <-promoted; pr.err != nil || pr.n != 1 {
+		t.Fatalf("promote: %d %v", pr.n, pr.err)
+	}
+	sameDir(t, dirBytes(t, pfs, "db"), dirBytes(t, rfs, "db"))
+
+	// The new primary's first write survives whatever the old one
+	// commits next.
+	r.Put(1000, 1)
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	p.Put(2000, 2)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Install(committedManifest(t, p), blobsOf(p)); !errors.Is(err, ErrNotReplica) {
+		t.Fatalf("install after the promotion: %v, want ErrNotReplica", err)
+	}
+	if v, ok := r.Get(1000); !ok || v != 1 {
+		t.Fatalf("first post-promotion write = %d %v", v, ok)
+	}
+	if r.Has(2000) {
+		t.Fatal("the old primary's later write reached the promoted node")
+	}
+	if err := r.VerifyCanonical(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInstallCrashSafety injects a fault at every mutating filesystem
 // step of an install — an incremental one over root and tenant cells:
 // some images already local, some fetched, one tenant erased — and
@@ -283,7 +411,7 @@ func TestInstallCrashSafety(t *testing.T) {
 	oldMan, oldDir := committedManifest(t, p), dirBytes(t, pfs, "db")
 	// A second primary at the same seed carries checkpoint A while p
 	// moves on, so each round's replica can install A, then B.
-	pa := openMem(t, NewMemFS(), "db", 7)
+	pa := openMemReplica(t, NewMemFS(), "db", 7)
 	defer pa.Abandon()
 	if err := pa.Install(oldMan, blobsOf(p)); err != nil {
 		t.Fatal(err)
@@ -296,7 +424,7 @@ func TestInstallCrashSafety(t *testing.T) {
 
 	for fail := 1; ; fail++ {
 		rfs := NewMemFS()
-		r := openMem(t, rfs, "db", 3)
+		r := openMemReplica(t, rfs, "db", 3)
 		if err := r.Install(oldMan, blobsOf(pa)); err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +465,7 @@ func TestInstallCrashSafety(t *testing.T) {
 // failed install staged is gone by the time it returns.
 func TestInstallRejectsCorruptImages(t *testing.T) {
 	fs := NewMemFS()
-	db := openMem(t, fs, "db", 1)
+	db := openMemReplica(t, fs, "db", 1)
 	db.Put(1, 1)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)

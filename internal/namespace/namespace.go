@@ -30,9 +30,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/expiry"
 	"repro/internal/shard"
@@ -83,10 +82,29 @@ func DeriveSeed(rootHseed uint64, name string) uint64 {
 	return binary.BigEndian.Uint64(okm[:8])
 }
 
+// Image names one committed shard image file: its size and SHA-256. The
+// hash is the image's whole identity — its file name, its address on
+// the wire, and what a replica compares.
+type Image struct {
+	Size int64
+	Hash [32]byte
+}
+
+// ShardImage is what the durable layer last committed for one shard of a
+// cell: the image, and the shard version it was rendered at. OK is false
+// until this cell's own image for the shard has landed in a committed
+// manifest; Store.ShardVersion(i) == Version then means the on-disk
+// image is current.
+type ShardImage struct {
+	Image   Image
+	Version uint64
+	OK      bool
+}
+
 // Cell is one keyspace's store — the (data dictionary, expiry index)
-// pair, sharded — plus the checkpoint bookkeeping the durable layer
-// keeps per cell. The default keyspace is the cell named ""; every
-// other cell is a tenant's, routed under its derived seed.
+// pair, sharded — plus the committed images the durable layer keeps per
+// shard. The default keyspace is the cell named ""; every other cell is
+// a tenant's, routed under its derived seed.
 type Cell struct {
 	// Name is the tenant name ("": the default keyspace). It is wire
 	// and manifest state only — never part of a file name or an image
@@ -95,32 +113,12 @@ type Cell struct {
 	Name string
 	// Store holds the keyspace's contents.
 	Store *shard.Store
-	// CPVersions[i] is shard i's version counter at the moment its
-	// committed image was snapshotted (nil: never committed);
-	// Store.ShardVersion(i) == CPVersions[i] means the on-disk image is
-	// current. Owned by the durable layer's checkpoint lock.
-	CPVersions []uint64
-	// Committed records whether THIS cell incarnation's entry has ever
-	// landed in a committed manifest. The checkpoint engine may reuse a
-	// prior manifest entry for a version-clean shard only when it is
-	// set: a freshly (re)created cell shares its name — and therefore
-	// its manifest slot — with any dropped predecessor, and its zeroed
-	// version floors would otherwise match the predecessor's entry and
-	// resurrect dropped data. Owned by the durable layer's checkpoint
-	// lock.
-	Committed bool
-}
-
-// MarkCommitted records that the cell's entry just landed in a
-// committed manifest with every shard image current: the version
-// floors are set to the shards' present versions. The caller holds the
-// durable layer's checkpoint lock, or has not yet published the cell.
-func (c *Cell) MarkCommitted() {
-	c.Committed = true
-	c.CPVersions = make([]uint64, c.Store.NumShards())
-	for i := range c.CPVersions {
-		c.CPVersions[i] = c.Store.ShardVersion(i)
-	}
+	// Images[i] is shard i's committed image. The record belongs to this
+	// cell, not to its name: a tenant recreated after a drop starts with
+	// none, so the dropped incarnation's manifest entry — filed under
+	// the same name — can never be taken for its own. Owned by the
+	// durable layer's checkpoint lock.
+	Images []ShardImage
 }
 
 // PhysicalLen returns the number of entries physically resident in the
@@ -146,93 +144,60 @@ func NewCell(name string, rootHseed uint64, cfg shard.Config, clock expiry.Clock
 		return nil, fmt.Errorf("namespace: cell %q: %w", name, err)
 	}
 	st.SetClock(clock)
-	return &Cell{Name: name, Store: st}, nil
+	return &Cell{Name: name, Store: st, Images: make([]ShardImage, st.NumShards())}, nil
 }
 
-// Registry is the live set of cells, keyed by tenant name. All methods
-// are safe for concurrent use. Listing order is always byte-sorted by
-// name — canonical, never creation order, so nothing about the order
-// tenants arrived in is observable anywhere a listing flows.
-type Registry struct {
-	mu    sync.RWMutex
-	cells map[string]*Cell
+// Set is an immutable snapshot of a database's live keyspaces: the
+// default keyspace's cell first, then the tenants' byte-sorted by name —
+// canonical, never creation order, so nothing about the order tenants
+// arrived in is observable anywhere a listing flows. A Set is never
+// modified once built, so any number of readers may hold one while With
+// and Without derive its successors.
+type Set struct {
+	cells  []*Cell
+	byName map[string]*Cell
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{cells: map[string]*Cell{}}
-}
-
-// Get returns the named cell, or nil.
-func (r *Registry) Get(name string) *Cell {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.cells[name]
-}
-
-// GetOrCreate returns the named cell, building it with mk under the
-// write lock if absent. Exactly one builder runs per missing name.
-func (r *Registry) GetOrCreate(name string, mk func() (*Cell, error)) (*Cell, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.cells[name]; c != nil {
-		return c, nil
-	}
-	c, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	r.cells[name] = c
-	return c, nil
-}
-
-// Put installs (or replaces) a cell — the undo of a Take.
-func (r *Registry) Put(c *Cell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cells[c.Name] = c
-}
-
-// Take removes and returns the named cell (nil if absent). The cell's
-// committed files are reclaimed by the next checkpoint's sweep; the
-// registry owns only the in-memory state. A caller that must undo a
-// drop whose erasure checkpoint failed hands the same cell back to
-// Put, CPVersions and committed-state bookkeeping intact.
-func (r *Registry) Take(name string) *Cell {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.cells[name]
-	delete(r.cells, name)
-	return c
-}
-
-// Len returns the number of live cells.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.cells)
-}
-
-// Snapshot returns the cells byte-sorted by name.
-func (r *Registry) Snapshot() []*Cell {
-	r.mu.RLock()
-	out := make([]*Cell, 0, len(r.cells))
-	for _, c := range r.cells {
-		out = append(out, c)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ReplaceAll swaps the entire cell set — the checkpoint-install path,
-// where a replica adopts the primary's committed tenant set wholesale.
-func (r *Registry) ReplaceAll(cells []*Cell) {
-	next := make(map[string]*Cell, len(cells))
+// NewSet returns the set holding cells: the default keyspace's cell
+// first, then the tenants' in any order. It keeps (and sorts) the slice.
+func NewSet(cells []*Cell) *Set {
+	slices.SortFunc(cells[1:], func(a, b *Cell) int { return strings.Compare(a.Name, b.Name) })
+	s := &Set{cells: cells, byName: make(map[string]*Cell, len(cells))}
 	for _, c := range cells {
-		next[c.Name] = c
+		s.byName[c.Name] = c
 	}
-	r.mu.Lock()
-	r.cells = next
-	r.mu.Unlock()
+	return s
+}
+
+// Cells returns every cell in canonical order, the default keyspace's
+// first. The slice is the snapshot's own and must not be modified.
+func (s *Set) Cells() []*Cell { return s.cells }
+
+// Get returns the cell called name ("": the default keyspace), or nil.
+func (s *Set) Get(name string) *Cell { return s.byName[name] }
+
+// With returns the set with tenant cell c added, replacing any cell of
+// the same name.
+func (s *Set) With(c *Cell) *Set {
+	return NewSet(append(s.without(c.Name), c))
+}
+
+// Without returns the set with the tenant called name removed. The
+// cell's committed files are reclaimed by the next checkpoint's sweep;
+// a caller that must undo a drop whose erasure checkpoint failed hands
+// the same cell back to With, its committed images intact.
+func (s *Set) Without(name string) *Set {
+	return NewSet(s.without(name))
+}
+
+// without copies the cells except the tenant called name — never the
+// default keyspace's, which every set holds — leaving room for one more.
+func (s *Set) without(name string) []*Cell {
+	out := make([]*Cell, 0, len(s.cells)+1)
+	for i, c := range s.cells {
+		if i == 0 || c.Name != name {
+			out = append(out, c)
+		}
+	}
+	return out
 }

@@ -81,46 +81,60 @@ func TestNewCellMirrorsConfigAndRoutesUnderDerivedSeed(t *testing.T) {
 }
 
 func TestRegistryCanonicalOrderAndDrop(t *testing.T) {
-	r := NewRegistry()
 	cfg := shard.DefaultConfig(1)
-	mk := func(name string) func() (*Cell, error) {
-		return func() (*Cell, error) { return NewCell(name, 7, cfg, nil) }
-	}
-	// Insert in non-sorted order; Snapshot must come back byte-sorted,
-	// independent of creation order (LISTNS canonical-order contract).
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if _, err := r.GetOrCreate(name, mk(name)); err != nil {
+	mk := func(name string) *Cell {
+		c, err := NewCell(name, 7, cfg, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return c
 	}
-	got := r.Snapshot()
-	want := []string{"alpha", "mid", "zeta"}
+	root := &Cell{Store: mk("root").Store}
+	empty := NewSet([]*Cell{root})
+	// Insert in non-sorted order; Cells must come back with the default
+	// keyspace first and the tenants byte-sorted, independent of creation
+	// order (LISTNS canonical-order contract).
+	s := empty
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		s = s.With(mk(name))
+	}
+	got := s.Cells()
+	want := []string{"", "alpha", "mid", "zeta"}
 	if len(got) != len(want) {
-		t.Fatalf("snapshot has %d cells, want %d", len(got), len(want))
+		t.Fatalf("set has %d cells, want %d", len(got), len(want))
 	}
 	for i, c := range got {
 		if c.Name != want[i] {
-			t.Fatalf("snapshot order %v, want %v", got, want)
+			t.Fatalf("cell %d is %q, want order %q", i, c.Name, want)
 		}
 	}
+	if s.Get("") != root || got[0] != root {
+		t.Error("the default keyspace's cell is not first and named \"\"")
+	}
 
-	c1, _ := r.GetOrCreate("alpha", mk("alpha"))
-	c2 := r.Get("alpha")
-	if c1 != c2 {
-		t.Error("GetOrCreate did not return the existing cell")
+	// A set is a snapshot: its predecessors are untouched by With and
+	// Without, and replacing a name keeps one cell under it.
+	if len(empty.Cells()) != 1 || empty.Get("alpha") != nil {
+		t.Error("With modified the set it was derived from")
 	}
-	if r.Take("alpha") == nil || r.Take("alpha") != nil {
-		t.Error("Drop existence reporting is wrong")
+	alpha := s.Get("alpha")
+	if again := s.With(alpha); len(again.Cells()) != 4 || again.Get("alpha") != alpha {
+		t.Error("With of an existing name did not replace in place")
 	}
-	if r.Get("alpha") != nil {
+	dropped := s.Without("alpha")
+	if dropped.Get("alpha") != nil || len(dropped.Cells()) != 3 {
 		t.Error("dropped cell still resolvable")
 	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
+	if s.Get("alpha") != alpha || len(s.Cells()) != 4 {
+		t.Error("Without modified the set it was derived from")
 	}
-
-	r.ReplaceAll(nil)
-	if r.Len() != 0 {
-		t.Error("ReplaceAll(nil) did not empty the registry")
+	if again := dropped.Without("alpha"); len(again.Cells()) != 3 {
+		t.Error("dropping an absent tenant changed the set")
+	}
+	if keep := dropped.Without(""); keep.Get("") != root {
+		t.Error("the default keyspace's cell was dropped")
+	}
+	if back := dropped.With(alpha); back.Get("alpha") != alpha || back.Cells()[1] != alpha {
+		t.Error("undoing a drop did not restore the same cell in canonical position")
 	}
 }

@@ -51,6 +51,24 @@
 // can re-converge to. Serving the installed checkpoint (rather than
 // the primary's live memory) is what makes the guarantee exact.
 //
+// # Whose replica, and until when
+//
+// A Replica holds no role of its own. The node's role is one bit on the
+// DB (durable.DB.Replica), and Install — where every round that finds
+// news ends — reads it under the checkpoint lock a promotion flips it
+// under: on a primary it installs nothing. So a promotion needs no
+// handshake with anti-entropy; however it arrives (PROMOTE on the wire,
+// Replica.Promote, DB.Promote), a round already installing lands whole
+// before the flip and no round installs after it. A Replica also
+// remembers the DB's promotion count at New and refuses rounds once it
+// has moved (ErrPromoted) — sparing a doomed round its fetches, ending
+// the loops, and keeping a Replica created for one primary from
+// resuming against it after a later Demote: the rejoin path makes a new
+// one. (A round that was past that check when a Promote and a Demote
+// both landed may still install the old primary's checkpoint; the node
+// is a replica again by then, and its next round, under the new
+// Replica, replaces it.)
+//
 // Nothing a peer says is trusted for memory: the manifest goes through
 // recovery's hostile-input decoder, an image's size — even out of a
 // manifest that verifies — is reserved only up to a fixed bound, and

@@ -22,50 +22,6 @@ import (
 	"repro/internal/server"
 )
 
-// promoNode is a replica node that can be promoted: DB, read-only
-// server with OnPromote wired to the Replica's Abdicate, and the
-// Replica itself holding the server reference Promote needs.
-type promoNode struct {
-	fs  *durable.MemFS
-	db  *durable.DB
-	srv *server.Server
-	rep *Replica
-}
-
-func newPromoNode(t *testing.T, seed uint64, shards int, clk expiry.Clock, dial func() (net.Conn, error)) *promoNode {
-	t.Helper()
-	n := &promoNode{fs: durable.NewMemFS()}
-	db, err := durable.Open(nodeDir, &durable.Options{
-		Shards: shards, Seed: seed, NoBackground: true, FS: n.fs,
-		Clock: clk, NoSweep: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.db = db
-	// SweepInterval < 0 keeps the schedule deterministic: post-promotion
-	// expiry runs inside explicit checkpoints (the durable layer's
-	// checkpoint sweep), never on a wall-clock ticker.
-	n.srv = server.New(db, server.Config{
-		ReadTimeout: -1, ReadOnly: true, SweepInterval: -1,
-		OnPromote: func() { n.rep.Abdicate() },
-	})
-	rep, err := New(db, Config{Dial: dial, Server: n.srv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.rep = rep
-	return n
-}
-
-func (n *promoNode) dialTo() func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		cliEnd, srvEnd := net.Pipe()
-		n.srv.ServeConn(srvEnd)
-		return cliEnd, nil
-	}
-}
-
 // TestKillPrimaryMidCheckpointPromote is the kill-the-primary torture:
 // seeded mixed load (plain, TTL, batch writes) onto a primary with two
 // replicas syncing behind it, a power cut injected mid-checkpoint,
@@ -98,17 +54,18 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 	replicated := map[int64]int64{}
 	replicatedExp := map[int64]int64{}
 
-	reps := []*promoNode{
-		newPromoNode(t, 101, shards, clk, func() (net.Conn, error) {
-			cliEnd, srvEnd := net.Pipe()
-			prim.srv.ServeConn(srvEnd)
-			return cliEnd, nil
-		}),
-		newPromoNode(t, 102, shards, clk, func() (net.Conn, error) {
-			cliEnd, srvEnd := net.Pipe()
-			prim.srv.ServeConn(srvEnd)
-			return cliEnd, nil
-		}),
+	// Two replica nodes, each nothing but a DB opened in the replica role,
+	// a server over it, and a Replica pulling from the primary.
+	rnodes := []*node{
+		newNodeClock(t, durable.NewMemFS(), 101, shards, true, clk),
+		newNodeClock(t, durable.NewMemFS(), 102, shards, true, clk),
+	}
+	reps := make([]*Replica, len(rnodes))
+	for i, n := range rnodes {
+		var err error
+		if reps[i], err = New(n.db, Config{Dial: prim.dialTo()}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	writeLoad := func() {
@@ -163,7 +120,7 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 		if _, err := pconn.Checkpoint(); err != nil {
 			t.Fatalf("round %d: checkpoint: %v", round, err)
 		}
-		sum, err := reps[0].rep.SyncOnce()
+		sum, err := reps[0].SyncOnce()
 		if err != nil && !IsStale(err) {
 			t.Fatalf("round %d: replica 0 sync: %v", round, err)
 		}
@@ -178,7 +135,7 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 			}
 		}
 		if rng.Intn(2) == 0 {
-			if _, err := reps[1].rep.SyncOnce(); err != nil && !IsStale(err) {
+			if _, err := reps[1].SyncOnce(); err != nil && !IsStale(err) {
 				t.Fatalf("round %d: replica 1 sync: %v", round, err)
 			}
 		}
@@ -229,7 +186,7 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 				default:
 				}
 				if c == nil {
-					nc, err := reps[0].dialTo()()
+					nc, err := rnodes[0].dialTo()()
 					if err != nil {
 						continue
 					}
@@ -252,7 +209,7 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 
 	// Let the writers bounce off the read-only node, then promote.
 	time.Sleep(10 * time.Millisecond)
-	n, err := reps[0].rep.Promote()
+	n, err := reps[0].Promote()
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -276,7 +233,7 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 
 	// Commit everything on the promoted primary over the wire (also
 	// proving the write/checkpoint path is fully armed post-promotion).
-	nconn := dialNode(t, &node{fs: reps[0].fs, db: reps[0].db, srv: reps[0].srv})
+	nconn := dialNode(t, rnodes[0])
 	if _, err := nconn.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint on promoted node: %v", err)
 	}
@@ -315,7 +272,7 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 	pfs = pfs.Crash()
 	rejoined := newNodeClock(t, pfs, seed, shards, true, clk)
 	defer rejoined.close()
-	rejRep, err := New(rejoined.db, Config{Dial: reps[0].dialTo()})
+	rejRep, err := New(rejoined.db, Config{Dial: rnodes[0].dialTo()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +282,8 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 	}
 
 	// Replica 1 re-points at the promoted node and converges too.
-	reps[1].rep.Stop()
-	rep1, err := New(reps[1].db, Config{Dial: reps[0].dialTo()})
+	reps[1].Stop()
+	rep1, err := New(rnodes[1].db, Config{Dial: rnodes[0].dialTo()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,14 +293,14 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 	}
 
 	// All survivors byte-identical, all canonical.
-	if err := reps[0].db.VerifyCanonical(); err != nil {
+	if err := rnodes[0].db.VerifyCanonical(); err != nil {
 		t.Fatalf("promoted node: %v", err)
 	}
-	sameDirs(t, reps[0].fs, rejoined.fs, reps[1].fs)
+	sameDirs(t, rnodes[0].fs, rejoined.fs, rnodes[1].fs)
 	if err := rejoined.db.VerifyCanonical(); err != nil {
 		t.Fatalf("rejoined node: %v", err)
 	}
-	if err := reps[1].db.VerifyCanonical(); err != nil {
+	if err := rnodes[1].db.VerifyCanonical(); err != nil {
 		t.Fatalf("replica 1: %v", err)
 	}
 
@@ -355,15 +312,14 @@ func TestKillPrimaryMidCheckpointPromote(t *testing.T) {
 	rc.Close()
 
 	// A second promotion of the same node is refused.
-	if _, err := reps[0].rep.Promote(); !errors.Is(err, server.ErrNotReplica) {
+	if _, err := reps[0].Promote(); !errors.Is(err, durable.ErrNotReplica) {
 		t.Fatalf("double promote: %v, want ErrNotReplica", err)
 	}
 
 	nconn.Close()
-	for _, r := range reps {
-		r.rep.Stop()
-		r.srv.Close()
-		r.db.Close()
+	for i, r := range reps {
+		r.Stop()
+		rnodes[i].close()
 	}
 }
 
@@ -448,10 +404,11 @@ func TestReadYourWritesBoundedStaleness(t *testing.T) {
 	}
 }
 
-// TestPromotionStateMachine drives the white-box edges: Abdicate
-// fences an in-flight sync round, promotion flips the server exactly
-// once, a second promotion is refused, and Demote returns the node to
-// replica duty so it can rejoin under a fresh Replica.
+// TestPromotionStateMachine drives the white-box edges: a promotion
+// does not wait on (and is not seen by) a sync round stalled short of
+// its install, it retires the Replica for good, a second promotion is
+// refused, and Demote returns the node to replica duty so it can rejoin
+// under a fresh Replica — all through the DB's one role bit.
 func TestPromotionStateMachine(t *testing.T) {
 	db, err := durable.Open(nodeDir, &durable.Options{
 		Shards: 4, Seed: 9, NoBackground: true, FS: durable.NewMemFS(), NoSweep: true,
@@ -460,15 +417,11 @@ func TestPromotionStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	srv := server.New(db, server.Config{ReadTimeout: -1, SweepInterval: -1})
+	defer srv.Close()
 
 	// A primary that accepts the connection and then stalls forever:
-	// the sync round must hit its timeout, not hang Abdicate.
-	var rep *Replica
-	srv := server.New(db, server.Config{
-		ReadTimeout: -1, ReadOnly: true, SweepInterval: -1,
-		OnPromote: func() { rep.Abdicate() },
-	})
-	defer srv.Close()
+	// the sync round must hit its timeout, not hang the promotion.
 	dialed := make(chan struct{})
 	var dialedOnce sync.Once
 	stallDial := func() (net.Conn, error) {
@@ -484,54 +437,61 @@ func TestPromotionStateMachine(t *testing.T) {
 		dialedOnce.Do(func() { close(dialed) })
 		return cliEnd, nil
 	}
-	rep, err = New(db, Config{Dial: stallDial, Timeout: 50 * time.Millisecond, Server: srv})
+	rep, err := New(db, Config{Dial: stallDial, Timeout: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Stop()
 
-	// Promote while a sync round is in flight: Abdicate must wait the
-	// round out (its mu acquisition is the barrier), and the round must
-	// fail on its own timeout — never ErrPromoted, it entered first.
+	// Promote while a sync round is in flight: the round entered first,
+	// so it must fail on its own timeout — never ErrPromoted — and, being
+	// nowhere near an install, it must not hold the promotion up.
 	roundErr := make(chan error, 1)
 	go func() {
 		_, err := rep.SyncOnce()
 		roundErr <- err
 	}()
 	<-dialed
-	rep.Abdicate()
+	if n, err := db.Promote(); err != nil || n != 1 {
+		t.Fatalf("promote: %d %v", n, err)
+	}
 	if err := <-roundErr; err == nil || errors.Is(err, ErrPromoted) {
 		t.Fatalf("in-flight round: %v (want a timeout, not nil or ErrPromoted)", err)
 	}
-	// After the fence, sync is permanently refused.
+	// After the flip, sync is permanently refused.
 	if _, err := rep.SyncOnce(); !errors.Is(err, ErrPromoted) {
-		t.Fatalf("post-abdicate sync: %v, want ErrPromoted", err)
+		t.Fatalf("post-promotion sync: %v, want ErrPromoted", err)
 	}
-
-	// Promotion lifts the already-abdicated node without re-syncing.
-	if n, err := rep.Promote(); err != nil || n != 1 {
-		t.Fatalf("promote: %d %v", n, err)
+	if !rep.Stats().Promoted {
+		t.Fatal("Stats does not report the promotion")
 	}
 	if ok, err := putOnNode(srv, 1, 11); err != nil || !ok {
 		t.Fatalf("write on promoted node: %v %v", ok, err)
 	}
 
 	// Double promote is refused, and the refusal is typed.
-	if _, err := rep.Promote(); !errors.Is(err, server.ErrNotReplica) {
+	if _, err := rep.Promote(); !errors.Is(err, durable.ErrNotReplica) {
 		t.Fatalf("double promote: %v, want ErrNotReplica", err)
+	}
+	if n := db.Promotions(); n != 1 {
+		t.Fatalf("promotion count after the refused promote = %d, want 1", n)
 	}
 
 	// Demote: back to replica duty. Writes are refused again, and a
-	// FRESH Replica (abdication is per-Replica, deliberately — the old
+	// FRESH Replica (retirement is per-Replica, deliberately — the old
 	// one's fence must never silently lift) converges off a live
 	// primary again.
-	if err := srv.Demote(); err != nil {
+	if err := db.Demote(); err != nil {
 		t.Fatalf("demote: %v", err)
 	}
-	if err := srv.Demote(); err == nil {
+	if err := db.Demote(); err == nil {
 		t.Fatal("double demote accepted")
 	}
 	if _, err := putOnNode(srv, 2, 22); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("demoted node accepted a write: %v", err)
+	}
+	if _, err := rep.SyncOnce(); !errors.Is(err, ErrPromoted) {
+		t.Fatalf("the retired Replica synced again after the demotion: %v", err)
 	}
 
 	p := newNode(t, durable.NewMemFS(), 3, 4, false)
@@ -550,6 +510,161 @@ func TestPromotionStateMachine(t *testing.T) {
 	}
 	if v, ok := db.Get(7); !ok || v != 77 {
 		t.Fatalf("rejoined replica missing primary's write: %d %v", v, ok)
+	}
+}
+
+// TestWirePromoteFencesAntiEntropyWithoutWiring: a replica node built
+// from nothing but a DB in the replica role, a server and a Replica —
+// no callback from one to another — is promoted by a PROMOTE frame, and
+// the Replica, told nothing, must never install the old primary's
+// checkpoints again. (When the role was three flags kept in step by
+// closures, this recipe — every test helper's own — acked and
+// checkpointed key 2 and then lost it to the next sync round.)
+func TestWirePromoteFencesAntiEntropyWithoutWiring(t *testing.T) {
+	p := newNode(t, durable.NewMemFS(), 7, 4, false)
+	defer p.close()
+	p.db.Put(1, 10)
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := durable.Open(nodeDir, &durable.Options{
+		Shards: 4, Seed: 8, NoBackground: true, NoSweep: true, FS: durable.NewMemFS(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := server.New(db, server.Config{})
+	defer srv.Close()
+	rep, err := New(db, Config{Dial: p.dialTo()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	if sum, err := rep.SyncOnce(); err != nil || !sum.Installed {
+		t.Fatalf("first sync: %+v %v", sum, err)
+	}
+
+	cliEnd, srvEnd := net.Pipe()
+	srv.ServeConn(srvEnd)
+	c := client.NewConn(cliEnd)
+	defer c.Close()
+	if n, err := c.Promote(); err != nil || n != 1 {
+		t.Fatalf("wire promote: %d %v", n, err)
+	}
+	if _, err := c.Put(2, 20); err != nil {
+		t.Fatalf("put on the promoted node: %v", err)
+	}
+	if _, err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The old primary lives on and moves ahead: a round would find a
+	// checkpoint to install.
+	p.db.Put(3, 30)
+	if err := p.db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := rep.SyncOnce(); !errors.Is(err, ErrPromoted) {
+		t.Fatalf("sync after the wire promotion: %+v %v, want ErrPromoted", sum, err)
+	}
+	if v, ok, err := c.Get(2); err != nil || !ok || v != 20 {
+		t.Fatalf("acked, checkpointed key 2 = (%d,%v,%v) after the round, want 20", v, ok, err)
+	}
+	if _, ok := db.Get(3); ok {
+		t.Fatal("the promoted node took the old primary's key 3")
+	}
+	if err := db.VerifyCanonical(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoleDerivations walks one node replica → promoted → demoted and
+// checks that everything the role decides flips with the DB's one bit,
+// together: the wire refuses writes, HEALTH says read-only and Install
+// is allowed exactly while it is a replica; checkpoints sweep expired
+// entries and the background checkpointer acts on its ticks exactly
+// while it is a primary.
+func TestRoleDerivations(t *testing.T) {
+	clk := expiry.NewManual(100)
+	db, err := durable.Open(nodeDir, &durable.Options{
+		Shards: 4, Seed: 5, FS: durable.NewMemFS(), Clock: clk,
+		NoSweep: true, CheckpointInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := server.New(db, server.Config{ReadTimeout: -1, SweepInterval: -1})
+	defer srv.Close()
+	cliEnd, srvEnd := net.Pipe()
+	srv.ServeConn(srvEnd)
+	c := client.NewConn(cliEnd)
+	defer c.Close()
+
+	steps := []struct {
+		name    string
+		flip    func() error
+		replica bool
+	}{
+		{"opened as a replica", func() error { return nil }, true},
+		{"promoted", func() error { _, err := db.Promote(); return err }, false},
+		{"demoted", db.Demote, true},
+	}
+	for i, st := range steps {
+		if err := st.flip(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		key := int64(1000 + i)
+
+		// The wire: write refusal and HEALTH.
+		_, err := c.Put(key, 1)
+		if refused := errors.Is(err, client.ErrReadOnly); refused != st.replica || (!refused && err != nil) {
+			t.Errorf("%s: wire PUT: %v (want refused: %v)", st.name, err, st.replica)
+		}
+		if h, err := c.Health(); err != nil || h.ReadOnly != st.replica {
+			t.Errorf("%s: HEALTH = %+v %v, want ReadOnly %v", st.name, h, err, st.replica)
+		}
+
+		// The background checkpointer: a dirty op and a few dozen ticks.
+		db.Put(key, 2)
+		cps := db.Checkpoints()
+		if st.replica {
+			time.Sleep(30 * time.Millisecond)
+			if db.Checkpoints() != cps || db.PendingOps() == 0 {
+				t.Errorf("%s: the background checkpointer acted on a replica", st.name)
+			}
+		} else {
+			for deadline := time.Now().Add(5 * time.Second); db.Checkpoints() == cps; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: the background checkpointer never acted", st.name)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+
+		// The checkpoint's expiry sweep: one entry dead at the new epoch.
+		swept := db.SweptKeys()
+		db.PutTTL(key+100, 3, clk.Now()+1)
+		clk.Advance(2)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if did := db.SweptKeys() > swept; did == st.replica {
+			t.Errorf("%s: checkpoint swept: %v", st.name, did)
+		}
+
+		// Install: a no-op on the checkpoint already committed, if allowed.
+		_, stamp := db.CheckpointStamp()
+		man, err := db.Blob(stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = db.Install(man, nil)
+		if refused := errors.Is(err, durable.ErrNotReplica); refused == st.replica || (!refused && err != nil) {
+			t.Errorf("%s: Install: %v (want allowed: %v)", st.name, err, st.replica)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/server"
 	"repro/internal/trace"
 )
 
@@ -41,9 +40,6 @@ type Config struct {
 	// failures) on the given registry. Nil is valid.
 	Metrics *obs.Registry
 
-	// Server, if set, is the read-only server.Server over the same DB;
-	// Promote flips it writable. Required for Promote, unused otherwise.
-	Server *server.Server
 	// HealthInterval enables the primary health prober: a PING on a
 	// dedicated connection every interval (0: prober disabled). The
 	// prober shares Dial and Timeout with anti-entropy.
@@ -52,9 +48,8 @@ type Config struct {
 	// primary is declared down (0: 3).
 	HealthThreshold int
 	// OnPrimaryDown runs once, in its own goroutine, when the prober
-	// declares the primary down. Typically wired to Promote — the
-	// goroutine matters, because Promote stops the prober and would
-	// deadlock if called from inside its loop.
+	// declares the primary down. Typically wired to Promote, whose last
+	// sync round must not hold up the prober's loop.
 	OnPrimaryDown func()
 
 	// Trace is the span store sync rounds are recorded into (nil:
@@ -114,14 +109,21 @@ type Stats struct {
 // checkpoints. Create one with New, drive it manually with SyncOnce
 // (deterministic tests) or in the background with Start/Stop. The
 // Replica does not serve the network itself — run an
-// internal/server.Server with Config.ReadOnly over the same DB for
-// that — and it does not own the DB: closing it is the caller's job.
+// internal/server.Server over the same DB for that — and it does not
+// own the DB: closing it is the caller's job. Nor does it own the node's
+// role: that is the DB's (durable.DB.Replica), and a Replica only lives
+// as long as the replica role it was created under (see ErrPromoted).
 type Replica struct {
 	db  *durable.DB
 	cfg Config
 
 	mu   sync.Mutex // guards conn and serializes SyncOnce rounds
 	conn *client.Conn
+	// born is db.Promotions() at New. Once the count moves, this Replica
+	// is retired for good: a promotion ends the replica duty it was
+	// created for, and a later Demote starts a new one — for a new
+	// Replica, pointed wherever the new primary is.
+	born uint64
 
 	rounds, installs, shardsFetched, bytesFetched, errs atomic.Uint64
 
@@ -139,27 +141,22 @@ type Replica struct {
 	pconn       *client.Conn
 	probeFails  atomic.Uint64
 	primaryDown atomic.Bool
-
-	// abdicated flips when this node leaves replica duty (promotion).
-	// Checked under mu at round entry, and set before Stop's mu barrier,
-	// so once Abdicate returns no install can ever land again.
-	abdicated atomic.Bool
-	promoteMu sync.Mutex
 }
 
-// ErrPromoted is returned by SyncOnce after Abdicate: this node has
-// left replica duty and must not install checkpoints from the old
-// primary.
+// ErrPromoted is returned by SyncOnce once the node has been promoted
+// since this Replica was created: it has left the replica duty this
+// Replica served and must not install checkpoints from the old primary.
 var ErrPromoted = errors.New("replica: node was promoted; anti-entropy abdicated")
 
-// New returns a Replica over db. The db should have been opened with
-// NoBackground: a replica's durable state advances by installing the
-// primary's checkpoints, not by checkpointing its own.
+// New returns a Replica over db. The db should be in the replica role
+// (opened with Options.NoSweep, or demoted): a replica's durable state
+// advances by installing the primary's checkpoints, not by checkpointing
+// its own, and on a primary every round fails with ErrPromoted.
 func New(db *durable.DB, cfg Config) (*Replica, error) {
 	if cfg.Dial == nil {
 		return nil, errors.New("replica: Config.Dial is required")
 	}
-	r := &Replica{db: db, cfg: cfg.withDefaults(), stop: make(chan struct{})}
+	r := &Replica{db: db, cfg: cfg.withDefaults(), born: db.Promotions(), stop: make(chan struct{})}
 	r.m.init(cfg.Metrics, r)
 	return r, nil
 }
@@ -174,8 +171,17 @@ func (r *Replica) Stats() Stats {
 		Errors:        r.errs.Load(),
 		ProbeFailures: r.probeFails.Load(),
 		PrimaryDown:   r.primaryDown.Load(),
-		Promoted:      r.abdicated.Load(),
+		Promoted:      r.retired(),
 	}
+}
+
+// retired reports whether the node has left the replica role this
+// Replica was created under. The check is advisory — it spares a doomed
+// round its fetches and stops the loops; the fence itself is
+// durable.DB.Install, which reads the role under the lock Promote flips
+// it under.
+func (r *Replica) retired() bool {
+	return !r.db.Replica() || r.db.Promotions() != r.born
 }
 
 // connect returns the live connection, dialing if needed. Caller holds
@@ -211,7 +217,8 @@ func (r *Replica) dropConn() {
 func (r *Replica) SyncOnce() (Summary, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.abdicated.Load() {
+	if r.retired() {
+		r.dropConn()
 		return Summary{}, ErrPromoted
 	}
 	r.rounds.Add(1)
@@ -301,6 +308,9 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 		}
 		return img, err
 	})
+	if errors.Is(err, durable.ErrNotReplica) {
+		err = ErrPromoted // the promotion landed mid-round
+	}
 	if err != nil {
 		return sum, err
 	}
@@ -362,8 +372,9 @@ func (r *Replica) fetchBlob(conn *client.Conn, hash [32]byte, size int64) ([]byt
 }
 
 // Start launches the background anti-entropy loop — a round every
-// Interval until Stop — and, when Config.HealthInterval is set, the
-// primary health prober. Errors are counted and retried next round.
+// Interval until Stop or the node's promotion — and, when
+// Config.HealthInterval is set, the primary health prober, which runs as
+// long. Errors are counted and retried next round.
 func (r *Replica) Start() {
 	if r.started.Swap(true) {
 		return
@@ -379,7 +390,9 @@ func (r *Replica) Start() {
 				return
 			case <-t.C:
 			}
-			r.SyncOnce() //nolint:errcheck // counted in Stats; retried next tick
+			if _, err := r.SyncOnce(); errors.Is(err, ErrPromoted) {
+				return
+			} // any other error is counted in Stats and retried next tick
 		}
 	}()
 	if r.cfg.HealthInterval > 0 {
@@ -396,18 +409,23 @@ func (r *Replica) probeLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.HealthInterval)
 	defer t.Stop()
+	defer func() {
+		r.pmu.Lock()
+		if r.pconn != nil {
+			r.pconn.Close()
+			r.pconn = nil
+		}
+		r.pmu.Unlock()
+	}()
 	failures := 0
 	for {
 		select {
 		case <-r.stop:
-			r.pmu.Lock()
-			if r.pconn != nil {
-				r.pconn.Close()
-				r.pconn = nil
-			}
-			r.pmu.Unlock()
 			return
 		case <-t.C:
+		}
+		if r.retired() {
+			return // a primary has no primary to watch
 		}
 		if r.probeOnce() {
 			failures = 0
@@ -451,35 +469,16 @@ func (r *Replica) probeOnce() bool {
 	return true
 }
 
-// Abdicate permanently ends this node's replica duty: anti-entropy and
-// the prober stop, and every future SyncOnce fails with ErrPromoted.
-// Stop's mu acquisition doubles as the barrier that waits out a round
-// already in flight, so when Abdicate returns, no checkpoint install
-// from the old primary can ever land again. Idempotent; wired as the
-// server's OnPromote so a wire PROMOTE quiesces anti-entropy before
-// writes are accepted.
-func (r *Replica) Abdicate() {
-	r.abdicated.Store(true)
-	r.Stop()
-}
-
 // Promote lifts this node into primary duty: one final best-effort
-// sync round drains whatever the primary managed to commit (skipped
-// with the primary typically dead — the round just fails fast), then
-// Abdicate fences anti-entropy, then Config.Server flips writable and
-// re-enables sweeping. Returns the server's promotion count;
-// ErrNotReplica (via the server) if the node is already writable.
+// sync round drains whatever the primary managed to commit (with the
+// primary typically dead the round just fails fast), then the DB flips
+// to the primary role — which is all a promotion is (durable.DB.Promote):
+// from that flip on Install refuses, so this Replica and every other
+// created before it are retired without being told. Returns the node's
+// promotion count; durable.ErrNotReplica if it is already a primary.
 func (r *Replica) Promote() (uint64, error) {
-	if r.cfg.Server == nil {
-		return 0, errors.New("replica: Config.Server is required for Promote")
-	}
-	r.promoteMu.Lock()
-	defer r.promoteMu.Unlock()
-	if !r.abdicated.Load() {
-		r.SyncOnce() //nolint:errcheck // best effort: the primary is usually dead
-		r.Abdicate()
-	}
-	return r.cfg.Server.Promote()
+	r.SyncOnce() //nolint:errcheck // best effort: the primary is usually dead
+	return r.db.Promote()
 }
 
 // Stop halts the background loop (if running) and closes the

@@ -23,25 +23,24 @@ type node struct {
 
 const nodeDir = "db"
 
-func newNode(t *testing.T, fs *durable.MemFS, seed uint64, shards int, readOnly bool) *node {
+func newNode(t *testing.T, fs *durable.MemFS, seed uint64, shards int, replica bool) *node {
 	t.Helper()
-	return newNodeClock(t, fs, seed, shards, readOnly, nil)
+	return newNodeClock(t, fs, seed, shards, replica, nil)
 }
 
 // newNodeClock is newNode with an injected TTL epoch clock (nil: the
-// system clock). Read-only nodes open with NoSweep — a replica's dead
-// entries leave when the primary's swept checkpoint ships, never on the
-// replica's own schedule.
-func newNodeClock(t *testing.T, fs *durable.MemFS, seed uint64, shards int, readOnly bool, clk expiry.Clock) *node {
+// system clock). The role is the DB's one bit (Options.NoSweep opens a
+// replica); the server over it is told nothing and follows.
+func newNodeClock(t *testing.T, fs *durable.MemFS, seed uint64, shards int, replica bool, clk expiry.Clock) *node {
 	t.Helper()
 	db, err := durable.Open(nodeDir, &durable.Options{
 		Shards: shards, Seed: seed, NoBackground: true, FS: fs,
-		Clock: clk, NoSweep: readOnly,
+		Clock: clk, NoSweep: replica,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(db, server.Config{ReadTimeout: -1, ReadOnly: readOnly})
+	srv := server.New(db, server.Config{ReadTimeout: -1})
 	return &node{fs: fs, db: db, srv: srv}
 }
 

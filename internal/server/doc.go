@@ -61,8 +61,8 @@
 // under one hold of its lock, so a key a client resurrects around the
 // sweep survives. What gets removed is a pure function of (contents,
 // epoch), never of the sweeper's schedule; a server that never sweeps
-// converges to the same bytes at its next checkpoint. Read-only
-// replicas sweep nothing.
+// converges to the same bytes at its next checkpoint. Replicas sweep
+// nothing.
 //
 // # Replication
 //
@@ -70,10 +70,13 @@
 // HEALTH names the last committed checkpoint by its manifest's SHA-256,
 // and SYNC ships any blob of that checkpoint — the manifest, or an
 // image file it lists — by content hash, chunked; a hash the checkpoint
-// does not name is answered ErrCodeStale. With Config.ReadOnly the
-// server is itself a replica: mutating requests are refused with
+// does not name is answered ErrCodeStale. Over a DB in the replica role
+// (durable.DB.Replica — the server keeps no role of its own) the server
+// is itself a replica: mutating requests are refused with
 // ErrCodeReadOnly while reads, HEALTH and SYNC keep working, so
-// replicas both serve read traffic and feed downstream replicas. See
+// replicas both serve read traffic and feed downstream replicas.
+// PROMOTE is DB.Promote: one flip under the checkpoint lock, after
+// which writes are accepted and no peer's checkpoint installs. See
 // repro/internal/replica for the fetching/installing side.
 //
 // # Limits and shutdown

@@ -70,7 +70,7 @@ func registerServerFuncs(r *obs.Registry, s *Server) {
 	r.CounterFunc("hidb_server_write_batches_total", "coalescer drains applied", func() uint64 { return st.wBatches.Load() })
 	r.CounterFunc("hidb_server_write_batched_ops_total", "write ops through the coalescer", func() uint64 { return st.wBatchedOps.Load() })
 	r.CounterFunc("hidb_server_read_only_rejected_total", "writes refused because this node is a replica", func() uint64 { return st.readOnlyRejected.Load() })
-	r.CounterFunc("hidb_server_promotions_total", "replica-to-primary promotions of this process", func() uint64 { return s.promotions.Load() })
+	r.CounterFunc("hidb_server_promotions_total", "replica-to-primary promotions of this process", func() uint64 { return s.db.Promotions() })
 	r.CounterFunc("hidb_server_sweeps_total", "epoch sweeps that removed at least one expired entry", func() uint64 { return st.sweeps.Load() })
 	r.CounterFunc("hidb_server_swept_keys_total", "expired entries physically removed", func() uint64 { return db.SweptKeys() })
 	r.CounterFunc("hidb_server_checkpoints_total", "checkpoints committed", func() uint64 { return db.Checkpoints() })

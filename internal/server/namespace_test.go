@@ -354,7 +354,7 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 // with ErrCodeReadOnly before its payload is looked at (the refused
 // requests here carry none), and every other row is served.
 func TestNamespaceWireReadOnlyRefusal(t *testing.T) {
-	db := newTestDB(t, 4)
+	db := newReplicaDB(t, 4)
 	defer db.Abandon()
 	_, stamp := db.CheckpointStamp()
 	// A well-formed request for each row a replica serves.
@@ -392,10 +392,18 @@ func TestNamespaceWireReadOnlyRefusal(t *testing.T) {
 		cases = append(cases, request{spec.label, byte(op), payload, spec.mutates})
 	}
 	for _, tc := range cases {
-		// A fresh replica per request: PROMOTE, served, ends the role.
-		srv, addr := startTCP(t, db, Config{SweepInterval: -1, ReadOnly: true})
+		srv, addr := startTCP(t, db, Config{SweepInterval: -1})
 		f, err := rawCall(t, addr, tc.op, tc.payload)
 		srv.Close()
+		if !db.Replica() {
+			// PROMOTE, served, ended the role: back to it for the next row.
+			if tc.op != proto.OpPromote {
+				t.Errorf("%s left the node a primary", tc.name)
+			}
+			if err := db.Demote(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var re *proto.RemoteError
 		switch {
 		case tc.refused && (!errors.As(err, &re) || re.Code != proto.ErrCodeReadOnly):

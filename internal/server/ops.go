@@ -206,15 +206,15 @@ func serveHealth(c *conn, _ request, _, dst []byte) ([]byte, time.Time, byte) {
 	s := c.srv
 	epoch, hash := s.db.CheckpointStamp()
 	return proto.AppendHealth(dst, proto.Health{
-		ReadOnly:   s.readOnly.Load(),
-		Promotions: s.promotions.Load(),
+		ReadOnly:   s.db.Replica(),
+		Promotions: s.db.Promotions(),
 		Epoch:      epoch,
 		Hash:       hash,
 	}), time.Now(), 0
 }
 
 func servePromote(c *conn, _ request, _, dst []byte) ([]byte, time.Time, byte) {
-	n, err := c.srv.Promote()
+	n, err := c.srv.db.Promote()
 	if err != nil {
 		return refuse(proto.ErrCodeNotReplica, err.Error())
 	}

@@ -40,28 +40,12 @@ type Config struct {
 	// scans paginate: the reply's more flag tells the client to reissue
 	// from its last key + 1.
 	MaxRangeItems int
-	// ReadOnly makes this a read replica: PUT, DEL, mutating BATCH
-	// kinds, and CHECKPOINT are answered with ErrCodeReadOnly (the
-	// connection stays open — reads continue). HEALTH/SYNC still serve
-	// the node's own last installed checkpoint, so replicas can chain
-	// off replicas. Promote lifts the restriction at runtime.
-	ReadOnly bool
-	// OnPromote, if set, runs inside Promote BEFORE writes are accepted.
-	// A replica wires its anti-entropy shutdown here: the callback must
-	// not return until no further checkpoint install can land, or a
-	// stale install could clobber post-promotion writes.
-	OnPromote func()
-	// PromoteBackground makes Promote start the DB's background
-	// checkpointer (replicas open their DB with NoBackground — installs,
-	// not local checkpoints, keep the directory current — so a promoted
-	// primary needs the checkpointer brought up).
-	PromoteBackground bool
 	// SweepInterval is the expiry sweeper's poll period (0: 1 second;
 	// negative: no sweeper). The interval only bounds how soon after an
 	// epoch transition the sweeper NOTICES it — sweeps themselves are
 	// epoch-triggered (at most one per epoch, of exactly the entries
 	// already dead at it), so poll frequency never reaches the disk
-	// state. Read-only replicas sweep nothing (see sweepOnceNow).
+	// state. Replicas sweep nothing (see sweepOnceNow).
 	SweepInterval time.Duration
 	// Metrics registers the server's metric set — per-opcode latency
 	// histograms, phase timings (decode → coalesce-wait → apply →
@@ -124,6 +108,13 @@ func (c Config) withDefaults() Config {
 // final checkpoint) or Close (severed connections, no checkpoint). The
 // Server does not own the DB: closing the DB is the caller's job, after
 // the server has stopped.
+//
+// The node's role is the DB's (durable.DB.Replica), read where it
+// matters and kept nowhere else: over a replica, PUT, DEL, mutating
+// BATCH kinds and CHECKPOINT are answered with ErrCodeReadOnly (the
+// connection stays open — reads continue) while HEALTH/SYNC still serve
+// the node's own last installed checkpoint, so replicas can chain off
+// replicas; PROMOTE is DB.Promote, and the next request sees a primary.
 type Server struct {
 	db   *durable.DB
 	cfg  Config
@@ -140,13 +131,6 @@ type Server struct {
 	closing atomic.Bool    // draining: reject new work (set under mu)
 	batOnce sync.Once      // starts the coalescer on first use
 	wg      sync.WaitGroup // live connection handlers (Add under mu)
-
-	// readOnly is Config.ReadOnly made switchable at runtime; Promote
-	// clears it, Demote sets it. promoteMu serializes role changes so
-	// the refuse-on-already-writable check and the flip are atomic.
-	readOnly   atomic.Bool
-	promotions atomic.Uint64
-	promoteMu  sync.Mutex
 
 	start time.Time // for the uptime stat
 
@@ -175,7 +159,6 @@ func New(db *durable.DB, cfg Config) *Server {
 		start:     time.Now(),
 		sweep:     expiry.NewSchedule(db.Clock()),
 	}
-	s.readOnly.Store(c.ReadOnly)
 	s.sm = newServerMetrics(c.Metrics)
 	s.slow = obs.NewSlowLog(c.SlowOpLog, c.SlowOpThreshold, c.Metrics)
 	if c.Metrics != nil {
@@ -200,12 +183,12 @@ func (s *Server) startBatcher() {
 // rendering. The coalescer calls it on a Config.SweepInterval tick,
 // which only bounds reaction latency: what gets removed is a pure
 // function of (contents, epoch). The tick runs on replicas too (so a
-// Promote arms nothing), but a replica's dead entries leave when the
+// promotion arms nothing), but a replica's dead entries leave when the
 // primary's swept checkpoint ships.
 func (s *Server) sweepOnceNow() {
-	if s.readOnly.Load() {
-		// BEFORE Due(), so epochs that pass while read-only stay pending:
-		// the first sweep after a promotion covers everything dead then.
+	if s.db.Replica() {
+		// BEFORE Due(), so epochs that pass on a replica stay pending: the
+		// first sweep after a promotion covers everything dead then.
 		return
 	}
 	epoch, due := s.sweep.Due()
@@ -216,49 +199,6 @@ func (s *Server) sweepOnceNow() {
 		s.st.sweeps.Add(1)
 	}
 	s.sweep.MarkDone(epoch)
-}
-
-// ErrNotReplica is returned by Promote on a node that is already
-// writable — a double promotion, or a PROMOTE aimed at the primary.
-var ErrNotReplica = errors.New("server: node is already writable")
-
-// Promote lifts a read replica into a writable primary and returns the
-// node's promotion count. The sequence is load-bearing: first
-// Config.OnPromote quiesces anti-entropy (no checkpoint install may
-// land after this returns), then the DB re-enables sweeping (and the
-// background checkpointer if Config.PromoteBackground), and only then
-// is ReadOnly lifted — so no accepted write can ever be clobbered by a
-// stale install. The sweeper, already polling, begins sweeping on its
-// next tick. Promotion state lives in memory and on the wire only;
-// nothing about the role change is persisted.
-func (s *Server) Promote() (uint64, error) {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
-	if !s.readOnly.Load() {
-		return s.promotions.Load(), ErrNotReplica
-	}
-	if s.cfg.OnPromote != nil {
-		s.cfg.OnPromote()
-	}
-	s.db.Promote(s.cfg.PromoteBackground)
-	s.readOnly.Store(false)
-	return s.promotions.Add(1), nil
-}
-
-// Demote returns a writable node to read-replica duty (the rejoin
-// path: an old primary that crashed and recovered demotes itself
-// before syncing off the new primary). Writes in the coalescer queue
-// at the flip still apply — demotion is a role change, not a barrier;
-// callers quiesce their own clients first.
-func (s *Server) Demote() error {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
-	if s.readOnly.Load() {
-		return errors.New("server: node is already read-only")
-	}
-	s.db.Demote()
-	s.readOnly.Store(true)
-	return nil
 }
 
 // ListenAndServe listens on addr ("host:port") and serves until
@@ -706,7 +646,7 @@ func (c *conn) dispatch(rq request, p []byte) {
 		c.fail(&rq, proto.ErrCodeUnknownOp, proto.OpName(rq.op))
 		return
 	}
-	if s.readOnly.Load() && mutates(rq.op, p) {
+	if s.db.Replica() && mutates(rq.op, p) {
 		s.st.readOnlyRejected.Add(1)
 		c.fail(&rq, proto.ErrCodeReadOnly,
 			fmt.Sprintf("%s: this node is a read replica; send writes to the primary", proto.OpName(rq.op)))

@@ -19,9 +19,20 @@ import (
 // checkpointer, so tests control every commit.
 func newTestDB(t *testing.T, shards int) *durable.DB {
 	t.Helper()
-	db, err := durable.Open("db", &durable.Options{
-		Shards: shards, Seed: 42, NoBackground: true, FS: durable.NewMemFS(),
-	})
+	return openTestDB(t, &durable.Options{Shards: shards, Seed: 42})
+}
+
+// newReplicaDB is newTestDB in the replica role; a server over it is a
+// read replica, with nothing said to the server.
+func newReplicaDB(t *testing.T, shards int) *durable.DB {
+	t.Helper()
+	return openTestDB(t, &durable.Options{Shards: shards, Seed: 42, NoSweep: true})
+}
+
+func openTestDB(t *testing.T, o *durable.Options) *durable.DB {
+	t.Helper()
+	o.NoBackground, o.FS = true, durable.NewMemFS()
+	db, err := durable.Open("db", o)
 	if err != nil {
 		t.Fatal(err)
 	}

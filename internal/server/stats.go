@@ -116,7 +116,7 @@ type Stats struct {
 // entries. See the KeysPhysical/KeysLogical field docs.
 func (s *Server) Stats() Stats {
 	role := "primary"
-	if s.readOnly.Load() {
+	if s.db.Replica() {
 		role = "replica"
 	}
 	return Stats{
@@ -142,7 +142,7 @@ func (s *Server) Stats() Stats {
 		ReadOnlyRejected: s.st.readOnlyRejected.Load(),
 		SyncChunks:       s.st.byClass[classSyncChunk].Load(),
 		SyncBytesOut:     s.st.syncBytesOut.Load(),
-		Promotions:       s.promotions.Load(),
+		Promotions:       s.db.Promotions(),
 
 		Epoch:         s.db.Epoch(),
 		SweptKeys:     s.db.SweptKeys(),

@@ -199,9 +199,9 @@ func TestSyncHostileRequests(t *testing.T) {
 
 // TestStatsRole checks the replica role surfaces in Stats.
 func TestStatsRole(t *testing.T) {
-	db := newTestDB(t, 4)
+	db := newReplicaDB(t, 4)
 	defer db.Close()
-	srv := New(db, Config{ReadOnly: true})
+	srv := New(db, Config{})
 	defer srv.Close()
 	if st := srv.Stats(); st.Role != "replica" {
 		t.Fatalf("role = %q, want replica", st.Role)

@@ -18,13 +18,7 @@ import (
 
 func openTTLDB(t *testing.T, clk expiry.Clock) *durable.DB {
 	t.Helper()
-	db, err := durable.Open("db", &durable.Options{
-		Shards: 4, Seed: 11, FS: durable.NewMemFS(), NoBackground: true, Clock: clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return openTestDB(t, &durable.Options{Shards: 4, Seed: 11, Clock: clk})
 }
 
 func TestTTLOverTheWire(t *testing.T) {
@@ -239,9 +233,9 @@ func physicalKeys(db *durable.DB) int {
 
 func TestTTLReadOnlyReplicaRefusesPutTTL(t *testing.T) {
 	clk := expiry.NewManual(10)
-	db := openTTLDB(t, clk)
+	db := openTestDB(t, &durable.Options{Shards: 4, Seed: 11, Clock: clk, NoSweep: true})
 	defer db.Close()
-	srv, addr := startTCP(t, db, Config{ReadOnly: true})
+	srv, addr := startTCP(t, db, Config{})
 	defer srv.Close()
 	c, err := client.Dial(addr)
 	if err != nil {
