@@ -42,16 +42,24 @@ type Health = proto.Health
 // use: every method may be called from any goroutine, and concurrent
 // calls share the connection as in-flight pipelined requests.
 type Conn struct {
-	nc     net.Conn
-	nextID atomic.Uint64
+	nc net.Conn
 
-	wch chan []byte // encoded request frames to the writer
-
+	// One lock covers the outbound buffer and the in-flight table. The
+	// outbound side is the design of internal/server's conn: a caller
+	// encodes its frame in place into out under mu and nudges the writer
+	// through wsig; the writer swaps out for its spare buffer and writes
+	// the whole burst with one syscall. The two buffers alternate, so a
+	// steady pipeline allocates nothing.
 	mu      sync.Mutex
-	pending map[uint64]chan proto.Frame
-	err     error // set once broken; guards future calls
+	out     []byte           // encoded request frames awaiting the writer
+	nextID  uint64           // last request id issued; ids start at 1
+	pending map[uint64]*call // in-flight calls by request id
+	free    []*call          // released call records, reused last-in first-out
+	jumbo   []byte           // the one reply buffer over maxRetained kept for reuse (see release)
+	err     error            // set once broken; guards future calls
 	closed  bool
-	dead    atomic.Bool // mirrors closed for lock-free health checks
+	dead    atomic.Bool   // mirrors closed for lock-free health checks
+	wsig    chan struct{} // capacity 1: wake the writer
 
 	done    chan struct{} // closed when the reader exits
 	timeout time.Duration
@@ -72,6 +80,34 @@ type Conn struct {
 	// decision — and sampled or failed calls record a client span. An
 	// atomic pointer because SetTrace may race in-flight calls.
 	tr atomic.Pointer[trace.Store]
+}
+
+// maxRetained is the largest buffer a call record, or the writer's
+// spare, keeps for reuse. Anything that grew past it — a jumbo batch,
+// range or sync chunk — leaves with that one use, so a large transfer is
+// never pinned once per pooled record. The server's pscratch rule.
+const maxRetained = 64 << 10
+
+// call is the state of one in-flight request, pooled per Conn so a
+// steady caller allocates none of it.
+//
+// OWNERSHIP: the reply payload belongs to its call record until
+// release; anything a method hands back to its caller is decoded or
+// copied out of it first. A record is released only by the caller that
+// received its wake, so a record on the free list has an empty done
+// channel and no other holder. A caller whose wait timed out never
+// releases: the reader may already hold the record and a late reply
+// may still land in it, so it is left to the collector.
+type call struct {
+	// done carries the one wake a registered call gets: nil once the
+	// reader has filed the reply, the connection's terminal error when
+	// fail swept the call. Whoever removes the record from Conn.pending
+	// sends, so there is exactly one send per registration and, at
+	// capacity 1, it never blocks.
+	done  chan error
+	op    byte        // the reply frame's opcode
+	reply []byte      // the reply payload, copied out of the reader's buffer
+	timer *time.Timer // the reply timeout, re-armed per call (nil: none armed yet)
 }
 
 // Dial connects to a hidbd server at addr ("host:port").
@@ -111,8 +147,8 @@ func NewConnTimeout(nc net.Conn, d time.Duration) *Conn {
 func NewConn(nc net.Conn) *Conn {
 	c := &Conn{
 		nc:      nc,
-		wch:     make(chan []byte, 256),
-		pending: map[uint64]chan proto.Frame{},
+		pending: map[uint64]*call{},
+		wsig:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		m:       defaultClientMetrics,
 	}
@@ -137,8 +173,9 @@ func (c *Conn) Close() error {
 func (c *Conn) broken() bool { return c.dead.Load() }
 
 // fail marks the connection broken, closes the socket, and fails every
-// in-flight request. First cause wins; the socket close error is
-// returned by the invocation that actually performed the teardown.
+// in-flight request by sending the cause down its record's done channel.
+// First cause wins; the socket close error is returned by the invocation
+// that actually performed the teardown.
 func (c *Conn) fail(cause error) error {
 	c.mu.Lock()
 	if c.closed {
@@ -149,41 +186,41 @@ func (c *Conn) fail(cause error) error {
 	c.dead.Store(true)
 	c.err = cause
 	waiters := c.pending
-	c.pending = map[uint64]chan proto.Frame{}
+	c.pending = nil // registration stops at closed; lookups and deletes on nil are no-ops
 	c.mu.Unlock()
 	cerr := c.nc.Close()
-	for _, ch := range waiters {
-		close(ch) // receivers translate a closed channel into c.err
+	for _, r := range waiters {
+		r.done <- cause
 	}
 	return cerr
 }
 
-// writeLoop serializes request frames, flushing when the queue goes
-// idle so concurrent callers share syscalls.
+// writeLoop writes queued request frames: swap the whole outbound
+// buffer for a spare, write it with one syscall, repeat — so concurrent
+// callers share syscalls and the writer does no per-frame work (frames
+// were encoded by their callers as they were queued).
 func (c *Conn) writeLoop() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
+	var spare []byte
 	for {
-		var buf []byte
-		select {
-		case buf = <-c.wch:
-		case <-c.done:
-			return // conn dead; senders unblock on done too
-		}
-		_, err := bw.Write(buf)
-	more:
-		for err == nil {
+		c.mu.Lock()
+		burst := c.out
+		c.out = spare[:0]
+		c.mu.Unlock()
+		spare = burst
+		if len(burst) == 0 {
 			select {
-			case buf2 := <-c.wch:
-				_, err = bw.Write(buf2)
-			default:
-				break more
+			case <-c.wsig:
+			case <-c.done:
+				return // conn dead
 			}
+			continue
 		}
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
+		if _, err := c.nc.Write(burst); err != nil {
 			c.fail(fmt.Errorf("%w: write: %w", ErrConnClosed, err))
+			return
+		}
+		if cap(spare) > maxRetained {
+			spare = nil
 		}
 	}
 }
@@ -203,14 +240,22 @@ func (c *Conn) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[f.ID]
+		r := c.pending[f.ID]
 		delete(c.pending, f.ID)
+		if r != nil {
+			if len(f.Payload) <= maxRetained {
+				c.jumbo = nil
+			} else if cap(c.jumbo) >= len(f.Payload) {
+				r.reply, c.jumbo = c.jumbo, nil
+			}
+		}
 		c.mu.Unlock()
-		if ok {
+		if r != nil {
 			// The payload aliases the reader's buffer, which the next
-			// Next overwrites; the caller gets its own copy.
-			f.Payload = append([]byte(nil), f.Payload...)
-			ch <- f // buffered; never blocks
+			// Next overwrites; the record keeps its own copy.
+			r.op = f.Op
+			r.reply = append(r.reply[:0], f.Payload...)
+			r.done <- nil
 			continue
 		}
 		// No waiting caller. An error frame with id 0 addresses the
@@ -230,17 +275,34 @@ func (c *Conn) readLoop() {
 }
 
 // call sends one request and waits for its reply, enforcing the
-// version and error-frame conventions.
-func (c *Conn) call(op byte, payload []byte) (proto.Frame, error) {
+// version and error-frame conventions. On success it returns the call
+// record holding the reply: the caller decodes what it needs out of
+// r.reply and then hands r back with release.
+func (c *Conn) call(op byte, payload []byte) (*call, error) {
 	t0 := time.Now()
 	c.m.inflight.Add(1)
-	f, err := c.doCall(op, payload)
+	r, err := c.doCall(op, payload)
 	c.m.inflight.Add(-1)
 	c.m.reqSecs.ObserveSince(t0)
 	if err != nil {
 		c.m.requestErrors.Inc()
 	}
-	return f, err
+	return r, err
+}
+
+// release returns a record whose reply has been consumed to the
+// connection's free list. A reply buffer over maxRetained does not stay
+// on the record: the connection keeps one such buffer, in jumbo, and the
+// reader lends it to the next reply that large — a SYNC stream or a
+// paged RANGE reuses it reply after reply — and drops it with the first
+// reply that is not.
+func (c *Conn) release(r *call) {
+	c.mu.Lock()
+	if cap(r.reply) > maxRetained {
+		c.jumbo, r.reply = r.reply, nil
+	}
+	c.free = append(c.free, r)
+	c.mu.Unlock()
 }
 
 // errLocalFailure is the Err byte a client span carries when the call
@@ -259,7 +321,7 @@ func (c *Conn) SetTrace(st *trace.Store) {
 	}
 }
 
-func (c *Conn) doCall(op byte, payload []byte) (proto.Frame, error) {
+func (c *Conn) doCall(op byte, payload []byte) (*call, error) {
 	tr := c.tr.Load()
 	if tr == nil {
 		return c.doCallCtx(op, payload, proto.TraceCtx{})
@@ -269,95 +331,117 @@ func (c *Conn) doCall(op byte, payload []byte) (proto.Frame, error) {
 	sid := tr.NewID()
 	tc := proto.TraceCtx{ID: tr.NewID(), Span: sid, Sampled: tr.Sample()}
 	t0 := time.Now()
-	f, err := c.doCallCtx(op, payload, tc)
+	r, err := c.doCallCtx(op, payload, tc)
 	if tc.Sampled || err != nil {
-		ec := byte(0)
+		ec, out := byte(0), 0
 		if err != nil {
 			ec = errLocalFailure
 			var re *proto.RemoteError
 			if errors.As(err, &re) {
 				ec = re.Code
 			}
+		} else {
+			out = len(r.reply)
 		}
 		tr.Record(trace.Span{
 			Trace: tc.ID, ID: sid,
 			Start: t0.UnixNano(), Dur: int64(time.Since(t0)),
 			Kind: trace.KindClient, Op: op, Err: ec, Shard: -1,
-			In: int32(len(payload)), Out: int32(len(f.Payload)),
+			In: int32(len(payload)), Out: int32(out),
 		})
 	}
-	return f, err
+	return r, err
 }
 
-func (c *Conn) doCallCtx(op byte, payload []byte, tc proto.TraceCtx) (proto.Frame, error) {
-	id := c.nextID.Add(1)
-	ch := make(chan proto.Frame, 1)
-
+func (c *Conn) doCallCtx(op byte, payload []byte, tc proto.TraceCtx) (*call, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
-		return proto.Frame{}, err
+		return nil, err
 	}
-	c.pending[id] = ch
+	var r *call
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		r = &call{done: make(chan error, 1)}
+	}
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = r
+	c.out = proto.AppendFrame(c.out, proto.Frame{Ver: proto.Version, Op: op, ID: id, Payload: payload, Trace: tc})
 	c.mu.Unlock()
-
-	buf := proto.AppendFrame(nil, proto.Frame{Ver: proto.Version, Op: op, ID: id, Payload: payload, Trace: tc})
 	select {
-	case c.wch <- buf:
-	case <-c.done:
-		return proto.Frame{}, c.lastErr()
+	case c.wsig <- struct{}{}:
+	default:
 	}
 
 	var timeout <-chan time.Time
 	if c.timeout > 0 {
-		t := time.NewTimer(c.timeout)
-		defer t.Stop()
-		timeout = t.C
+		if r.timer == nil {
+			r.timer = time.NewTimer(c.timeout)
+		} else {
+			r.timer.Reset(c.timeout)
+		}
+		timeout = r.timer.C
 	}
 	select {
-	case f, ok := <-ch:
-		if !ok {
-			return proto.Frame{}, c.lastErr()
+	case err := <-r.done:
+		if r.timer != nil && !r.timer.Stop() {
+			// The timer fired while the reply landed, so its channel may
+			// hold a tick, now or in a moment (which one depends on the
+			// timer-channel semantics the binary was built with). A tick
+			// left behind would time the next call out at once, and a
+			// drain could block: drop the timer; the next call arms a new
+			// one.
+			r.timer = nil
 		}
-		if f.Op == proto.OpError {
-			code, msg, err := proto.DecodeError(f.Payload)
-			if err != nil {
-				return proto.Frame{}, fmt.Errorf("client: bad error frame: %w", err)
-			}
-			rerr := &proto.RemoteError{Code: code, Msg: msg}
-			switch code {
-			case proto.ErrCodeReadOnly:
-				// Both sentinels stay in the chain: errors.Is(err,
-				// ErrReadOnly) for routing, errors.As for the code.
-				return proto.Frame{}, fmt.Errorf("%w: %w", ErrReadOnly, rerr)
-			case proto.ErrCodeNotReplica:
-				return proto.Frame{}, fmt.Errorf("%w: %w", ErrNotReplica, rerr)
-			case proto.ErrCodeQuota:
-				return proto.Frame{}, fmt.Errorf("%w: %w", ErrQuota, rerr)
-			}
-			return proto.Frame{}, rerr
+		if err == nil {
+			err = checkReply(op, r)
 		}
-		if f.Op != op|proto.FlagReply {
-			return proto.Frame{}, fmt.Errorf("client: reply opcode %s to request %s",
-				proto.OpName(f.Op), proto.OpName(op))
+		if err != nil {
+			c.release(r)
+			return nil, err
 		}
-		return f, nil
+		return r, nil
 	case <-timeout:
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return proto.Frame{}, fmt.Errorf("client: %s timed out after %v", proto.OpName(op), c.timeout)
+		// r is abandoned, not released: see call's ownership rule.
+		return nil, fmt.Errorf("client: %s timed out after %v", proto.OpName(op), c.timeout)
 	}
 }
 
-func (c *Conn) lastErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
+// checkReply turns an error frame into its Go error and refuses a
+// reply whose opcode does not answer op. Everything it returns is
+// copied out of the record.
+func checkReply(op byte, r *call) error {
+	if r.op == proto.OpError {
+		code, msg, err := proto.DecodeError(r.reply)
+		if err != nil {
+			return fmt.Errorf("client: bad error frame: %w", err)
+		}
+		rerr := &proto.RemoteError{Code: code, Msg: msg}
+		switch code {
+		case proto.ErrCodeReadOnly:
+			// Both sentinels stay in the chain: errors.Is(err,
+			// ErrReadOnly) for routing, errors.As for the code.
+			return fmt.Errorf("%w: %w", ErrReadOnly, rerr)
+		case proto.ErrCodeNotReplica:
+			return fmt.Errorf("%w: %w", ErrNotReplica, rerr)
+		case proto.ErrCodeQuota:
+			return fmt.Errorf("%w: %w", ErrQuota, rerr)
+		}
+		return rerr
 	}
-	return ErrConnClosed
+	if r.op != op|proto.FlagReply {
+		return fmt.Errorf("client: reply opcode %s to request %s",
+			proto.OpName(r.op), proto.OpName(op))
+	}
+	return nil
 }
 
 // noteEpoch records a stamped reply's checkpoint epoch, keeping the
@@ -389,12 +473,17 @@ func (c *Conn) Get(key int64) (val int64, ok bool, err error) {
 // GetStamped is Get plus the serving node's checkpoint epoch stamp —
 // the bounded-staleness contract made visible. On a replica the stamp
 // identifies exactly which installed checkpoint served the read.
+//
+// Like every point op, it builds its request payload in a stack array,
+// so the call allocates nothing on its way out either.
 func (c *Conn) GetStamped(key int64) (val int64, epoch uint64, ok bool, err error) {
-	f, err := c.call(proto.OpGet, proto.AppendKey(nil, key))
+	var b [8]byte
+	r, err := c.call(proto.OpGet, proto.AppendKey(b[:0], key))
 	if err != nil {
 		return 0, 0, false, err
 	}
-	val, epoch, ok, err = proto.DecodeFound(f.Payload)
+	val, epoch, ok, err = proto.DecodeFound(r.reply)
+	c.release(r)
 	if err == nil {
 		c.noteEpoch(epoch)
 	}
@@ -404,16 +493,19 @@ func (c *Conn) GetStamped(key int64) (val int64, epoch uint64, ok bool, err erro
 // Put upserts the value for key and reports whether the key was newly
 // inserted.
 func (c *Conn) Put(key, val int64) (inserted bool, err error) {
-	return c.callBool(proto.OpPut, proto.AppendKeyVal(nil, key, val))
+	var b [16]byte
+	return c.callBool(proto.OpPut, proto.AppendKeyVal(b[:0], key, val))
 }
 
 // callBool is a call whose reply is a single flag.
 func (c *Conn) callBool(op byte, payload []byte) (bool, error) {
-	f, err := c.call(op, payload)
+	r, err := c.call(op, payload)
 	if err != nil {
 		return false, err
 	}
-	return proto.DecodeBool(f.Payload)
+	v, err := proto.DecodeBool(r.reply)
+	c.release(r)
+	return v, err
 }
 
 // PutTTL upserts the value for key with an ABSOLUTE expiry epoch (unix
@@ -423,18 +515,20 @@ func (c *Conn) callBool(op byte, payload []byte) (bool, error) {
 // caller's arithmetic (time.Now().Unix() + seconds): the wire
 // deliberately carries only absolute state, never request timing.
 func (c *Conn) PutTTL(key, val, exp int64) (inserted bool, err error) {
-	return c.putTTL(proto.OpPutTTL, proto.AppendKeyValExp(nil, key, val, exp), exp)
+	var b [24]byte
+	return c.putTTL(proto.OpPutTTL, proto.AppendKeyValExp(b[:0], key, val, exp), exp)
 }
 
 // putTTL is the expiring put of either op family (PUTTTL, NSPUT): the
 // reply is the inserted flag and the applied expiry, which must echo
 // exp.
 func (c *Conn) putTTL(op byte, payload []byte, exp int64) (inserted bool, err error) {
-	f, err := c.call(op, payload)
+	r, err := c.call(op, payload)
 	if err != nil {
 		return false, err
 	}
-	inserted, echoed, err := proto.DecodeTTLAck(f.Payload)
+	inserted, echoed, err := proto.DecodeTTLAck(r.reply)
+	c.release(r)
 	if err != nil {
 		return false, err
 	}
@@ -448,17 +542,19 @@ func (c *Conn) putTTL(op byte, payload []byte, exp int64) (inserted bool, err er
 // key, and whether the key is live. An entry whose expiry has passed
 // reads as absent from the moment the epoch passes it.
 func (c *Conn) GetTTL(key int64) (val, exp int64, ok bool, err error) {
-	return c.getTTL(proto.OpGetTTL, proto.AppendKey(nil, key))
+	var b [8]byte
+	return c.getTTL(proto.OpGetTTL, proto.AppendKey(b[:0], key))
 }
 
 // getTTL is the expiry-reporting get of either op family (GETTTL,
 // NSGET).
 func (c *Conn) getTTL(op byte, payload []byte) (val, exp int64, ok bool, err error) {
-	f, err := c.call(op, payload)
+	r, err := c.call(op, payload)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	val, exp, epoch, ok, err := proto.DecodeFoundTTL(f.Payload)
+	val, exp, epoch, ok, err := proto.DecodeFoundTTL(r.reply)
+	c.release(r)
 	if err == nil {
 		c.noteEpoch(epoch)
 	}
@@ -467,18 +563,25 @@ func (c *Conn) getTTL(op byte, payload []byte) (val, exp int64, ok bool, err err
 
 // Delete removes key and reports whether it was present.
 func (c *Conn) Delete(key int64) (deleted bool, err error) {
-	return c.callBool(proto.OpDel, proto.AppendKey(nil, key))
+	var b [8]byte
+	return c.callBool(proto.OpDel, proto.AppendKey(b[:0], key))
+}
+
+// callU32 is a call whose reply is a 32-bit count.
+func (c *Conn) callU32(op byte, payload []byte) (int, error) {
+	r, err := c.call(op, payload)
+	if err != nil {
+		return 0, err
+	}
+	n, err := proto.DecodeU32(r.reply)
+	c.release(r)
+	return int(n), err
 }
 
 // PutBatch upserts every item in one request and returns the number of
 // keys newly inserted. Duplicate keys apply in batch order.
 func (c *Conn) PutBatch(items []Item) (inserted int, err error) {
-	f, err := c.call(proto.OpBatch, proto.AppendBatchPut(nil, items))
-	if err != nil {
-		return 0, err
-	}
-	n, err := proto.DecodeU32(f.Payload)
-	return int(n), err
+	return c.callU32(proto.OpBatch, proto.AppendBatchPut(nil, items))
 }
 
 // GetBatch looks up every key in one request; values and presence
@@ -489,11 +592,12 @@ func (c *Conn) GetBatch(keys []int64) (vals []int64, ok []bool, err error) {
 		return nil, nil, fmt.Errorf("client: batch-get of %d keys exceeds the %d-key reply cap",
 			len(keys), proto.MaxBatchGet)
 	}
-	f, err := c.call(proto.OpBatch, proto.AppendBatchKeys(nil, proto.BatchGet, keys))
+	r, err := c.call(proto.OpBatch, proto.AppendBatchKeys(nil, proto.BatchGet, keys))
 	if err != nil {
 		return nil, nil, err
 	}
-	vals, ok, epoch, err := proto.DecodeBatchGetReply(f.Payload)
+	vals, ok, epoch, err := proto.DecodeBatchGetReply(r.reply)
+	c.release(r)
 	if err == nil {
 		c.noteEpoch(epoch)
 	}
@@ -503,23 +607,20 @@ func (c *Conn) GetBatch(keys []int64) (vals []int64, ok []bool, err error) {
 // DeleteBatch removes every key in one request and returns the number
 // that were present.
 func (c *Conn) DeleteBatch(keys []int64) (deleted int, err error) {
-	f, err := c.call(proto.OpBatch, proto.AppendBatchKeys(nil, proto.BatchDel, keys))
-	if err != nil {
-		return 0, err
-	}
-	n, err := proto.DecodeU32(f.Payload)
-	return int(n), err
+	return c.callU32(proto.OpBatch, proto.AppendBatchKeys(nil, proto.BatchDel, keys))
 }
 
 // Range returns up to max items with lo <= key <= hi in ascending key
 // order (max 0: the server's cap). more reports that the scan was
 // truncated; resume with lo = last key + 1.
 func (c *Conn) Range(lo, hi int64, max int) (items []Item, more bool, err error) {
-	f, err := c.call(proto.OpRange, proto.AppendRangeReq(nil, lo, hi, uint32(max)))
+	var b [20]byte
+	r, err := c.call(proto.OpRange, proto.AppendRangeReq(b[:0], lo, hi, uint32(max)))
 	if err != nil {
 		return nil, false, err
 	}
-	items, epoch, more, err := proto.DecodeRangeReply(f.Payload)
+	items, epoch, more, err := proto.DecodeRangeReply(r.reply)
+	c.release(r)
 	if err == nil {
 		c.noteEpoch(epoch)
 	}
@@ -528,43 +629,55 @@ func (c *Conn) Range(lo, hi int64, max int) (items []Item, more bool, err error)
 
 // Len returns the number of keys in the database.
 func (c *Conn) Len() (int, error) {
-	f, err := c.call(proto.OpLen, nil)
+	r, err := c.call(proto.OpLen, nil)
 	if err != nil {
 		return 0, err
 	}
-	n, epoch, err := proto.DecodeLenReply(f.Payload)
+	n, epoch, err := proto.DecodeLenReply(r.reply)
+	c.release(r)
 	if err == nil {
 		c.noteEpoch(epoch)
 	}
 	return int(n), err
 }
 
+// callU64 is a payload-free call whose reply is one counter.
+func (c *Conn) callU64(op byte) (uint64, error) {
+	r, err := c.call(op, nil)
+	if err != nil {
+		return 0, err
+	}
+	n, err := proto.DecodeU64(r.reply)
+	c.release(r)
+	return n, err
+}
+
 // Checkpoint commits a checkpoint and returns the server's total
 // committed-checkpoint count. It is a durability barrier for this
 // connection: every previously acknowledged operation is on disk when
 // it returns.
-func (c *Conn) Checkpoint() (uint64, error) {
-	f, err := c.call(proto.OpCheckpoint, nil)
-	if err != nil {
-		return 0, err
-	}
-	return proto.DecodeU64(f.Payload)
-}
+func (c *Conn) Checkpoint() (uint64, error) { return c.callU64(proto.OpCheckpoint) }
 
 // SyncChunk fetches up to maxLen bytes (0: the server's default),
 // starting at offset, of the blob of the server's committed checkpoint
-// whose SHA-256 is hash: the manifest itself — the hash Health reports —
-// or an image file that manifest names. more reports that the blob
-// continues past the returned bytes. A hash the committed checkpoint
-// does not (or no longer does) name fails with a RemoteError carrying
-// proto.ErrCodeStale — start over from Health. Callers assembling a
-// whole blob must verify its SHA-256 against the hash they asked for.
-func (c *Conn) SyncChunk(hash [32]byte, offset uint64, maxLen int) (data []byte, more bool, err error) {
-	f, err := c.call(proto.OpSync, proto.AppendSyncReq(nil, hash, offset, uint32(maxLen)))
+// whose SHA-256 is hash — the manifest itself (the hash Health reports)
+// or an image file that manifest names — and appends them to dst,
+// returning the extended slice; on error dst comes back as it was. more
+// reports that the blob continues past the appended bytes. A hash the
+// committed checkpoint does not (or no longer does) name fails with a
+// RemoteError carrying proto.ErrCodeStale — start over from Health.
+// Callers assembling a whole blob must verify its SHA-256 against the
+// hash they asked for.
+func (c *Conn) SyncChunk(dst []byte, hash [32]byte, offset uint64, maxLen int) (out []byte, more bool, err error) {
+	var b [44]byte
+	r, err := c.call(proto.OpSync, proto.AppendSyncReq(b[:0], hash, offset, uint32(maxLen)))
 	if err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
-	return proto.DecodeSyncChunk(f.Payload)
+	data, more, err := proto.DecodeSyncChunk(r.reply)
+	dst = append(dst, data...) // data aliases the record's buffer
+	c.release(r)
+	return dst, more, err
 }
 
 // Health fetches the server's role and checkpoint position: whether it
@@ -574,11 +687,12 @@ func (c *Conn) SyncChunk(hash [32]byte, offset uint64, maxLen int) (data []byte,
 // responsive as a liveness probe even when the write path is backed
 // up. Two nodes serving identical checkpoints report identical hashes.
 func (c *Conn) Health() (Health, error) {
-	f, err := c.call(proto.OpHealth, nil)
+	r, err := c.call(proto.OpHealth, nil)
 	if err != nil {
 		return Health{}, err
 	}
-	h, err := proto.DecodeHealth(f.Payload)
+	h, err := proto.DecodeHealth(r.reply)
+	c.release(r)
 	if err == nil {
 		c.noteEpoch(h.Epoch)
 	}
@@ -590,22 +704,18 @@ func (c *Conn) Health() (Health, error) {
 // refuses with an error satisfying errors.Is(err, ErrNotReplica).
 // Promotion is in-memory and wire-visible only; the caller is
 // responsible for making sure the old primary is actually gone.
-func (c *Conn) Promote() (uint64, error) {
-	f, err := c.call(proto.OpPromote, nil)
-	if err != nil {
-		return 0, err
-	}
-	return proto.DecodeU64(f.Payload)
-}
+func (c *Conn) Promote() (uint64, error) { return c.callU64(proto.OpPromote) }
 
 // Ping round-trips payload (may be nil) through the server.
 func (c *Conn) Ping(payload []byte) error {
-	f, err := c.call(proto.OpPing, payload)
+	r, err := c.call(proto.OpPing, payload)
 	if err != nil {
 		return err
 	}
-	if string(f.Payload) != string(payload) {
-		return fmt.Errorf("client: ping echoed %d bytes, sent %d", len(f.Payload), len(payload))
+	n, same := len(r.reply), string(r.reply) == string(payload)
+	c.release(r)
+	if !same {
+		return fmt.Errorf("client: ping echoed %d bytes, sent %d", n, len(payload))
 	}
 	return nil
 }

@@ -6,11 +6,23 @@
 // Conn is one pipelined connection: any number of goroutines may issue
 // requests on it concurrently, each request gets a fresh id, and a
 // dedicated reader routes every reply — which may arrive out of request
-// order — back to its caller. A dedicated writer coalesces concurrent
-// requests into single flushes, so pipelining costs one syscall per
-// burst, not per request. Client is a fixed-size pool of Conns with the
-// same method set, spreading callers round-robin when one connection's
-// reply stream would otherwise serialize them.
+// order — back to its caller. A caller encodes its request in place
+// into the connection's outbound buffer and a dedicated writer writes
+// whatever has gathered there as one burst (the design of the server's
+// connection), so pipelining costs one syscall per burst, not per
+// request. Client is a fixed-size pool of Conns with the same method
+// set, spreading callers round-robin when one connection's reply stream
+// would otherwise serialize them.
+//
+// A point operation's round trip allocates nothing at steady state. The
+// per-call state — wake channel, reply buffer, reply timer — is a record
+// pooled per Conn, and request payloads are built on the caller's stack.
+// One ownership rule makes the pooling safe: a reply payload belongs to
+// its call record until release, and anything a method returns is
+// decoded or copied out of it first — which is why SyncChunk appends to
+// a buffer the caller supplies rather than returning a slice of the
+// reply. No record keeps a buffer past 64 KiB, and a call that timed out
+// gives its record up rather than back.
 //
 // The pool is self-healing. A Conn never recovers once its transport
 // fails — in-flight and future calls on it return ErrConnClosed — but

@@ -17,6 +17,11 @@ import (
 // ErrCodeQuota). Check it with errors.Is; the connection stays usable.
 var ErrQuota = errors.New("client: namespace is at its key quota")
 
+// nsReqMax is the largest namespaced point-op request payload — an
+// NSPUT naming a tenant of maximal length — and so the size of the stack
+// array each of them is built in.
+const nsReqMax = 2 + proto.MaxNSName + 24
+
 // NSStat re-exports one LISTNS entry: a tenant name and its live key
 // count. Listings are byte-sorted by name — canonical order, never
 // creation order.
@@ -34,7 +39,8 @@ func (c *Conn) NSPut(ns string, key, val int64) (inserted bool, err error) {
 // inserts of new keys with an error satisfying errors.Is(err,
 // ErrQuota); upserts of existing keys always pass.
 func (c *Conn) NSPutTTL(ns string, key, val, exp int64) (inserted bool, err error) {
-	return c.putTTL(proto.OpNSPut, proto.AppendNSKeyValExp(nil, ns, key, val, exp), exp)
+	var b [nsReqMax]byte
+	return c.putTTL(proto.OpNSPut, proto.AppendNSKeyValExp(b[:0], ns, key, val, exp), exp)
 }
 
 // NSGet returns the value stored for key in the named tenant's
@@ -47,13 +53,15 @@ func (c *Conn) NSGet(ns string, key int64) (val int64, ok bool, err error) {
 // NSGetTTL returns the value and recorded absolute expiry (0: none)
 // for key in the named tenant's keyspace, and whether the key is live.
 func (c *Conn) NSGetTTL(ns string, key int64) (val, exp int64, ok bool, err error) {
-	return c.getTTL(proto.OpNSGet, proto.AppendNSKey(nil, ns, key))
+	var b [nsReqMax]byte
+	return c.getTTL(proto.OpNSGet, proto.AppendNSKey(b[:0], ns, key))
 }
 
 // NSDelete removes key from the named tenant's keyspace and reports
 // whether it was present.
 func (c *Conn) NSDelete(ns string, key int64) (deleted bool, err error) {
-	return c.callBool(proto.OpNSDel, proto.AppendNSKey(nil, ns, key))
+	var b [nsReqMax]byte
+	return c.callBool(proto.OpNSDel, proto.AppendNSKey(b[:0], ns, key))
 }
 
 // DropNS erases the named tenant and reports whether it existed. This
@@ -64,18 +72,21 @@ func (c *Conn) NSDelete(ns string, key int64) (deleted bool, err error) {
 // tenant never existed. Dropping an absent tenant returns false and
 // commits nothing.
 func (c *Conn) DropNS(ns string) (existed bool, err error) {
-	return c.callBool(proto.OpDropNS, proto.AppendNSName(nil, ns))
+	var b [nsReqMax]byte
+	return c.callBool(proto.OpDropNS, proto.AppendNSName(b[:0], ns))
 }
 
 // ListNS returns the server's per-tenant key quota (0: unlimited) and
 // the live tenants with their live key counts, byte-sorted by name.
 // Tenants with no live keys are not listed.
 func (c *Conn) ListNS() (quota uint64, tenants []NSStat, err error) {
-	f, err := c.call(proto.OpListNS, nil)
+	r, err := c.call(proto.OpListNS, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	return proto.DecodeNSList(f.Payload)
+	quota, tenants, err = proto.DecodeNSList(r.reply) // names are copied into fresh strings
+	c.release(r)
+	return quota, tenants, err
 }
 
 // NSPut upserts the value for key in the named tenant's keyspace on one

@@ -45,6 +45,11 @@ func (db *DB) cellOrCreate(ns string) (*namespace.Cell, error) {
 	return c, nil
 }
 
+// InternNS returns the tenant name spelled by the bytes of name as a
+// string, without allocating when that tenant is live: the server names
+// a tenant once per request, and almost always one that exists.
+func (db *DB) InternNS(name []byte) string { return db.live.Load().Intern(name) }
+
 // takeCell removes the tenant called ns from the live set and returns
 // its cell (nil if absent; the default keyspace is no tenant).
 func (db *DB) takeCell(ns string) *namespace.Cell {

@@ -176,6 +176,16 @@ func (s *Set) Cells() []*Cell { return s.cells }
 // Get returns the cell called name ("": the default keyspace), or nil.
 func (s *Set) Get(name string) *Cell { return s.byName[name] }
 
+// Intern returns name as a string: the set's own copy when it holds a
+// cell called that — so naming an existing tenant allocates nothing —
+// and a fresh string otherwise.
+func (s *Set) Intern(name []byte) string {
+	if c := s.byName[string(name)]; c != nil {
+		return c.Name
+	}
+	return string(name)
+}
+
 // With returns the set with tenant cell c added, replacing any cell of
 // the same name.
 func (s *Set) With(c *Cell) *Set {

@@ -121,6 +121,19 @@ func TestRegistryCanonicalOrderAndDrop(t *testing.T) {
 	if again := s.With(alpha); len(again.Cells()) != 4 || again.Get("alpha") != alpha {
 		t.Error("With of an existing name did not replace in place")
 	}
+	// Naming a live tenant by its bytes costs no string; an absent one
+	// still gets its name.
+	name := []byte("alpha")
+	if n := testing.AllocsPerRun(100, func() {
+		if s.Intern(name) != "alpha" {
+			t.Error("Intern of a live tenant's name returned another string")
+		}
+	}); n != 0 {
+		t.Errorf("Intern of a live tenant's name allocates %v times", n)
+	}
+	if got := s.Intern([]byte("nobody")); got != "nobody" {
+		t.Errorf("Intern of an absent tenant's name = %q", got)
+	}
 	dropped := s.Without("alpha")
 	if dropped.Get("alpha") != nil || len(dropped.Cells()) != 3 {
 		t.Error("dropped cell still resolvable")

@@ -170,13 +170,13 @@ func TestNSCodecRoundTrip(t *testing.T) {
 	long := string(bytes.Repeat([]byte("n"), MaxNSName))
 	for _, ns := range []string{"a", "acme-corp", long} {
 		if got, key, val, exp, err := DecodeNSKeyValExp(AppendNSKeyValExp(nil, ns, -5, 7, 99)); err != nil ||
-			got != ns || key != -5 || val != 7 || exp != 99 {
+			string(got) != ns || key != -5 || val != 7 || exp != 99 {
 			t.Fatalf("ns-put round trip for %q: %q %d %d %d %v", ns, got, key, val, exp, err)
 		}
-		if got, key, err := DecodeNSKey(AppendNSKey(nil, ns, -5)); err != nil || got != ns || key != -5 {
+		if got, key, err := DecodeNSKey(AppendNSKey(nil, ns, -5)); err != nil || string(got) != ns || key != -5 {
 			t.Fatalf("ns-key round trip for %q: %q %d %v", ns, got, key, err)
 		}
-		if got, err := DecodeNSName(AppendNSName(nil, ns)); err != nil || got != ns {
+		if got, err := DecodeNSName(AppendNSName(nil, ns)); err != nil || string(got) != ns {
 			t.Fatalf("ns-name round trip for %q: %q %v", ns, got, err)
 		}
 	}

@@ -436,21 +436,23 @@ func appendNSName(dst []byte, ns string) []byte {
 	return append(dst, ns...)
 }
 
-// decodeNSName decodes the tenant-name prefix and returns the name and
-// the remaining payload. Name length is validated against MaxNSName
-// and the payload length before the string is allocated.
-func decodeNSName(p []byte) (ns string, rest []byte, err error) {
+// decodeNSName decodes the tenant-name prefix and returns the name's
+// bytes and the remaining payload, both aliasing p: a receiver that only
+// needs to find the tenant can look it up by these bytes without
+// building a string per request. Name length is validated against
+// MaxNSName and the payload length.
+func decodeNSName(p []byte) (ns, rest []byte, err error) {
 	if len(p) < 2 {
-		return "", nil, fmt.Errorf("proto: namespaced payload is %d bytes, want >= 2", len(p))
+		return nil, nil, fmt.Errorf("proto: namespaced payload is %d bytes, want >= 2", len(p))
 	}
 	n := int(binary.BigEndian.Uint16(p))
 	if n == 0 || n > MaxNSName {
-		return "", nil, fmt.Errorf("proto: namespace name length %d, want 1..%d", n, MaxNSName)
+		return nil, nil, fmt.Errorf("proto: namespace name length %d, want 1..%d", n, MaxNSName)
 	}
 	if len(p) < 2+n {
-		return "", nil, fmt.Errorf("proto: namespaced payload truncated inside the name")
+		return nil, nil, fmt.Errorf("proto: namespaced payload truncated inside the name")
 	}
-	return string(p[2 : 2+n]), p[2+n:], nil
+	return p[2 : 2+n], p[2+n:], nil
 }
 
 // AppendNSKeyValExp appends an OpNSPut request: the tenant name, then
@@ -460,11 +462,12 @@ func AppendNSKeyValExp(dst []byte, ns string, key, val, exp int64) []byte {
 	return AppendKeyValExp(dst, key, val, exp)
 }
 
-// DecodeNSKeyValExp decodes an OpNSPut request.
-func DecodeNSKeyValExp(p []byte) (ns string, key, val, exp int64, err error) {
+// DecodeNSKeyValExp decodes an OpNSPut request. The returned name
+// aliases p.
+func DecodeNSKeyValExp(p []byte) (ns []byte, key, val, exp int64, err error) {
 	ns, rest, err := decodeNSName(p)
 	if err != nil {
-		return "", 0, 0, 0, err
+		return nil, 0, 0, 0, err
 	}
 	key, val, exp, err = DecodeKeyValExp(rest)
 	return ns, key, val, exp, err
@@ -477,11 +480,12 @@ func AppendNSKey(dst []byte, ns string, key int64) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(key))
 }
 
-// DecodeNSKey decodes an OpNSGet/OpNSDel request.
-func DecodeNSKey(p []byte) (ns string, key int64, err error) {
+// DecodeNSKey decodes an OpNSGet/OpNSDel request. The returned name
+// aliases p.
+func DecodeNSKey(p []byte) (ns []byte, key int64, err error) {
 	ns, rest, err := decodeNSName(p)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	key, err = DecodeKey(rest)
 	return ns, key, err
@@ -490,14 +494,15 @@ func DecodeNSKey(p []byte) (ns string, key int64, err error) {
 // AppendNSName appends a bare tenant-name payload (OpDropNS requests).
 func AppendNSName(dst []byte, ns string) []byte { return appendNSName(dst, ns) }
 
-// DecodeNSName decodes a bare tenant-name payload.
-func DecodeNSName(p []byte) (string, error) {
+// DecodeNSName decodes a bare tenant-name payload. The returned name
+// aliases p.
+func DecodeNSName(p []byte) ([]byte, error) {
 	ns, rest, err := decodeNSName(p)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if len(rest) != 0 {
-		return "", fmt.Errorf("proto: %d trailing bytes after namespace name", len(rest))
+		return nil, fmt.Errorf("proto: %d trailing bytes after namespace name", len(rest))
 	}
 	return ns, nil
 }
@@ -544,7 +549,7 @@ func DecodeNSList(p []byte) (quota uint64, entries []NSStat, err error) {
 		if len(after) < 8 {
 			return 0, nil, fmt.Errorf("proto: ns-list entry %d truncated before key count", i)
 		}
-		entries = append(entries, NSStat{Name: ns, Keys: binary.BigEndian.Uint64(after)})
+		entries = append(entries, NSStat{Name: string(ns), Keys: binary.BigEndian.Uint64(after)})
 		rest = after[8:]
 	}
 	if len(rest) != 0 {

@@ -74,4 +74,12 @@
 // manifest that verifies — is reserved only up to a fixed bound, and
 // the manifest, whose length nobody advertises, grows with what arrives
 // under that bound.
+//
+// A blob is assembled in ONE buffer: client.Conn.SyncChunk(dst, hash,
+// offset, maxLen) appends each chunk to the dst it is handed — the
+// client's reply buffers are pooled, so it never returns a slice of
+// one — and fetchBlob passes the blob-so-far as dst, reserved up front
+// when the manifest gave a size. The connection reuses one chunk-sized
+// reply buffer across a stream of chunks, so a fetch allocates the blob
+// and little else.
 package replica

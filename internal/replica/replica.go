@@ -349,19 +349,21 @@ func (r *Replica) fetchBlob(conn *client.Conn, hash [32]byte, size int64) ([]byt
 	}
 	buf := make([]byte, 0, reserve)
 	for {
-		data, more, err := conn.SyncChunk(hash, uint64(len(buf)), r.cfg.ChunkSize)
+		have := len(buf)
+		var more bool
+		var err error
+		buf, more, err = conn.SyncChunk(buf, hash, uint64(have), r.cfg.ChunkSize)
 		if err != nil {
-			return nil, fmt.Errorf("replica: fetching blob %x at offset %d: %w", hash[:8], len(buf), err)
+			return nil, fmt.Errorf("replica: fetching blob %x at offset %d: %w", hash[:8], have, err)
 		}
-		buf = append(buf, data...)
 		if int64(len(buf)) > limit {
 			return nil, fmt.Errorf("replica: blob %x grew past %d bytes", hash[:8], limit)
 		}
 		if !more {
 			break
 		}
-		if len(data) == 0 {
-			return nil, fmt.Errorf("replica: blob %x fetch stalled at offset %d", hash[:8], len(buf))
+		if len(buf) == have {
+			return nil, fmt.Errorf("replica: blob %x fetch stalled at offset %d", hash[:8], have)
 		}
 	}
 	if (size >= 0 && int64(len(buf)) != size) || sha256.Sum256(buf) != hash {

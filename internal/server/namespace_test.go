@@ -340,7 +340,7 @@ func TestNamespaceWireReplicationAddressing(t *testing.T) {
 		if _, still := kept[hash]; still {
 			continue
 		}
-		if _, _, err := c.SyncChunk(hash, 0, 0); !isStale(err) {
+		if _, _, err := c.SyncChunk(nil, hash, 0, 0); !isStale(err) {
 			t.Fatalf("dropped tenant's image %x: %v, want ErrCodeStale", hash[:4], err)
 		}
 	}

@@ -36,8 +36,9 @@ type opSpec struct {
 	ttlAck    bool    // point write: acknowledges changed+exp rather than changed alone
 	// decode parses a payload of the point shape into the request record
 	// (nil: the payload is unconstrained, or of another shape and parsed
-	// by serve).
-	decode func(p []byte) (ns string, key, val, exp int64, err error)
+	// by serve). ns is the tenant name's bytes, aliasing p: dispatch
+	// interns them, so naming a live tenant allocates no string.
+	decode func(p []byte) (ns []byte, key, val, exp int64, err error)
 	// serve answers an inline op on the reader goroutine: it appends the
 	// reply payload to dst and reports when its apply phase ended, or
 	// returns an error payload and a nonzero code. nil for coalesced ops.
@@ -85,32 +86,32 @@ func mutates(op byte, p []byte) bool {
 // The decoders adapt proto's typed codecs to the one shape the request
 // record holds.
 
-func decodeKey(p []byte) (ns string, key, val, exp int64, err error) {
+func decodeKey(p []byte) (ns []byte, key, val, exp int64, err error) {
 	key, err = proto.DecodeKey(p)
 	return
 }
 
-func decodeKeyVal(p []byte) (ns string, key, val, exp int64, err error) {
+func decodeKeyVal(p []byte) (ns []byte, key, val, exp int64, err error) {
 	key, val, err = proto.DecodeKeyVal(p)
 	return
 }
 
-func decodeKeyValExp(p []byte) (ns string, key, val, exp int64, err error) {
+func decodeKeyValExp(p []byte) (ns []byte, key, val, exp int64, err error) {
 	key, val, exp, err = proto.DecodeKeyValExp(p)
 	return
 }
 
-func decodeNSKey(p []byte) (ns string, key, val, exp int64, err error) {
+func decodeNSKey(p []byte) (ns []byte, key, val, exp int64, err error) {
 	ns, key, err = proto.DecodeNSKey(p)
 	return
 }
 
-func decodeNS(p []byte) (ns string, key, val, exp int64, err error) {
+func decodeNS(p []byte) (ns []byte, key, val, exp int64, err error) {
 	ns, err = proto.DecodeNSName(p)
 	return
 }
 
-func decodeEmpty(p []byte) (ns string, key, val, exp int64, err error) {
+func decodeEmpty(p []byte) (ns []byte, key, val, exp int64, err error) {
 	if len(p) != 0 {
 		err = fmt.Errorf("request carries a %d-byte payload, want none", len(p))
 	}

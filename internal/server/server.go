@@ -657,10 +657,14 @@ func (c *conn) dispatch(rq request, p []byte) {
 		s.st.nsOps.Add(1)
 	}
 	if spec.decode != nil {
-		var err error
-		if rq.ns, rq.key, rq.val, rq.exp, err = spec.decode(p); err != nil {
+		ns, key, val, exp, err := spec.decode(p)
+		if err != nil {
 			c.fail(&rq, proto.ErrCodeBadFrame, err.Error())
 			return
+		}
+		rq.key, rq.val, rq.exp = key, val, exp
+		if len(ns) > 0 {
+			rq.ns = s.db.InternNS(ns)
 		}
 	}
 	rq.td = time.Now()

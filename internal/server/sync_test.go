@@ -55,11 +55,11 @@ func committedFiles(t *testing.T, fs durable.FS) (manifest []byte, images map[[3
 func fetchBlob(t *testing.T, c *client.Conn, hash [32]byte, maxLen int) (blob []byte, chunks int) {
 	t.Helper()
 	for {
-		data, more, err := c.SyncChunk(hash, uint64(len(blob)), maxLen)
-		if err != nil {
+		var more bool
+		var err error
+		if blob, more, err = c.SyncChunk(blob, hash, uint64(len(blob)), maxLen); err != nil {
 			t.Fatalf("blob %x chunk at %d: %v", hash[:4], len(blob), err)
 		}
-		blob = append(blob, data...)
 		chunks++
 		if !more {
 			return blob, chunks
@@ -127,7 +127,7 @@ func TestSyncOpcodes(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.SyncChunk(h.Hash, 0, 0); !isStale(err) {
+	if _, _, err := c.SyncChunk(nil, h.Hash, 0, 0); !isStale(err) {
 		t.Fatalf("superseded manifest: %v, want ErrCodeStale", err)
 	}
 	_, fresh := committedFiles(t, fs)
@@ -137,7 +137,7 @@ func TestSyncOpcodes(t *testing.T) {
 			continue
 		}
 		superseded++
-		if _, _, err := c.SyncChunk(hash, 0, 0); !isStale(err) {
+		if _, _, err := c.SyncChunk(nil, hash, 0, 0); !isStale(err) {
 			t.Fatalf("superseded image %x: %v, want ErrCodeStale", hash[:4], err)
 		}
 	}
@@ -175,14 +175,14 @@ func TestSyncHostileRequests(t *testing.T) {
 	man, _ := fetchBlob(t, c, h.Hash, 0)
 	var re *proto.RemoteError
 	// Offset past the end of the blob (at the end is an empty last chunk).
-	if data, more, err := c.SyncChunk(h.Hash, uint64(len(man)), 0); err != nil || more || len(data) != 0 {
+	if data, more, err := c.SyncChunk(nil, h.Hash, uint64(len(man)), 0); err != nil || more || len(data) != 0 {
 		t.Fatalf("offset at the blob's end: %d bytes, more %v, %v", len(data), more, err)
 	}
-	if _, _, err = c.SyncChunk(h.Hash, uint64(len(man))+1, 0); !errors.As(err, &re) || re.Code != proto.ErrCodeBadFrame {
+	if _, _, err = c.SyncChunk(nil, h.Hash, uint64(len(man))+1, 0); !errors.As(err, &re) || re.Code != proto.ErrCodeBadFrame {
 		t.Fatalf("offset past blob: %v", err)
 	}
 	// A hash the checkpoint does not name.
-	if _, _, err = c.SyncChunk([32]byte{0xbe, 0xef}, 0, 0); !isStale(err) {
+	if _, _, err = c.SyncChunk(nil, [32]byte{0xbe, 0xef}, 0, 0); !isStale(err) {
 		t.Fatalf("unknown hash: %v, want ErrCodeStale", err)
 	}
 	// A request in the old shard-indexed layout, and a truncated one.

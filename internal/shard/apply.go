@@ -62,5 +62,6 @@ func (s *Store) ApplyBatch(ops []Op, changed []bool) (n int, err error) {
 		}
 		c.mu.Unlock()
 	}
+	s.planPool.Put(p)
 	return n, nil
 }

@@ -7,35 +7,48 @@ package shard
 // batch order (the grouping below is a stable counting sort), so
 // duplicate keys within a batch apply left to right.
 
+import "slices"
+
 // plan is a reusable shard-grouping of batch indices: order holds the
 // input indices stably sorted by shard; group g occupies
-// order[start[g]:start[g+1]].
+// order[start[g]:start[g+1]]. Stores recycle plans through planPool —
+// each batch call takes one, walks its groups and puts it back — so a
+// steady batch workload groups without allocating, and concurrent
+// callers never share one.
 type plan struct {
 	order []int
 	start []int
+	// Scratch of the grouping itself: each batch slot's shard, and each
+	// group's write cursor during the scatter.
+	shardOf []int
+	next    []int
 }
 
-// groupByShard stably buckets the n batch slots by shard of key(i).
-func (s *Store) groupByShard(n int, key func(i int) int64) plan {
+// groupByShard stably buckets the n batch slots by shard of key(i). The
+// caller hands the plan back with s.planPool.Put when done with it.
+func (s *Store) groupByShard(n int, key func(i int) int64) *plan {
+	p, _ := s.planPool.Get().(*plan)
+	if p == nil {
+		p = new(plan)
+	}
 	nsh := len(s.cells)
-	shardOf := make([]int, n)
-	counts := make([]int, nsh+1)
+	p.shardOf, p.order = slices.Grow(p.shardOf[:0], n)[:n], slices.Grow(p.order[:0], n)[:n]
+	p.start, p.next = slices.Grow(p.start[:0], nsh+1)[:nsh+1], slices.Grow(p.next[:0], nsh)[:nsh]
+	clear(p.start)
 	for i := 0; i < n; i++ {
 		sh := s.ShardOf(key(i))
-		shardOf[i] = sh
-		counts[sh+1]++
+		p.shardOf[i] = sh
+		p.start[sh+1]++
 	}
 	for g := 0; g < nsh; g++ {
-		counts[g+1] += counts[g]
+		p.start[g+1] += p.start[g]
 	}
-	start := append([]int(nil), counts...)
-	order := make([]int, n)
-	for i := 0; i < n; i++ { // stable scatter: preserves batch order per shard
-		g := shardOf[i]
-		order[counts[g]] = i
-		counts[g]++
+	copy(p.next, p.start)
+	for i, g := range p.shardOf { // stable scatter: preserves batch order per shard
+		p.order[p.next[g]] = i
+		p.next[g]++
 	}
-	return plan{order: order, start: start}
+	return p
 }
 
 // PutBatch applies every item as an upsert and returns the number of
@@ -64,6 +77,7 @@ func (s *Store) PutBatch(items []Item) (inserted int) {
 		}
 		c.mu.Unlock()
 	}
+	s.planPool.Put(p)
 	return inserted
 }
 
@@ -93,6 +107,7 @@ func (s *Store) GetBatch(keys []int64) (vals []int64, ok []bool) {
 		}
 		c.runlock()
 	}
+	s.planPool.Put(p)
 	return vals, ok
 }
 
@@ -121,5 +136,6 @@ func (s *Store) DeleteBatch(keys []int64) (deleted int) {
 		}
 		c.mu.Unlock()
 	}
+	s.planPool.Put(p)
 	return deleted
 }

@@ -83,6 +83,8 @@ type Store struct {
 	// canonical images are rendered from, so a steady checkpointer copies
 	// each shard into the same scratch every time.
 	snapPool sync.Pool
+	// planPool recycles the batch operations' shard groupings (*plan).
+	planPool sync.Pool
 }
 
 // New returns an empty store with the given power-of-two shard count.
