@@ -243,7 +243,7 @@ func (c *Conn) readLoop() {
 		r := c.pending[f.ID]
 		delete(c.pending, f.ID)
 		if r != nil {
-			if len(f.Payload) <= maxRetained {
+			if len(f.Payload) <= maxRetained && f.Op != proto.OpSync|proto.FlagReply {
 				c.jumbo = nil
 			} else if cap(c.jumbo) >= len(f.Payload) {
 				r.reply, c.jumbo = c.jumbo, nil
@@ -295,7 +295,8 @@ func (c *Conn) call(op byte, payload []byte) (*call, error) {
 // on the record: the connection keeps one such buffer, in jumbo, and the
 // reader lends it to the next reply that large — a SYNC stream or a
 // paged RANGE reuses it reply after reply — and drops it with the first
-// reply that is not.
+// reply that is not, a SYNC chunk excepted: a blob's short last chunk is
+// followed by the next blob's first.
 func (c *Conn) release(r *call) {
 	c.mu.Lock()
 	if cap(r.reply) > maxRetained {

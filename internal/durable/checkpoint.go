@@ -166,8 +166,10 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 	manBytes := newMan.encode()
 	if cpShards == 0 && bytes.Equal(manBytes, db.manBytes) {
 		// Nothing changed: the committed checkpoint covers the ops so far.
+		// What an earlier, failed attempt published is still to be wiped:
+		// no commit of this call will sweep it.
 		db.dirtyOps.Add(-dirtyAtStart)
-		return nil
+		return db.clearDebris()
 	}
 	if err := db.commitManifest(newMan, manBytes); err != nil {
 		return err
@@ -209,6 +211,7 @@ func (db *DB) checkpoint(tid, psid uint64) error {
 // — so the file is invisible to recovery until a manifest that names it
 // is committed. Caller holds cpMu.
 func (db *DB) publishImage(hseed uint64, idx int, hash [32]byte, data []byte) error {
+	db.markDebris(debrisFiles)
 	if err := db.writeFileAtomic(imageFileName(hseed, idx, hash), data); err != nil {
 		return fmt.Errorf("durable: publishing shard %d image: %w", idx, err)
 	}
@@ -222,6 +225,7 @@ func (db *DB) commitManifest(newMan *manifest, manBytes []byte) error {
 	if err := db.fs.SyncDir(db.dir); err != nil {
 		return fmt.Errorf("durable: syncing %s: %w", db.dir, err)
 	}
+	db.markDebris(debrisManifest)
 	if err := db.writeFileAtomic(manifestName, manBytes); err != nil {
 		return fmt.Errorf("durable: publishing manifest: %w", err)
 	}
@@ -229,6 +233,43 @@ func (db *DB) commitManifest(newMan *manifest, manBytes []byte) error {
 		return fmt.Errorf("durable: syncing %s after manifest swap: %w", db.dir, err)
 	}
 	db.setCommitted(newMan, manBytes)
+	db.debris = debrisFiles // the MANIFEST on disk is the committed one; the sweep follows
+	return nil
+}
+
+// What a failed checkpoint or install may have left in the directory
+// beyond the files the committed manifest names (DB.debris).
+const (
+	debrisNone     = iota
+	debrisFiles    // image or temp files
+	debrisManifest // files, and a MANIFEST rename that may have landed
+)
+
+// markDebris records that the directory may now hold more than the
+// committed manifest names. Caller holds cpMu.
+func (db *DB) markDebris(d uint8) { db.debris = max(db.debris, d) }
+
+// clearDebris returns the directory to exactly the committed manifest's
+// files after a failed checkpoint or install left more. The sweep alone
+// is not safe when that attempt may have swapped in its own MANIFEST —
+// the rename may have landed even though the call failed — because
+// wiping by db.man would then delete images a reboot loads: the
+// committed manifest is written back and the directory fsynced first.
+// With no debris it does nothing, so a clean no-op checkpoint stays
+// free of I/O. Caller holds cpMu.
+func (db *DB) clearDebris() error {
+	if db.debris == debrisManifest {
+		if err := db.writeFileAtomic(manifestName, db.manBytes); err != nil {
+			return fmt.Errorf("durable: restoring the committed manifest: %w", err)
+		}
+		if err := db.fs.SyncDir(db.dir); err != nil {
+			return fmt.Errorf("durable: syncing %s after restoring the manifest: %w", db.dir, err)
+		}
+		db.debris = debrisFiles
+	}
+	if db.debris != debrisNone {
+		db.sweep()
+	}
 	return nil
 }
 
@@ -244,6 +285,7 @@ func (db *DB) setCommitted(man *manifest, manBytes []byte) {
 // writeFileAtomic publishes data under name via the temp-file dance:
 // the bytes are complete and fsynced before the name ever exists.
 func (db *DB) writeFileAtomic(name string, data []byte) error {
+	db.fileGen++
 	tmp := db.path(name + ".tmp")
 	f, err := db.fs.Create(tmp)
 	if err != nil {
@@ -267,12 +309,14 @@ func (db *DB) writeFileAtomic(name string, data []byte) error {
 // manifest does not reference: temp files and superseded or orphaned
 // shard images. Best-effort — the commit has already happened, and
 // anything left behind is picked up by the next sweep or by Open.
-// Caller holds cpMu.
+// A listed directory is clean of debris afterwards, as far as wiping
+// succeeds. Caller holds cpMu.
 func (db *DB) sweep() {
 	names, err := db.fs.List(db.dir)
 	if err != nil {
 		return
 	}
+	db.debris = debrisNone
 	keep := map[string]bool{manifestName: true}
 	for _, c := range db.man.cells {
 		hseed := db.man.cellSeed(c.name)
@@ -298,6 +342,7 @@ var zeros = make([]byte, 32*1024)
 // already rests on the history independence of its contents, and its
 // *existence* is removed either way.
 func (db *DB) wipeRemove(name string) {
+	db.fileGen++
 	p := db.path(name)
 	if size, err := db.fs.Size(p); err == nil && size > 0 {
 		if f, err := db.fs.OpenWrite(p); err == nil {

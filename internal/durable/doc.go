@@ -41,11 +41,22 @@
 // at most one image is resident. The files are content-addressed and
 // unreferenced by the old manifest, so publishing shard by shard is as
 // safe as publishing at the end: a checkpoint that fails part-way
-// leaves orphans for the next sweep (or Open), never a mixed state.
+// leaves orphans, never a mixed state, and the next checkpoint or
+// install wipes them — even one that finds nothing to commit, after
+// first writing the committed MANIFEST back when the failed attempt's
+// may have landed (clearDebris).
 // Reads are the mirror: files are read at the size the manifest gives
-// (checked before a byte is read) into one buffer reused across
-// images, hashed against the manifest, and decoded from exact-length
-// slices, length and checksum verified before a slot is allocated.
+// (checked before a byte is read) into one buffer reused across images —
+// an install's fetched images land in that same buffer — hashed against
+// the manifest, and decoded from exact-length slices, length and
+// checksum verified before a slot is allocated. An install decodes only
+// what it changes: a live cell whose committed images the new manifest
+// names unchanged, at current versions, is carried over as it is.
+// Exports hold no copy either: a BlobReader verifies its file's hash
+// once, through a fixed scratch, and then serves each range with one
+// positional read under the checkpoint lock, after checking that no
+// commit or sweep has moved the directory since — so a swept file's
+// zeros are never served.
 //
 // Checkpoints are incremental: each shard carries a version counter
 // bumped under its write lock, and the checkpointer rewrites only

@@ -137,6 +137,17 @@ type DB struct {
 	man      *manifest
 	manBytes []byte
 	manHash  atomic.Pointer[[32]byte]
+	// fileGen counts changes to the directory's entries — every file
+	// published or wiped — so a BlobReader can tell that the file it holds
+	// open may no longer be the one its name now leads to. hashBuf is the
+	// one fixed buffer files are hashed through. Both under cpMu.
+	fileGen uint64
+	hashBuf []byte
+	// debris says what a failed checkpoint or install may have left
+	// beyond the committed manifest's files (debrisNone, debrisFiles,
+	// debrisManifest): a commit's sweep clears it, and so does a call that
+	// finds nothing to commit (clearDebris). Under cpMu.
+	debris uint8
 
 	dirtyOps    atomic.Uint64 // mutating ops since the last checkpoint
 	checkpoints atomic.Uint64 // committed checkpoints (in-memory stat)
@@ -192,7 +203,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 		}
 	}
 
-	db := &DB{dir: dir, fs: fs, opts: o}
+	db := &DB{dir: dir, fs: fs, opts: o, hashBuf: make([]byte, 32<<10)}
 	db.m.init(o.Metrics)
 	db.replica.Store(o.NoSweep)
 	if hasManifest {
@@ -243,7 +254,7 @@ func (db *DB) recover() error {
 	if err != nil {
 		return err
 	}
-	cells, err := db.loadCells(man, nil)
+	cells, err := db.loadCells(man, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -259,21 +270,38 @@ func (db *DB) recover() error {
 // comes from its content-addressed local file when that file is there
 // with the manifest's size and SHA-256 — so "is the local file good" is
 // decided exactly where the file is used. Otherwise, when fetch is
-// non-nil, the image is fetched, checked against the manifest's size
-// and hash, published under its content-addressed name (replacing a
-// rotten file of that name, if any) and decoded; with a nil fetch a
-// missing or corrupt file is an error. Per-image checksums and each
-// store's structural and routing invariants are verified as it is
-// assembled. The default keyspace routes under man.hseed and draws
-// fresh randomness from Options.Seed; a tenant must sit at the seed
-// derived from (man.hseed, name), so an image set filed under the wrong
-// tenant fails assembly. Cells come back carrying man's entries as their
-// committed images: callers publish them only together with man. Caller
-// holds cpMu (or is Open).
-func (db *DB) loadCells(man *manifest, fetch func(hash [32]byte, size int64) ([]byte, error)) ([]*namespace.Cell, error) {
+// non-nil, the image is fetched into the same buffer, checked against
+// the manifest's size and hash, published under its content-addressed
+// name (replacing a rotten file of that name, if any) and decoded; with
+// a nil fetch a missing or corrupt file is an error. That one buffer is
+// all the image bytes a load holds, whichever way they arrive. Per-image
+// checksums and each store's structural and routing invariants are
+// verified as it is assembled. The default keyspace routes under
+// man.hseed and draws fresh randomness from Options.Seed; a tenant must
+// sit at the seed derived from (man.hseed, name), so an image set filed
+// under the wrong tenant fails assembly. A cell of carry — live cells
+// routed under man.hseed, or nil — whose committed images are man's and
+// current is taken over as it is instead (see carried). Cells come back
+// carrying man's entries as their committed images: callers publish
+// them only together with man. Caller holds cpMu (or is Open).
+func (db *DB) loadCells(man *manifest, carry *namespace.Set, fetch func(dst []byte, hash [32]byte, size int64) ([]byte, error)) ([]*namespace.Cell, error) {
 	cells := make([]*namespace.Cell, len(man.cells))
-	var local []byte // the one local image held at a time, reused
+	// The one image held at a time, sized once for the largest image the
+	// load reads: the manifest states every size, and loadCells refuses
+	// an image of any other size.
+	largest := int64(0)
 	for k, e := range man.cells {
+		if cells[k] = carried(carry, e); cells[k] == nil {
+			for _, se := range e.shards {
+				largest = max(largest, se.Size)
+			}
+		}
+	}
+	buf := make([]byte, 0, min(largest, maxReserve))
+	for k, e := range man.cells {
+		if cells[k] != nil {
+			continue // carried over
+		}
 		hseed, seed := man.hseed, db.opts.Seed
 		if e.name != "" {
 			seed = namespace.DeriveSeed(man.hseed, e.name)
@@ -282,24 +310,23 @@ func (db *DB) loadCells(man *manifest, fetch func(hash [32]byte, size int64) ([]
 		st, err := shard.AssembleStore(hseed, len(e.shards), func(i int) ([]byte, error) {
 			want := e.shards[i]
 			var err error
-			local, err = db.readFile(imageFileName(hseed, i, want.Hash), want.Size, local[:0])
-			if err == nil && sha256.Sum256(local) != want.Hash {
+			buf, err = db.readFile(imageFileName(hseed, i, want.Hash), want.Size, buf[:0])
+			if err == nil && sha256.Sum256(buf) != want.Hash {
 				err = errors.New("hash mismatch")
 			}
 			if err == nil {
-				return local, nil
+				return buf, nil
 			}
 			if fetch == nil {
 				return nil, fmt.Errorf("shard %d image: %w", i, err)
 			}
-			img, err := fetch(want.Hash, want.Size)
-			if err != nil {
+			if buf, err = fetch(buf[:0], want.Hash, want.Size); err != nil {
 				return nil, err
 			}
-			if int64(len(img)) != want.Size || sha256.Sum256(img) != want.Hash {
+			if int64(len(buf)) != want.Size || sha256.Sum256(buf) != want.Hash {
 				return nil, fmt.Errorf("fetched shard %d image does not match the manifest's size and hash", i)
 			}
-			return img, db.publishImage(hseed, i, want.Hash, img)
+			return buf, db.publishImage(hseed, i, want.Hash, buf)
 		}, seed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("durable: keyspace %q: %w", e.name, err)
@@ -312,6 +339,35 @@ func (db *DB) loadCells(man *manifest, fetch func(hash [32]byte, size int64) ([]
 	}
 	return cells, nil
 }
+
+// carried returns the cell of carry that already is what e describes —
+// same name, same shard count, and for every shard an image of e's hash
+// and size committed and still current — or nil. carry's cells route
+// under the manifest's seed, so a name fixes the routing seed; the
+// version check keeps a cell written since its last commit (a local
+// write on a replica) from being taken for the checkpoint's contents.
+// Caller holds cpMu, which guards the cells' committed images.
+func carried(carry *namespace.Set, e cellEntry) *namespace.Cell {
+	if carry == nil {
+		return nil
+	}
+	c := carry.Get(e.name)
+	if c == nil || c.Store.NumShards() != len(e.shards) {
+		return nil
+	}
+	for i, se := range e.shards {
+		if im := c.Images[i]; !im.OK || im.Image != se || im.Version != c.Store.ShardVersion(i) {
+			return nil
+		}
+	}
+	return c
+}
+
+// maxReserve bounds the image buffer loadCells sizes on a manifest's
+// word alone: an installed manifest comes from a peer, and a size in it
+// is checked only when an image of that size arrives. Larger images
+// still load; their buffer grows as their bytes arrive.
+const maxReserve = 64 << 20
 
 // publish makes cells — the root first, then the tenants — the live
 // state, replacing whatever was there with one store.
@@ -658,7 +714,6 @@ func (db *DB) VerifyCanonical() error {
 	h := sha256.New()
 	var sum [sha256.Size]byte
 	hashIs := func(want [32]byte) bool { return [32]byte(h.Sum(sum[:0])) == want }
-	copyBuf := make([]byte, 64<<10)
 	live := db.live.Load()
 	for _, e := range db.man.cells {
 		c := live.Get(e.name)
@@ -677,7 +732,7 @@ func (db *DB) VerifyCanonical() error {
 				return fmt.Errorf("durable: keyspace %q shard %d canonical image diverges from manifest", e.name, i)
 			}
 			h.Reset()
-			if err := db.hashFile(imageFileName(hseed, i, se.Hash), se.Size, h, copyBuf); err != nil {
+			if err := db.hashFile(imageFileName(hseed, i, se.Hash), se.Size, h); err != nil {
 				return fmt.Errorf("durable: keyspace %q shard %d image: %w", e.name, i, err)
 			}
 			if !hashIs(se.Hash) {
@@ -695,16 +750,21 @@ func (db *DB) VerifyCanonical() error {
 	return nil
 }
 
-// hashFile streams name, which must be exactly size bytes long, into h
-// through buf.
-func (db *DB) hashFile(name string, size int64, h io.Writer, buf []byte) error {
+// hashFile streams name, which must be exactly size bytes long, into h.
+// Caller holds cpMu.
+func (db *DB) hashFile(name string, size int64, h io.Writer) error {
 	f, _, err := db.openSized(name, size)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	// LimitReader bounds the copy at size+1 bytes, enough to notice a
-	// file that outgrew its Size without reading on without bound.
+	return hashFrom(f, size, h, db.hashBuf)
+}
+
+// hashFrom streams f, which must hold exactly size bytes, into h
+// through buf. LimitReader bounds the copy at size+1 bytes, enough to
+// notice a file that outgrew its size without reading on without bound.
+func hashFrom(f File, size int64, h io.Writer, buf []byte) error {
 	n, err := io.CopyBuffer(h, io.LimitReader(f, size+1), buf)
 	if err == nil && n != size {
 		err = fmt.Errorf("read %d bytes, manifest says %d", n, size)

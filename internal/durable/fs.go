@@ -37,9 +37,11 @@ type FS interface {
 }
 
 // File is the open-file surface the engine needs: sequential reads or
-// writes plus fsync.
+// writes, positional reads (a replication stream serves an image range
+// by range from one open file), plus fsync.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync flushes the file's content to stable storage.

@@ -181,7 +181,7 @@ func TestImagePathAllocationBudgets(t *testing.T) {
 	man := committedManifest(t, db)
 	blobs := map[[32]byte][]byte{}
 	for _, e := range db.man.cells[0].shards {
-		if blobs[e.Hash], err = db.Blob(e.Hash); err != nil {
+		if blobs[e.Hash], err = blobBytes(db, e.Hash); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +190,7 @@ func TestImagePathAllocationBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = heapAllocated(fs, func() {
-		err := rdb.Install(man, func(hash [32]byte, _ int64) ([]byte, error) { return blobs[hash], nil })
+		err := rdb.Install(man, func(dst []byte, hash [32]byte, _ int64) ([]byte, error) { return append(dst, blobs[hash]...), nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,6 +37,8 @@ var ErrInjected = errors.New("durable: injected fault")
 // operation (Create, Write, Sync, Rename, Remove, SyncDir) and every
 // one after it fail with ErrInjected, simulating a halt mid-sequence.
 // Read-side operations keep working so the failure is observable.
+// FailOnce(kind, n, err) is the transient fault instead: the n-th
+// operation of one kind fails with err, and the disk works again.
 type MemFS struct {
 	mu      sync.Mutex
 	entries map[string]*memInode // volatile directory: path -> inode
@@ -46,9 +48,18 @@ type MemFS struct {
 	ops     int // mutating operations performed
 	failAt  int // fail the failAt-th mutating op from arming; 0 = disarmed
 	failed  bool
+	once    transient
 	removed []Removal
 	counts  map[string]int
 	held    int64 // bytes allocated for file content: see HeapBytes
+}
+
+// transient is an armed FailOnce: the left-th next operation of kind
+// fails with err (left == 0: disarmed).
+type transient struct {
+	kind string
+	left int
+	err  error
 }
 
 // Removal records one Remove for test inspection: the file's name and
@@ -86,6 +97,19 @@ func (m *MemFS) FailAfter(n int) {
 	m.failAt = m.ops + n
 }
 
+// FailOnce arms a transient fault: counting from now, the n-th mutating
+// operation of the given kind ("create", "write", "sync", "rename",
+// "remove", "syncdir") fails once with err — syscall.EIO or
+// syscall.ENOSPC, say — changing nothing, and every later operation
+// succeeds again. Unlike FailAfter the machine does not halt, so
+// whatever the failed attempt left behind is still there for the next
+// call to cope with. n <= 0 disarms.
+func (m *MemFS) FailOnce(kind string, n int, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.once = transient{kind: kind, left: max(n, 0), err: err}
+}
+
 // Heal disarms fault injection and clears the sticky failed state, so
 // the simulated disk works again. Unlike Crash, nothing is lost: tests
 // use it for transient-fault scenarios — an erasure checkpoint fails,
@@ -96,6 +120,7 @@ func (m *MemFS) Heal() {
 	defer m.mu.Unlock()
 	m.failAt = 0
 	m.failed = false
+	m.once = transient{}
 }
 
 // Ops returns the number of mutating operations performed so far.
@@ -166,6 +191,11 @@ func (m *MemFS) step(kind string) error {
 	if m.failed || (m.failAt > 0 && m.ops >= m.failAt) {
 		m.failed = true
 		return fmt.Errorf("%w (%s, op %d)", ErrInjected, kind, m.ops)
+	}
+	if m.once.left > 0 && m.once.kind == kind {
+		if m.once.left--; m.once.left == 0 {
+			return fmt.Errorf("durable: injected transient fault (%s, op %d): %w", kind, m.ops, m.once.err)
+		}
 	}
 	return nil
 }
@@ -314,6 +344,25 @@ func (f *memFile) Read(p []byte) (int, error) {
 	}
 	n := copy(p, f.ino.content[f.pos:])
 	f.pos += n
+	return n, nil
+}
+
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.closed {
+		return 0, errors.New("durable: read on closed file")
+	}
+	if off < 0 {
+		return 0, errors.New("durable: read at a negative offset")
+	}
+	if off >= int64(len(f.ino.content)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.ino.content[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
 	return n, nil
 }
 

@@ -28,6 +28,7 @@ package durable_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/durable"
@@ -342,7 +343,12 @@ func TestDropNamespaceSyncCompletesDeferredDrop(t *testing.T) {
 func manifestNames(t *testing.T, db *durable.DB, tenant string) bool {
 	t.Helper()
 	_, stamp := db.CheckpointStamp()
-	man, err := db.Blob(stamp)
+	r, err := db.OpenBlob(stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	man, err := io.ReadAll(io.NewSectionReader(r, 0, r.Size()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,17 +76,34 @@ func sameDir(t *testing.T, a, b map[string][]byte) {
 func committedManifest(t *testing.T, db *DB) []byte {
 	t.Helper()
 	_, stamp := db.CheckpointStamp()
-	man, err := db.Blob(stamp)
+	man, err := blobBytes(db, stamp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return man
 }
 
+// appendBlob appends the committed blob of src named hash to dst, read
+// through a BlobReader.
+func appendBlob(dst []byte, src *DB, hash [32]byte) ([]byte, error) {
+	r, err := src.OpenBlob(hash)
+	if err != nil {
+		return dst, err
+	}
+	defer r.Close()
+	n := len(dst)
+	dst = slices.Grow(dst, int(r.Size()))[:n+int(r.Size())]
+	_, err = r.ReadAt(dst[n:], 0)
+	return dst, err
+}
+
+// blobBytes returns the whole committed blob of db named hash.
+func blobBytes(db *DB, hash [32]byte) ([]byte, error) { return appendBlob(nil, db, hash) }
+
 // blobsOf is the fetch a replica hands Install, served from src's
 // committed checkpoint.
-func blobsOf(src *DB) func([32]byte, int64) ([]byte, error) {
-	return func(hash [32]byte, _ int64) ([]byte, error) { return src.Blob(hash) }
+func blobsOf(src *DB) func([]byte, [32]byte, int64) ([]byte, error) {
+	return func(dst []byte, hash [32]byte, _ int64) ([]byte, error) { return appendBlob(dst, src, hash) }
 }
 
 // rot overwrites the first three bytes of a file in place, durably.
@@ -135,7 +153,7 @@ func TestShardImageExport(t *testing.T) {
 			continue
 		}
 		images++
-		got, err := db.Blob(sha256.Sum256(data))
+		got, err := blobBytes(db, sha256.Sum256(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -146,7 +164,7 @@ func TestShardImageExport(t *testing.T) {
 	if images != 8 {
 		t.Fatalf("%d image files, want 4 per keyspace", images)
 	}
-	if _, err := db.Blob([32]byte{1}); !errors.Is(err, ErrStale) {
+	if _, err := blobBytes(db, [32]byte{1}); !errors.Is(err, ErrStale) {
 		t.Fatalf("unknown hash: %v, want ErrStale", err)
 	}
 
@@ -157,7 +175,7 @@ func TestShardImageExport(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Blob(stamp); !errors.Is(err, ErrStale) {
+	if _, err := blobBytes(db, stamp); !errors.Is(err, ErrStale) {
 		t.Fatalf("superseded manifest: %v, want ErrStale", err)
 	}
 	stale := 0
@@ -166,7 +184,7 @@ func TestShardImageExport(t *testing.T) {
 			continue // this shard did not change; old hash still committed
 		}
 		stale++
-		if _, err := db.Blob(old[i].Hash); !errors.Is(err, ErrStale) {
+		if _, err := blobBytes(db, old[i].Hash); !errors.Is(err, ErrStale) {
 			t.Fatalf("stale fetch of shard %d: %v", i, err)
 		}
 	}
@@ -177,7 +195,7 @@ func TestShardImageExport(t *testing.T) {
 	// A committed image that rotted on disk is an error, never bytes.
 	e := db.man.cells[0].shards[0]
 	rot(t, fs, "p/"+imageFileName(db.man.hseed, 0, e.Hash))
-	if img, err := db.Blob(e.Hash); err == nil || errors.Is(err, ErrStale) {
+	if img, err := blobBytes(db, e.Hash); err == nil || errors.Is(err, ErrStale) {
 		t.Fatalf("rotten image served: %d bytes, err %v", len(img), err)
 	}
 }
@@ -204,9 +222,9 @@ func TestInstall(t *testing.T) {
 
 	man := committedManifest(t, p)
 	fetched := 0
-	err := r.Install(man, func(hash [32]byte, size int64) ([]byte, error) {
+	err := r.Install(man, func(dst []byte, hash [32]byte, size int64) ([]byte, error) {
 		fetched++
-		return p.Blob(hash)
+		return appendBlob(dst, p, hash)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +271,9 @@ func TestInstall(t *testing.T) {
 	}
 	fetched = 0
 	creates := rfs.OpCounts()["create"]
-	err = r.Install(committedManifest(t, p), func(hash [32]byte, size int64) ([]byte, error) {
+	err = r.Install(committedManifest(t, p), func(dst []byte, hash [32]byte, size int64) ([]byte, error) {
 		fetched++
-		return p.Blob(hash)
+		return appendBlob(dst, p, hash)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +316,7 @@ func TestInstallRefusedOnPrimary(t *testing.T) {
 	}
 
 	ops, dir := fs.Ops(), dirBytes(t, fs, "db")
-	err := db.Install(committedManifest(t, src), func([32]byte, int64) ([]byte, error) {
+	err := db.Install(committedManifest(t, src), func([]byte, [32]byte, int64) ([]byte, error) {
 		t.Error("a refused install fetched a blob")
 		return nil, errors.New("unreachable")
 	})
@@ -338,10 +356,10 @@ func TestPromoteWaitsOutInFlightInstall(t *testing.T) {
 	installed := make(chan error, 1)
 	man := committedManifest(t, p)
 	go func() {
-		installed <- r.Install(man, func(hash [32]byte, _ int64) ([]byte, error) {
+		installed <- r.Install(man, func(dst []byte, hash [32]byte, _ int64) ([]byte, error) {
 			once.Do(func() { close(parked) })
 			<-release
-			return p.Blob(hash)
+			return appendBlob(dst, p, hash)
 		})
 	}()
 	<-parked
@@ -498,7 +516,7 @@ func TestInstallRejectsCorruptImages(t *testing.T) {
 		}
 	}
 	// A sound manifest whose first blob arrives as garbage.
-	junk := func([32]byte, int64) ([]byte, error) { return []byte{1, 2, 3}, nil }
+	junk := func([]byte, [32]byte, int64) ([]byte, error) { return []byte{1, 2, 3}, nil }
 	if err := db.Install(good, junk); err == nil {
 		t.Fatal("garbage image accepted")
 	}
@@ -527,11 +545,11 @@ func TestInstallRejectsCorruptImages(t *testing.T) {
 	// staged before it is wiped once Install returns.
 	for k := 1; k <= len(misfiled.cells)*4; k++ {
 		calls := 0
-		err := db.Install(good, func(hash [32]byte, size int64) ([]byte, error) {
+		err := db.Install(good, func(dst []byte, hash [32]byte, size int64) ([]byte, error) {
 			if calls++; calls == k {
 				return nil, errors.New("peer went away")
 			}
-			return src.Blob(hash)
+			return appendBlob(dst, src, hash)
 		})
 		if err == nil || calls != k {
 			t.Fatalf("install with fetch %d failing: %d fetches, err %v", k, calls, err)

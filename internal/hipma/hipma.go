@@ -227,7 +227,7 @@ func (p *PMA) install(elems []Item) {
 	p.h, p.leafSlots, p.cand = p.cfg.geometry(p.nhat)
 	ns := (1 << uint(p.h)) * p.leafSlots
 	p.slots = make([]Item, ns)
-	layout := veb.NewLayout(p.h + 1)
+	layout := veb.For(p.h + 1)
 	p.ranks = veb.NewTree(layout, int64(ns), p.io)
 	p.keys = veb.NewTree(layout, int64(ns)+int64(layout.NumNodes()), p.io)
 	p.n = len(elems)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/hialloc"
 	"repro/internal/iomodel"
@@ -89,13 +90,16 @@ type imageWriter struct {
 const imageScratch = 16 << 10
 
 // newImageWriter returns a writer for one image of the given length
-// (imageLen); an image smaller than the scratch gets a scratch of its
-// own size.
-func newImageWriter(w io.Writer, size int64) *imageWriter {
+// (imageLen), staging through buf when it is large enough; an image
+// smaller than the scratch gets a scratch of its own size.
+func newImageWriter(w io.Writer, size int64, buf []byte) *imageWriter {
 	if size < 0 || size > imageScratch {
 		size = imageScratch
 	}
-	return &imageWriter{w: w, buf: make([]byte, size)}
+	if int64(cap(buf)) < size {
+		buf = make([]byte, size)
+	}
+	return &imageWriter{w: w, buf: buf[:size]}
 }
 
 func (iw *imageWriter) flush() {
@@ -169,7 +173,7 @@ func (iw *imageWriter) finish() (int64, error) {
 // WriteTo serializes the PMA's exact memory representation. It
 // implements io.WriterTo.
 func (p *PMA) WriteTo(w io.Writer) (int64, error) {
-	iw := newImageWriter(w, imageLen(p.h, p.leafSlots))
+	iw := newImageWriter(w, imageLen(p.h, p.leafSlots), nil)
 	iw.header(p.cfg, p.n, p.nhat)
 	// The array, verbatim: occupied slots and zeroed gaps alike.
 	for _, it := range p.slots {
@@ -196,12 +200,22 @@ func WriteCanonical(cfg Config, items []Item, seed uint64, w io.Writer) (int64, 
 	}
 	rng := xrand.New(seed)
 	nhat := hialloc.NewSizer(len(items), rng.Split()).Size()
+	sc, _ := canonPool.Get().(*canonScratch)
+	if sc == nil {
+		sc = new(canonScratch)
+	}
+	defer canonPool.Put(sc)
 	e := emitter{rng: rng}
 	e.h, e.leafSlots, e.cand = cfg.geometry(nhat)
-	e.out = newImageWriter(w, imageLen(e.h, e.leafSlots))
-	e.layout = veb.NewLayout(e.h + 1)
+	e.out = newImageWriter(w, imageLen(e.h, e.leafSlots), sc.buf)
+	sc.buf = e.out.buf
+	e.layout = veb.For(e.h + 1)
 	nodes := e.layout.NumNodes()
-	trees := make([]int64, 2*nodes)
+	if cap(sc.trees) < 2*nodes {
+		sc.trees = make([]int64, 2*nodes)
+	}
+	trees := sc.trees[:2*nodes]
+	clear(trees) // leaves carry no balance key: theirs stay zero
 	e.ranks, e.keys = trees[:nodes], trees[nodes:]
 
 	e.out.header(cfg, len(items), nhat)
@@ -209,6 +223,17 @@ func WriteCanonical(cfg Config, items []Item, seed uint64, w io.Writer) (int64, 
 	e.out.tree(trees)
 	return e.out.finish()
 }
+
+// canonScratch is WriteCanonical's working memory beside its output:
+// the two trees under construction and the staging buffer. Renders
+// recycle it through canonPool, so a checkpoint rendering shard after
+// shard allocates it about once instead of once per image.
+type canonScratch struct {
+	trees []int64
+	buf   []byte
+}
+
+var canonPool sync.Pool
 
 // emitter is WriteCanonical's state: the geometry, the random stream,
 // the two trees under construction and the output.
@@ -384,7 +409,7 @@ func DecodeImage(img []byte, seed uint64, io2 *iomodel.Tracker) (*PMA, error) {
 		}
 	}
 	raw = raw[slotLen*ns:]
-	layout := veb.NewLayout(p.h + 1)
+	layout := veb.For(p.h + 1)
 	p.ranks = veb.NewTree(layout, int64(ns), io2)
 	p.keys = veb.NewTree(layout, int64(ns)+int64(layout.NumNodes()), io2)
 	for _, t := range []*veb.Tree{p.ranks, p.keys} {

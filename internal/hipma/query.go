@@ -261,22 +261,23 @@ func (p *PMA) CheckInvariants() error {
 	//  2. Asymptotic: once the PMA is large, every leaf holds Ω(log N̂)
 	//     elements, making the gap O(1).
 	if p.h > 0 && p.n > 0 {
-		occ := p.Occupancy()
-		maxGap, gap := 0, 0
-		seen := false
-		for _, o := range occ {
-			if o {
-				if seen && gap > maxGap {
-					maxGap = gap
+		// The widest run of empty slots between two occupied ones, leaf by
+		// leaf: a leaf's elements sit at increasing slots (slotOf), and
+		// leaves follow one another in the array, so no bitmap is needed.
+		maxGap, last := 0, -1
+		firstLeaf := 1 << uint(p.h)
+		for leaf := firstLeaf; leaf < 2*firstLeaf; leaf++ {
+			n := int(p.ranks.Get(leaf))
+			base := p.leafBase(leaf)
+			for t := 0; t < n; t++ {
+				pos := base + p.slotOf(t, n)
+				if last >= 0 && pos-last-1 > maxGap {
+					maxGap = pos - last - 1
 				}
-				gap = 0
-				seen = true
-			} else if seen {
-				gap++
+				last = pos
 			}
 		}
 		minLeaf := p.leafSlots
-		firstLeaf := 1 << uint(p.h)
 		for leaf := firstLeaf; leaf < 2*firstLeaf; leaf++ {
 			if c := int(p.ranks.Get(leaf)); c < minLeaf {
 				minLeaf = c

@@ -75,11 +75,19 @@
 // the manifest, whose length nobody advertises, grows with what arrives
 // under that bound.
 //
-// A blob is assembled in ONE buffer: client.Conn.SyncChunk(dst, hash,
-// offset, maxLen) appends each chunk to the dst it is handed — the
+// An image is assembled in ONE buffer, and it is the install's:
+// durable.DB.Install hands the fetch function a dst — the single buffer
+// recovery's loader reads local images into, sized once for the
+// largest image the manifest names — and fetchBlob appends the image to
+// it chunk by chunk through client.Conn.SyncChunk(dst, hash, offset,
+// maxLen), which appends each chunk to the dst it is handed (the
 // client's reply buffers are pooled, so it never returns a slice of
-// one — and fetchBlob passes the blob-so-far as dst, reserved up front
-// when the manifest gave a size. The connection reuses one chunk-sized
-// reply buffer across a stream of chunks, so a fetch allocates the blob
-// and little else.
+// one). So an install holds one image at a time whether the image is
+// local or fetched, and fetchBlob makes no buffer of its own. The
+// manifest is the exception, by design: Install keeps its bytes as the
+// committed checkpoint, so it is fetched into a buffer of its own and
+// never into the one images pass through. On the serving side each
+// chunk is one positional read from the committed file into the
+// connection's reply buffer (durable.BlobReader), so neither end holds
+// an image-sized copy between requests.
 package replica

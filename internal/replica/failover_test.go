@@ -9,6 +9,7 @@ package replica
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -657,7 +658,12 @@ func TestRoleDerivations(t *testing.T) {
 
 		// Install: a no-op on the checkpoint already committed, if allowed.
 		_, stamp := db.CheckpointStamp()
-		man, err := db.Blob(stamp)
+		r, err := db.OpenBlob(stamp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := io.ReadAll(io.NewSectionReader(r, 0, r.Size()))
+		r.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,19 +293,22 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 		return sum, nil
 	}
 	// The round installs this one manifest or nothing (doc.go: why no
-	// second HEALTH is needed).
-	man, err := r.fetchBlob(conn, h.Hash, -1)
+	// second HEALTH is needed). Install keeps the manifest's bytes, so
+	// they get a buffer of their own; every image is fetched into the
+	// install's one image buffer, handed in as dst.
+	man, err := r.fetchBlob(conn, nil, h.Hash, -1)
 	if err != nil {
 		return sum, err
 	}
 	ti := time.Now()
-	err = r.db.Install(man, func(hash [32]byte, size int64) ([]byte, error) {
-		img, err := r.fetchBlob(conn, hash, size)
+	err = r.db.Install(man, func(dst []byte, hash [32]byte, size int64) ([]byte, error) {
+		img, err := r.fetchBlob(conn, dst, hash, size)
 		if err == nil {
+			n := len(img) - len(dst)
 			sum.ShardsFetched++
-			sum.BytesFetched += int64(len(img))
+			sum.BytesFetched += int64(n)
 			r.shardsFetched.Add(1)
-			r.bytesFetched.Add(uint64(len(img)))
+			r.bytesFetched.Add(uint64(n))
 		}
 		return img, err
 	})
@@ -331,44 +335,47 @@ func (r *Replica) syncLocked(rt *roundTrace) (Summary, error) {
 // fetchReserve is the most fetchBlob reserves ahead of the bytes it has
 // actually received. A size is the peer's word even when it comes out
 // of a hash-checked manifest: below the bound it is reserved exactly,
-// so an honest image is allocated once; past it the buffer grows with
+// so an honest image costs at most one allocation — none when dst has
+// the room, as an install's buffer does; past it the buffer grows with
 // what arrives. It is also the most a manifest may weigh.
 const fetchReserve = 64 << 20
 
 // fetchBlob pulls the committed blob with the given SHA-256 chunk by
-// chunk and verifies it against that hash and size, so a lying or
-// corrupted peer cannot hand us installable garbage — nor, by
-// advertising an absurd size, make us reserve memory for it. size is
-// what the manifest says of an image; the manifest itself is fetched
-// with size < 0 — nobody advertises its length — and then grows with
-// what arrives, up to fetchReserve.
-func (r *Replica) fetchBlob(conn *client.Conn, hash [32]byte, size int64) ([]byte, error) {
+// chunk, appending it to dst, and verifies it against that hash and
+// size, so a lying or corrupted peer cannot hand us installable garbage
+// — nor, by advertising an absurd size, make us reserve memory for it.
+// size is what the manifest says of an image; the manifest itself is
+// fetched with size < 0 — nobody advertises its length — and then grows
+// with what arrives, up to fetchReserve. dst's capacity is reused: an
+// install hands in the buffer its previous image was read into.
+func (r *Replica) fetchBlob(conn *client.Conn, dst []byte, hash [32]byte, size int64) ([]byte, error) {
 	limit, reserve := size, min(size, fetchReserve)
 	if size < 0 {
 		limit, reserve = fetchReserve, 0
 	}
-	buf := make([]byte, 0, reserve)
+	start := len(dst)
+	buf := slices.Grow(dst, int(reserve))
 	for {
-		have := len(buf)
+		have := len(buf) - start
 		var more bool
 		var err error
 		buf, more, err = conn.SyncChunk(buf, hash, uint64(have), r.cfg.ChunkSize)
 		if err != nil {
 			return nil, fmt.Errorf("replica: fetching blob %x at offset %d: %w", hash[:8], have, err)
 		}
-		if int64(len(buf)) > limit {
+		if int64(len(buf)-start) > limit {
 			return nil, fmt.Errorf("replica: blob %x grew past %d bytes", hash[:8], limit)
 		}
 		if !more {
 			break
 		}
-		if len(buf) == have {
+		if len(buf)-start == have {
 			return nil, fmt.Errorf("replica: blob %x fetch stalled at offset %d", hash[:8], have)
 		}
 	}
-	if (size >= 0 && int64(len(buf)) != size) || sha256.Sum256(buf) != hash {
+	if blob := buf[start:]; (size >= 0 && int64(len(blob)) != size) || sha256.Sum256(blob) != hash {
 		r.m.verifyFails.Inc()
-		return nil, fmt.Errorf("replica: the %d bytes fetched as blob %x do not match its hash and size", len(buf), hash[:8])
+		return nil, fmt.Errorf("replica: the %d bytes fetched as blob %x do not match its hash and size", len(blob), hash[:8])
 	}
 	return buf, nil
 }

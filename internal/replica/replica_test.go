@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"net"
 	"strings"
 	"testing"
@@ -406,4 +407,65 @@ func TestReplicaRedialsAfterPrimaryRestart(t *testing.T) {
 	if v, ok := r.db.Get(2); !ok || v != 2 {
 		t.Fatalf("replica missing post-restart write: %d %v", v, ok)
 	}
+}
+
+// TestFetchBufferNeverAliasesCommittedManifest: a round fetches the
+// manifest, then images into the install's one buffer, and Install
+// keeps the manifest's bytes as the committed checkpoint. The two must
+// never share memory: after every round the replica's committed
+// manifest — in memory, as HEALTH and SYNC serve it, and on disk — is
+// byte for byte the primary's.
+//
+// With the bug, the images landed in the manifest's buffer: the install
+// committed image bytes as its manifest, and the replica advertised a
+// checkpoint stamp no primary ever had.
+func TestFetchBufferNeverAliasesCommittedManifest(t *testing.T) {
+	p := newNode(t, durable.NewMemFS(), 7, 4, false)
+	defer p.close()
+	r := newNode(t, durable.NewMemFS(), 99, 4, true)
+	defer r.close()
+	rep, err := New(r.db, Config{Dial: p.dialTo(), ChunkSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	c := dialNode(t, r)
+	defer c.Close()
+
+	for round := int64(0); round < 4; round++ {
+		for k := int64(0); k < 1500; k++ {
+			p.db.Put(k, k*round)
+		}
+		if _, err := p.db.NSPut("acme", round, round); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		sum, err := rep.SyncOnce()
+		if err != nil || sum.ShardsFetched == 0 {
+			t.Fatalf("round %d: %+v, %v", round, sum, err)
+		}
+		_, want := p.db.CheckpointStamp()
+		if _, got := r.db.CheckpointStamp(); got != want {
+			t.Fatalf("round %d: the replica's checkpoint stamp %x is not the primary's %x", round, got[:4], want[:4])
+		}
+		man, _ := dialFetch(t, c, want)
+		if sha256.Sum256(man) != want {
+			t.Fatalf("round %d: the replica serves %d manifest bytes that do not hash to its stamp", round, len(man))
+		}
+		sameDirs(t, p.fs, r.fs)
+	}
+}
+
+// dialFetch reassembles one blob from c by SYNC chunks.
+func dialFetch(t *testing.T, c *client.Conn, hash [32]byte) (blob []byte, chunks int) {
+	t.Helper()
+	for more := true; more; chunks++ {
+		var err error
+		if blob, more, err = c.SyncChunk(blob, hash, uint64(len(blob)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blob, chunks
 }

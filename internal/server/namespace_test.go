@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -283,7 +284,12 @@ func TestNamespaceWireDropCheckpointFailureRetry(t *testing.T) {
 func manifestNames(t *testing.T, db *durable.DB, tenant string) bool {
 	t.Helper()
 	_, stamp := db.CheckpointStamp()
-	man, err := db.Blob(stamp)
+	r, err := db.OpenBlob(stamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	man, err := io.ReadAll(io.NewSectionReader(r, 0, r.Size()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/durable"
@@ -246,8 +247,9 @@ func serveListNS(c *conn, _ request, _, dst []byte) ([]byte, time.Time, byte) {
 const maxSyncChunk = 256 << 10
 
 // serveSync answers with bytes [off, off+maxlen) of the committed blob
-// the request names by hash: the manifest or an image it lists. A hash
-// the committed checkpoint does not name is stale — the fetcher is
+// the request names by hash: the manifest or an image it lists, read
+// through the connection's open BlobReader straight into the reply. A
+// hash the committed checkpoint does not name is stale — the fetcher is
 // working from a superseded manifest and must start a new round.
 func serveSync(c *conn, _ request, p, dst []byte) ([]byte, time.Time, byte) {
 	s := c.srv
@@ -255,32 +257,50 @@ func serveSync(c *conn, _ request, p, dst []byte) ([]byte, time.Time, byte) {
 	if err != nil {
 		return refuse(proto.ErrCodeBadFrame, err.Error())
 	}
-	blob, err := s.blob(hash)
+	if c.blob == nil || c.blob.Hash() != hash {
+		c.dropBlob()
+		if c.blob, err = s.db.OpenBlob(hash); err != nil {
+			return refuseSync(err)
+		}
+	}
+	size := uint64(c.blob.Size())
+	if off > size {
+		return refuse(proto.ErrCodeBadFrame, fmt.Sprintf("offset %d past the %d-byte blob", off, size))
+	}
+	limit := uint64(maxSyncChunk)
+	if maxLen > 0 && uint64(maxLen) < limit {
+		limit = uint64(maxLen)
+	}
+	n := int(min(limit, size-off))
+	more := off+uint64(n) < size
+	dst = proto.AppendSyncChunk(dst, more, nil)
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	if _, err := c.blob.ReadAt(dst[at:], int64(off)); err != nil {
+		c.dropBlob()
+		return refuseSync(err)
+	}
+	if !more {
+		c.dropBlob() // the fetcher has the blob's last chunk: release the file
+	}
+	s.st.syncBytesOut.Add(uint64(n))
+	return dst, time.Now(), 0
+}
+
+// refuseSync answers a SYNC whose blob could not be read: stale when a
+// newer checkpoint superseded it, internal otherwise (a file that
+// rotted on disk is refused, never served).
+func refuseSync(err error) ([]byte, time.Time, byte) {
 	if errors.Is(err, durable.ErrStale) {
 		return refuse(proto.ErrCodeStale, err.Error())
-	} else if err != nil {
-		return refuse(proto.ErrCodeInternal, err.Error())
 	}
-	if off > uint64(len(blob)) {
-		return refuse(proto.ErrCodeBadFrame, fmt.Sprintf("offset %d past the %d-byte blob", off, len(blob)))
+	return refuse(proto.ErrCodeInternal, err.Error())
+}
+
+// dropBlob closes the connection's SYNC stream, if any.
+func (c *conn) dropBlob() {
+	if c.blob != nil {
+		c.blob.Close()
+		c.blob = nil
 	}
-	limit := maxSyncChunk
-	if maxLen > 0 && int(maxLen) < limit {
-		limit = int(maxLen)
-	}
-	end := min(int(off)+limit, len(blob))
-	chunk := blob[off:end]
-	more := end < len(blob)
-	if !more {
-		// The fetcher just took the blob's last chunk; release the cache
-		// rather than pin a whole shard image between syncs.
-		s.syncMu.Lock()
-		if s.syncHash == hash {
-			s.syncBlob = nil
-		}
-		s.syncMu.Unlock()
-	}
-	s.st.syncBytesOut.Add(uint64(len(chunk)))
-	ta := time.Now()
-	return proto.AppendSyncChunk(dst, more, chunk), ta, 0
 }

@@ -137,14 +137,6 @@ type Server struct {
 	// sweep schedules the epoch-triggered expiry sweeps the coalescer
 	// goroutine runs between drains (see sweepOnceNow).
 	sweep *expiry.Schedule
-
-	// One-entry cache of the last blob served to a SYNC fetch, so a
-	// replica pulling an image chunk by chunk costs one disk read, not
-	// one per chunk. Keyed by content hash alone, so it can never serve
-	// the wrong bytes — at worst it misses.
-	syncMu   sync.Mutex
-	syncHash [32]byte
-	syncBlob []byte
 }
 
 // New returns an unstarted server over db.
@@ -401,6 +393,12 @@ type conn struct {
 	// same way. Only the reader goroutine touches either.
 	pscratch []byte
 	rangeBuf []proto.Item
+	// blob is the committed blob this connection's SYNC stream reads,
+	// open from the stream's first chunk to its last: each chunk is one
+	// ReadAt straight into pscratch, so a fetch costs one open and one
+	// verification per blob, and no copy of it is held between requests.
+	// nil: no stream. Reader goroutine only.
+	blob *durable.BlobReader
 
 	// The trace identity awaiting the next flush, set under qmu by
 	// whichever goroutine finishes a kept request and consumed by the
@@ -496,6 +494,7 @@ func (s *Server) handle(nc net.Conn) {
 	c.markDone()
 	writerDone.Wait()
 	c.close()
+	c.dropBlob()
 
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -616,11 +615,13 @@ func (c *conn) readLoop() {
 			return
 		}
 		c.dispatch(rq, f.Payload)
-		if cap(c.pscratch) > 64<<10 && len(c.pscratch) <= 64<<10 {
+		if cap(c.pscratch) > 64<<10 && len(c.pscratch) <= 64<<10 && f.Op != proto.OpSync {
 			// A jumbo batch, range or sync reply grew the scratch. It
 			// stays while replies keep needing it — a SYNC stream reuses
-			// it chunk after chunk — and goes with the first reply that
-			// does not, so it is not pinned for the connection's lifetime.
+			// it chunk after chunk, and a fetcher's next blob follows the
+			// short last chunk of the one before — and goes with the first
+			// other reply that does not, so it is not pinned for the
+			// connection's lifetime.
 			c.pscratch = nil
 		}
 	}
@@ -694,20 +695,4 @@ func (c *conn) fail(rq *request, code byte, msg string) {
 	payload, now, _ := refuse(code, msg)
 	rq.td = now
 	c.finish(rq, payload, code, 0, now, now)
-}
-
-// blob returns the committed blob with the given hash through the
-// one-entry sync cache. The lock is held across a miss's disk read:
-// durable serializes those reads anyway.
-func (s *Server) blob(hash [32]byte) ([]byte, error) {
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	if s.syncBlob == nil || s.syncHash != hash {
-		b, err := s.db.Blob(hash)
-		if err != nil {
-			return nil, err
-		}
-		s.syncHash, s.syncBlob = hash, b
-	}
-	return s.syncBlob, nil
 }

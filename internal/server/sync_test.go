@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"path"
+	"sync"
 	"testing"
 
 	"repro/client"
@@ -205,5 +207,213 @@ func TestStatsRole(t *testing.T) {
 	defer srv.Close()
 	if st := srv.Stats(); st.Role != "replica" {
 		t.Fatalf("role = %q, want replica", st.Role)
+	}
+}
+
+// TestSyncChunkNeverServesWipedBytes: a SYNC stream straddles
+// checkpoints that supersede its blob — and, in the second half, commit
+// it again under a fresh file. Every chunk must be the blob's true bytes
+// or a stale refusal.
+//
+// With the bug, a stream kept reading the file it opened first: once a
+// checkpoint's sweep had zero-wiped that file, the next chunks came back
+// as zeros, which the fetcher could only reject after the whole blob
+// had crossed the wire — and a blob committed again was read from the
+// wiped inode, not from its new file.
+func TestSyncChunkNeverServesWipedBytes(t *testing.T) {
+	db, fs := newSyncDB(t)
+	defer db.Close()
+	for k := int64(0); k < 2000; k++ {
+		db.Put(k, k*7)
+	}
+	const x = 1_000_000 // the key that moves one shard between two images
+	checkpoint := func() map[[32]byte][]byte {
+		t.Helper()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		_, images := committedFiles(t, fs)
+		return images
+	}
+	db.Put(x, 1)
+	with := checkpoint()
+	db.Delete(x)
+	without := checkpoint()
+	var hWith, hWithout [32]byte
+	for h := range with {
+		if _, ok := without[h]; !ok {
+			hWith = h
+		}
+	}
+	for h := range without {
+		if _, ok := with[h]; !ok {
+			hWithout = h
+		}
+	}
+	if hWith == ([32]byte{}) || hWithout == ([32]byte{}) {
+		t.Fatal("key x moved no image")
+	}
+
+	srv, addr := startTCP(t, db, Config{})
+	defer srv.Close()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const chunk = 512
+	// read fetches the chunk at off of the blob hashing to h, whose true
+	// bytes are want: it reports false for a stale refusal and fails the
+	// test for anything but the true bytes.
+	read := func(h [32]byte, want []byte, off int) bool {
+		t.Helper()
+		got, _, err := c.SyncChunk(nil, h, uint64(off), chunk)
+		if isStale(err) {
+			return false
+		}
+		if err != nil {
+			t.Fatalf("chunk at %d: %v", off, err)
+		}
+		if !bytes.Equal(got, want[off:min(off+chunk, len(want))]) {
+			t.Fatalf("chunk at %d is %d bytes that are not the blob's (all zeros: %v)", off, len(got), !bytes.ContainsFunc(got, func(r rune) bool { return r != 0 }))
+		}
+		return true
+	}
+
+	// Superseded mid-stream: each later chunk is the true bytes or stale.
+	if !read(hWithout, without[hWithout], 0) {
+		t.Fatal("the committed blob is stale")
+	}
+	db.Put(x, 1)
+	checkpoint()
+	for off := chunk; off < len(without[hWithout]); off += chunk {
+		read(hWithout, without[hWithout], off)
+	}
+
+	// Superseded and committed again mid-stream: the chunks are the
+	// blob's bytes, read from its new file.
+	if !read(hWith, with[hWith], 0) {
+		t.Fatal("the committed blob is stale")
+	}
+	db.Delete(x)
+	checkpoint()
+	db.Put(x, 1)
+	checkpoint()
+	for off := chunk; off < len(with[hWith]); off += chunk {
+		if !read(hWith, with[hWith], off) {
+			t.Fatalf("chunk at %d of the committed blob is stale", off)
+		}
+	}
+}
+
+// countingFS counts, per file, the opens for reading and the bytes read
+// sequentially — the pass that verifies a file's hash. Positional reads
+// (ReadAt), which serve a SYNC chunk, are not counted.
+type countingFS struct {
+	*durable.MemFS
+	mu    sync.Mutex
+	opens map[string]int
+	read  map[string]int64
+}
+
+func (c *countingFS) Open(name string) (durable.File, error) {
+	f, err := c.MemFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.opens[path.Base(name)]++
+	c.mu.Unlock()
+	return &countingFile{File: f, fs: c, name: path.Base(name)}, nil
+}
+
+type countingFile struct {
+	durable.File
+	fs   *countingFS
+	name string
+}
+
+func (f *countingFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.fs.mu.Lock()
+	f.fs.read[f.name] += int64(n)
+	f.fs.mu.Unlock()
+	return n, err
+}
+
+// TestInterleavedFetchersOpenEachBlobOnce: two fetchers on two
+// connections pull two different images chunk by chunk, in lockstep.
+// Each image must be opened, and its hash verified, once for its whole
+// stream.
+//
+// With the bug, the server kept one cached blob for all connections:
+// alternating fetchers evicted each other's image on every chunk, so
+// each chunk re-read and re-hashed its whole image — one open and one
+// hash pass per chunk instead of per blob.
+func TestInterleavedFetchersOpenEachBlobOnce(t *testing.T) {
+	fs := &countingFS{MemFS: durable.NewMemFS()}
+	db, err := durable.Open("db", &durable.Options{Shards: 4, Seed: 42, NoBackground: true, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for k := int64(0); k < 2000; k++ {
+		db.Put(k, k*7)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	_, images := committedFiles(t, fs.MemFS)
+	var blobs [][]byte
+	for _, img := range images {
+		blobs = append(blobs, img)
+	}
+	blobs = blobs[:2]
+	fs.mu.Lock()
+	fs.opens, fs.read = map[string]int{}, map[string]int64{}
+	fs.mu.Unlock()
+
+	srv, addr := startTCP(t, db, Config{})
+	defer srv.Close()
+	var conns [2]*client.Conn
+	for i := range conns {
+		if conns[i], err = client.Dial(addr); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[i].Close()
+	}
+	const chunk = 1024
+	var got [2][]byte
+	chunks := 0
+	for len(got[0]) < len(blobs[0]) || len(got[1]) < len(blobs[1]) {
+		for i := range conns {
+			if len(got[i]) == len(blobs[i]) {
+				continue
+			}
+			if got[i], _, err = conns[i].SyncChunk(got[i], sha256.Sum256(blobs[i]), uint64(len(got[i])), chunk); err != nil {
+				t.Fatal(err)
+			}
+			chunks++
+		}
+	}
+	for i := range blobs {
+		if !bytes.Equal(got[i], blobs[i]) {
+			t.Fatalf("fetcher %d assembled bytes that are not its image", i)
+		}
+	}
+
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if len(fs.opens) != 2 {
+		t.Fatalf("%d files opened for %d chunks of two images: %v", len(fs.opens), chunks, fs.opens)
+	}
+	for name, n := range fs.opens {
+		size, err := fs.Size("db/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 1 || fs.read[name] != size {
+			t.Errorf("%s (%d bytes) was opened %d times and read %d bytes through for %d chunks, want 1 open and 1 hash pass", name, size, n, fs.read[name], chunks)
+		}
 	}
 }

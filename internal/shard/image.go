@@ -68,11 +68,23 @@ type snapshot struct {
 	data, exps []Item
 }
 
-// capture copies c's two sorted item runs into sn, reusing its
-// capacity. The caller holds c's lock.
+// capture copies c's two sorted item runs into sn, reusing its capacity
+// when it suffices and otherwise allocating exactly the runs' lengths —
+// never regrowing by appends, which would allocate about twice what a
+// run holds whenever the pool comes back empty. The caller holds c's
+// lock.
 func (sn *snapshot) capture(c *cell) {
-	sn.data = c.dict.PMA().AppendAll(sn.data[:0])
-	sn.exps = c.exps.PMA().AppendAll(sn.exps[:0])
+	sn.data = c.dict.PMA().AppendAll(sized(sn.data, c.dict.Len()))
+	sn.exps = c.exps.PMA().AppendAll(sized(sn.exps, c.exps.Len()))
+}
+
+// sized returns an empty slice with room for n items: buf's, if it has
+// the room.
+func sized(buf []Item, n int) []Item {
+	if cap(buf) < n {
+		return make([]Item, 0, n)
+	}
+	return buf[:0]
 }
 
 func (s *Store) getSnapshot() *snapshot {

@@ -15,6 +15,7 @@ package veb
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/iomodel"
 )
@@ -39,6 +40,26 @@ func NewLayout(levels int) *Layout {
 	var next int32
 	l.build(1, levels, &next)
 	return l
+}
+
+// layouts holds the shared layout of each level count, built on first
+// use (see For).
+var layouts [32]atomic.Pointer[Layout]
+
+// For returns the layout for a tree of the given number of levels,
+// shared by every caller: a Layout is never written once built, so
+// trees of one height — every PMA of that height, every image encoded
+// or decoded at it — need only one. The first call per level count
+// builds it; levels outside [1, 31] panic as in NewLayout.
+func For(levels int) *Layout {
+	if levels < 1 || levels >= len(layouts) {
+		return NewLayout(levels) // out of range: panics
+	}
+	if l := layouts[levels].Load(); l != nil {
+		return l
+	}
+	layouts[levels].CompareAndSwap(nil, NewLayout(levels))
+	return layouts[levels].Load()
 }
 
 func (l *Layout) build(root int64, levels int, next *int32) {
